@@ -27,6 +27,7 @@ from .concat import (
     concat_relative_pose,
     detect_cycles,
     estimate_offset,
+    register_sequence,
 )
 from .encoder import (
     Descriptor,

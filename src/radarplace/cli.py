@@ -5,7 +5,7 @@ build-db -> query -> eval -> render.  Every run is deterministic given its
 inputs, config and seed.
 
 Exit codes: 0 success, 1 usage error, 2 empty/degenerate result,
-3 data error, 4 internal error.
+3 data error (including a missing or unreadable file), 4 internal error.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ def cmd_heatmap(args) -> int:
     keyvals, rcfg, _ = _load_configs(args.config)
     _apply_preset(args, keyvals)
     size = _parse_size(args.heatmap_size) if args.heatmap_size else None
-    if size is None and "heatmap_rows" in keyvals:
+    if size is None and keyvals.keys() & {"heatmap_rows", "heatmap_cols"}:
+        if not keyvals.keys() >= {"heatmap_rows", "heatmap_cols"}:
+            raise ConfigError("heatmap_rows and heatmap_cols must be given together")
         size = (int(keyvals["heatmap_rows"]), int(keyvals["heatmap_cols"]))
     src = Path(args.input)
     files = sorted(src.glob("*.ifc")) if src.is_dir() else [src]
@@ -127,9 +129,7 @@ def cmd_concat(args) -> int:
         return EXIT_EMPTY
     frames = [fileio.load_heatmap(f) for f in files]
     a_window = args.a_window or cc.default_a_window(frames[0].n_cols)
-    offsets = [cc.PoseOffset(0, 0, 1.0)]
-    for t in range(1, len(frames)):
-        offsets.append(cc.estimate_offset(frames[t - 1], frames[t], args.r_window, a_window))
+    offsets = cc.register_sequence(frames, args.r_window, a_window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.save_offsets_csv(out / "offsets.csv", offsets)
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except EmptyResultError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except RadarPlaceError as exc:
+    except (RadarPlaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # internal invariant violation

@@ -128,6 +128,13 @@ def estimate_offset(
     return PoseOffset(r_offset=best[3], a_offset=best[4], score=-best[0])
 
 
+def register_sequence(frames: list[Heatmap], r_window: int, a_window: int) -> list[PoseOffset]:
+    """Per-frame offsets, identity first: ``offsets[t]`` registers frame t on t-1."""
+    return [PoseOffset(0, 0, 1.0)] + [
+        estimate_offset(prev, cur, r_window, a_window) for prev, cur in zip(frames, frames[1:])
+    ]
+
+
 def detect_cycles(offsets: list[PoseOffset]) -> list[CycleSegment]:
     """Partition a frame sequence into maximal constant-sign rotation runs.
 

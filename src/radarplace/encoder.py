@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyResultError
 from .heatmap import Heatmap
+from .placedb import PlaceDB, PlaceRecord, recall_at_n
 
 _DEGENERATE_EPS = 1e-12
 
@@ -110,13 +111,8 @@ class Descriptor:
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Heatmap):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
-def _as_desc(x) -> np.ndarray:
-    if isinstance(x, Descriptor):
+    """Values of a Heatmap or Descriptor; anything else as a float64 array."""
+    if isinstance(x, (Heatmap, Descriptor)):
         return x.values
     return np.asarray(x, dtype=np.float64)
 
@@ -208,6 +204,21 @@ def _normalize_input(x: np.ndarray) -> np.ndarray:
     return (x - mu) / sd if sd > 0 else x - mu
 
 
+def _describe(x: np.ndarray, w: EncoderWeights):
+    """Standardize, run the stack and unit-normalize: (descriptor, pre-norm norm, cache).
+
+    A pre-norm vector shorter than _DEGENERATE_EPS has no direction; it maps
+    to the first basis vector, flagged degenerate, and passes no gradient.
+    """
+    flat, cache = _forward(_normalize_input(x), w)
+    norm = np.linalg.norm(flat)
+    if norm < _DEGENERATE_EPS:
+        canonical = np.zeros(flat.size)
+        canonical[0] = 1.0
+        return Descriptor(canonical, degenerate=True), norm, cache
+    return Descriptor(flat / norm), norm, cache
+
+
 def encode(h, w: EncoderWeights) -> Descriptor:
     """Map a heatmap to its unit-norm place descriptor."""
     x = _as_array(h)
@@ -215,13 +226,7 @@ def encode(h, w: EncoderWeights) -> Descriptor:
         raise DimensionError(
             f"input {x.shape} does not match encoder input {w.arch.input_shape}"
         )
-    flat, _ = _forward(_normalize_input(x), w)
-    norm = np.linalg.norm(flat)
-    if norm < _DEGENERATE_EPS:
-        canonical = np.zeros(flat.size)
-        canonical[0] = 1.0
-        return Descriptor(canonical, degenerate=True)
-    return Descriptor(flat / norm)
+    return _describe(x, w)[0]
 
 
 def triplet_loss(dq, dps, dns, alpha: float) -> float:
@@ -231,9 +236,9 @@ def triplet_loss(dq, dps, dns, alpha: float) -> float:
     """
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
-    q = _as_desc(dq)
-    ps = [_as_desc(p) for p in dps]
-    ns = [_as_desc(n) for n in dns]
+    q = _as_array(dq)
+    ps = [_as_array(p) for p in dps]
+    ns = [_as_array(n) for n in dns]
     if not ps or not ns:
         raise ConfigError("positives and negatives must be nonempty")
     d_pos = min(np.linalg.norm(q - p) for p in ps)
@@ -275,12 +280,11 @@ def _loss_and_descriptor_grads(q, ps, ns, alpha):
     return loss, gq, gps, gns
 
 
-def _norm_backward(flat: np.ndarray, dnorm: np.ndarray) -> np.ndarray:
-    """Gradient through y = x / ||x||."""
-    norm = np.linalg.norm(flat)
-    if norm < _DEGENERATE_EPS:
-        return np.zeros_like(flat)
-    y = flat / norm
+def _norm_backward(desc: Descriptor, norm: float, dnorm: np.ndarray) -> np.ndarray:
+    """Gradient through y = x / ||x||, given y and ||x||."""
+    if desc.degenerate:
+        return np.zeros_like(dnorm)
+    y = desc.values
     return (dnorm - y * np.dot(y, dnorm)) / norm
 
 
@@ -322,18 +326,8 @@ def backward(batch: TripletBatch, w: EncoderWeights):
         for k, b in zip(w.kernels, w.biases)
     ]
     samples = [batch.query] + list(batch.positives) + list(batch.negatives)
-    flats, caches, descs = [], [], []
-    for x in samples:
-        flat, cache = _forward(_normalize_input(_as_array(x)), w)
-        norm = np.linalg.norm(flat)
-        if norm < _DEGENERATE_EPS:
-            desc = np.zeros(flat.size)
-            desc[0] = 1.0
-        else:
-            desc = flat / norm
-        flats.append(flat)
-        caches.append(cache)
-        descs.append(desc)
+    described = [_describe(_as_array(x), w) for x in samples]
+    descs = [desc.values for desc, _, _ in described]
 
     n_pos = len(batch.positives)
     q = descs[0]
@@ -341,10 +335,10 @@ def backward(batch: TripletBatch, w: EncoderWeights):
     ns = descs[1 + n_pos :]
     loss, gq, gps, gns = _loss_and_descriptor_grads(q, ps, ns, batch.margin)
     dgrads = [gq] + gps + gns
-    for flat, cache, dnorm in zip(flats, caches, dgrads):
+    for (desc, norm, cache), dnorm in zip(described, dgrads):
         if not np.any(dnorm):
             continue
-        dflat = _norm_backward(flat, dnorm)
+        dflat = _norm_backward(desc, norm, dnorm)
         _backward(dflat, cache, w, grads)
     return grads, loss
 
@@ -430,25 +424,24 @@ class TrainResult:
     history: list[dict]  # per epoch: epoch, mean_loss, lr, val_recall1
 
 
-def _val_recall1(dataset, weights, holdout_stride=5, radius=3.0):
-    """Leave-out recall@1: every holdout_stride-th record queries the rest."""
-    descs = np.stack([encode(h, weights).values for h, _ in dataset])
-    positions = np.array([_position_of(d) for d in dataset])
-    n = len(dataset)
-    val_idx = np.arange(0, n, holdout_stride)
-    db_idx = np.array([i for i in range(n) if i % holdout_stride != 0])
-    if val_idx.size == 0 or db_idx.size == 0:
+def _val_recall1(dataset, weights, holdout_stride=5):
+    """Leave-out recall@1: every holdout_stride-th record queries the rest.
+
+    The rest form a PlaceDB; held-out queries with no record within
+    MATCH_RADIUS_M are not counted.  Returns 0.0 when nothing is counted.
+    """
+    db, queries = PlaceDB(), []
+    for i, (h, pos) in enumerate(dataset):
+        desc = encode(h, weights).values
+        if i % holdout_stride:
+            db.add(PlaceRecord(i, desc, pos))
+        else:
+            queries.append((desc, pos))
+    if not len(db):
         return 0.0
-    hits = 0
-    counted = 0
-    for qi in val_idx:
-        geo = np.linalg.norm(positions[db_idx] - positions[qi], axis=1)
-        if not np.any(geo <= radius):
-            continue
-        counted += 1
-        d = np.linalg.norm(descs[db_idx] - descs[qi], axis=1)
-        hits += geo[np.argmin(d)] <= radius
-    return hits / counted if counted else 0.0
+    results = [db.query(desc, k=1, query_position=pos) for desc, pos in queries]
+    kept = [r for r in results if r.has_match]
+    return recall_at_n(kept, 1) if kept else 0.0
 
 
 def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainResult:
@@ -469,15 +462,6 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
         for k, b in zip(weights.kernels, weights.biases)
     ]
 
-    probe, _ = mine_triplets(
-        dataset, cfg.r_pos, cfg.r_neg, cfg.n_pos, cfg.n_neg, seed=cfg.seed,
-        margin=cfg.margin,
-    )
-    if not probe:
-        raise EmptyResultError(
-            "dataset yields no valid triplets under the positive/negative radii"
-        )
-
     best = weights.copy()
     best_recall = -1.0
     history = []
@@ -488,6 +472,11 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
             dataset, cfg.r_pos, cfg.r_neg, cfg.n_pos, cfg.n_neg,
             seed=cfg.seed + epoch, margin=cfg.margin,
         )
+        # eligibility depends on positions only: epoch 0 decides for all
+        if not batches:
+            raise EmptyResultError(
+                "dataset yields no valid triplets under the positive/negative radii"
+            )
         order = rng.permutation(len(batches))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
@@ -510,8 +499,8 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
                 velocity[l][1] = cfg.momentum * velocity[l][1] - lr * gb
                 weights.kernels[l] += velocity[l][0]
                 weights.biases[l] += velocity[l][1]
-        recall = _val_recall1(dataset, weights, radius=cfg.r_pos)
-        mean_loss = float(np.mean(losses)) if losses else 0.0
+        recall = _val_recall1(dataset, weights)
+        mean_loss = float(np.mean(losses))
         history.append(
             {"epoch": epoch, "mean_loss": mean_loss, "lr": lr, "val_recall1": recall}
         )

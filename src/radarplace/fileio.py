@@ -7,6 +7,7 @@ are line-oriented with ``#`` comments.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -33,6 +34,17 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _expect_payload(fh, n: int, path) -> None:
+    """Require the header's declared ``n`` payload bytes to be all that is left.
+
+    Runs before the payload is read, so absurd header sizes never reach an allocation.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != n:
+        problem = "truncated" if left < n else "trailing bytes after"
+        raise FormatError(f"{path}: {problem} payload: header declares {n} bytes, {left} remain")
+
+
 # -- IF cubes -----------------------------------------------------------------
 
 def save_cube(path, cube: IFCube) -> None:
@@ -51,8 +63,8 @@ def load_cube(path) -> IFCube:
         if _read_exact(fh, 4, "magic") != IFC_MAGIC:
             raise FormatError(f"{path}: not an IF cube file")
         n_s, n_c, n_r = struct.unpack("<III", _read_exact(fh, 12, "dims"))
-        count = n_s * n_c * n_r * 2
-        raw = np.frombuffer(_read_exact(fh, count * 4, "samples"), dtype="<f4")
+        _expect_payload(fh, n_s * n_c * n_r * 2 * 4, path)
+        raw = np.frombuffer(fh.read(), dtype="<f4")
     inter = raw.reshape(n_s, n_c, n_r, 2).astype(np.float64)
     return IFCube(inter[..., 0] + 1j * inter[..., 1])
 
@@ -74,8 +86,9 @@ def load_heatmap(path) -> Heatmap:
             raise FormatError(f"{path}: not a heatmap file")
         rows, cols = struct.unpack("<II", _read_exact(fh, 8, "dims"))
         (range_bin_m,) = struct.unpack("<d", _read_exact(fh, 8, "range_bin_m"))
-        axis = np.frombuffer(_read_exact(fh, cols * 8, "angle_axis"), dtype="<f8")
-        vals = np.frombuffer(_read_exact(fh, rows * cols * 4, "values"), dtype="<f4")
+        _expect_payload(fh, cols * 8 + rows * cols * 4, path)
+        axis = np.frombuffer(fh.read(cols * 8), dtype="<f8")
+        vals = np.frombuffer(fh.read(), dtype="<f4")
     return Heatmap(vals.astype(np.float64).reshape(rows, cols), range_bin_m, axis.copy())
 
 
@@ -168,10 +181,10 @@ def load_db(path) -> PlaceDB:
         if _read_exact(fh, 4, "magic") != MPDB_MAGIC:
             raise FormatError(f"{path}: not a place database file")
         count, dim = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        _expect_payload(fh, count * (32 + dim * 4), path)
         for _ in range(count):
-            (rid,) = struct.unpack("<Q", _read_exact(fh, 8, "record id"))
-            x, y, heading = struct.unpack("<ddd", _read_exact(fh, 24, "pose"))
-            desc = np.frombuffer(_read_exact(fh, dim * 4, "descriptor"), dtype="<f4")
+            rid, x, y, heading = struct.unpack("<Qddd", fh.read(32))
+            desc = np.frombuffer(fh.read(dim * 4), dtype="<f4")
             db.add(
                 PlaceRecord(
                     rid,

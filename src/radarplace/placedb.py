@@ -75,11 +75,6 @@ class PlaceDB:
         self._ids.add(record.id)
         return record.id
 
-    def add_new(self, descriptor, position, heading=None, source="") -> int:
-        """Add with the next free integer id."""
-        next_id = max(self._ids) + 1 if self._ids else 0
-        return self.add(PlaceRecord(next_id, descriptor, position, heading, source))
-
     def get(self, record_id: int) -> PlaceRecord:
         for r in self.records:
             if r.id == record_id:

@@ -100,9 +100,6 @@ class IFCube:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def matches(self, cfg: RadarConfig) -> bool:
-        return self.dims == (cfg.n_samples, cfg.n_chirps, cfg.n_antennas)
-
 
 @dataclass(frozen=True)
 class PlatformConfig:
@@ -224,6 +221,15 @@ def scene_at_heading(
     return out
 
 
+def sweep_schedule(pcfg: PlatformConfig, n_frames: int, seed: int = 0) -> list[tuple[float, int]]:
+    """Per-frame (heading deg, noise seed) of a sweep; both streams derive from ``seed``."""
+    # spawned children keep the parent's entropy, so every seed below is seed % 2**32
+    jitter_seed, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    headings = sweep_headings(pcfg, n_frames, seed=jitter_seed.entropy % (2**32))
+    noise_seeds = [s.entropy % (2**32) for s in noise_seq.spawn(n_frames)]
+    return [(float(h), s) for h, s in zip(headings, noise_seeds)]
+
+
 def simulate_platform_sweep(
     scene: list[Scatterer],
     cfg: RadarConfig,
@@ -236,16 +242,10 @@ def simulate_platform_sweep(
 
     Scene azimuths are world-frame; each frame sees the scene rotated by its
     heading, clipped to the sensor FOV.  All randomness (jitter and noise)
-    derives from ``seed``.
+    derives from ``seed`` through :func:`sweep_schedule`.
     """
-    ss = np.random.SeedSequence(seed)
-    jitter_seed, noise_seq = ss.spawn(2)
-    headings = sweep_headings(pcfg, n_frames, seed=jitter_seed.entropy % (2**32))
-    noise_seeds = [s.entropy % (2**32) for s in noise_seq.spawn(n_frames)]
-
-    frames = []
-    for f in range(n_frames):
-        local = scene_at_heading(scene, headings[f], cfg.fov_deg)
-        cube = simulate_if_cube(local, cfg, noise_std=noise_std, seed=noise_seeds[f])
-        frames.append((cube, float(headings[f])))
-    return frames
+    return [
+        (simulate_if_cube(scene_at_heading(scene, heading, cfg.fov_deg), cfg,
+                          noise_std=noise_std, seed=noise_seed), heading)
+        for heading, noise_seed in sweep_schedule(pcfg, n_frames, seed)
+    ]

@@ -26,7 +26,7 @@ from .radar import (
     Scatterer,
     scene_at_heading,
     simulate_if_cube,
-    sweep_headings,
+    sweep_schedule,
 )
 
 ROTATION_BUCKETS = ((0.0, 5.0), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0))
@@ -97,6 +97,17 @@ def _scene_from(place: Place, lateral: tuple[float, float]) -> list[Scatterer]:
     return out
 
 
+def _render_frame(
+    scene: list[Scatterer], cfg: RadarConfig, wcfg: WorldConfig,
+    heading_deg: float, seed: int,
+) -> Heatmap:
+    """One heatmap of a world-frame scene: rotate, simulate, resize, FFT."""
+    local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
+    cube = simulate_if_cube(local, cfg, noise_std=wcfg.noise_std, seed=seed)
+    cube = resize_cube(cube, wcfg.heatmap_rows, wcfg.heatmap_cols)
+    return generate_heatmap(cube, cfg)
+
+
 def render_view(
     world: World,
     place_idx: int,
@@ -106,12 +117,8 @@ def render_view(
     seed: int = 0,
 ) -> Heatmap:
     """Single-frame heatmap of one place from a perturbed pose."""
-    wcfg = world.cfg
     scene = _scene_from(world.places[place_idx], lateral)
-    local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
-    cube = simulate_if_cube(local, cfg, noise_std=wcfg.noise_std, seed=seed)
-    cube = resize_cube(cube, wcfg.heatmap_rows, wcfg.heatmap_cols)
-    return generate_heatmap(cube, cfg)
+    return _render_frame(scene, cfg, world.cfg, heading_deg, seed)
 
 
 def render_sweep(
@@ -124,20 +131,12 @@ def render_sweep(
     lateral: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
 ) -> list[Heatmap]:
-    """Rotating-platform heatmap sequence from one pose."""
-    wcfg = world.cfg
+    """Rotating-platform heatmap sequence from one pose, one IF cube alive at a time."""
     scene = _scene_from(world.places[place_idx], lateral)
-    ss = np.random.SeedSequence(seed)
-    jitter, noise = ss.spawn(2)
-    headings = sweep_headings(pcfg, n_frames, seed=jitter.entropy % (2**32))
-    noise_seeds = [s.entropy % (2**32) for s in noise.spawn(n_frames)]
-    frames = []
-    for f in range(n_frames):
-        local = scene_at_heading(scene, body_heading_deg + headings[f], cfg.fov_deg)
-        cube = simulate_if_cube(local, cfg, noise_std=wcfg.noise_std, seed=noise_seeds[f])
-        cube = resize_cube(cube, wcfg.heatmap_rows, wcfg.heatmap_cols)
-        frames.append(generate_heatmap(cube, cfg))
-    return frames
+    return [
+        _render_frame(scene, cfg, world.cfg, body_heading_deg + heading, noise_seed)
+        for heading, noise_seed in sweep_schedule(pcfg, n_frames, seed)
+    ]
 
 
 def standardize_mosaic(mosaic: Heatmap, target_cols: int) -> Heatmap:
@@ -176,11 +175,7 @@ def mosaic_view(
     )
     if a_window is None:
         a_window = cc.default_a_window(wcfg.heatmap_cols, span_deg=pcfg.nominal_step + 8)
-    offsets = [cc.PoseOffset(0, 0, 1.0)]
-    for t in range(1, n_frames):
-        offsets.append(
-            cc.estimate_offset(frames[t - 1], frames[t], r_window, a_window)
-        )
+    offsets = cc.register_sequence(frames, r_window, a_window)
     # jitter can reflect off the sweep limit a frame early; keep the first
     # constant-sign run only
     segment = cc.detect_cycles(offsets)[0]
@@ -220,16 +215,24 @@ def training_dataset(
     return dataset
 
 
+def _view(world: World, place_idx: int, cfg: RadarConfig, pcfg: PlatformConfig | None,
+          mode: str, heading_deg: float = 0.0,
+          lateral: tuple[float, float] = (0.0, 0.0), seed: int = 0) -> Heatmap:
+    """A single frame for mode "none", else a one-cycle mosaic in that mode."""
+    if mode == "none":
+        return render_view(world, place_idx, cfg, heading_deg=heading_deg,
+                           lateral=lateral, seed=seed)
+    return mosaic_view(world, place_idx, cfg, pcfg or PlatformConfig(), mode=mode,
+                       body_heading_deg=heading_deg, lateral=lateral, seed=seed)
+
+
 def build_reference_db(world: World, cfg: RadarConfig, weights, seed: int = 0,
-                       mosaic: bool = False, pcfg: PlatformConfig | None = None,
-                       mode: str = "relpose") -> PlaceDB:
+                       pcfg: PlatformConfig | None = None,
+                       mode: str = "none") -> PlaceDB:
     """Reference-traversal database: one record per place at the base pose."""
     db = PlaceDB()
     for i, place in enumerate(world.places):
-        if mosaic:
-            hm = mosaic_view(world, i, cfg, pcfg, mode=mode, seed=seed + i)
-        else:
-            hm = render_view(world, i, cfg, seed=seed + i)
+        hm = _view(world, i, cfg, pcfg, mode, seed=seed + i)
         desc = enc.encode(hm, weights)
         db.add(PlaceRecord(i, desc.values, place.position, 0.0, "reference"))
     return db
@@ -258,12 +261,7 @@ def evaluate(
     """
     if concat_mode not in ("none", "fixed", "relpose"):
         raise ConfigError(f"unknown concat mode {concat_mode!r}")
-    use_mosaic = concat_mode != "none"
-    if use_mosaic and pcfg is None:
-        pcfg = PlatformConfig()
-    db = build_reference_db(
-        world, cfg, weights, seed=seed, mosaic=use_mosaic, pcfg=pcfg, mode=concat_mode
-    )
+    db = build_reference_db(world, cfg, weights, seed=seed, pcfg=pcfg, mode=concat_mode)
 
     rng = np.random.default_rng(seed + 1)
     results = []
@@ -280,16 +278,8 @@ def evaluate(
                     world.places[place].position[1] + lateral[1],
                 )
                 view_seed = seed + 10_000 + ri * 1000 + li * 100 + qn
-                if use_mosaic:
-                    hm = mosaic_view(
-                        world, place, cfg, pcfg, mode=concat_mode,
-                        body_heading_deg=rot, lateral=lateral, seed=view_seed,
-                    )
-                else:
-                    hm = render_view(
-                        world, place, cfg, heading_deg=rot, lateral=lateral,
-                        seed=view_seed,
-                    )
+                hm = _view(world, place, cfg, pcfg, concat_mode, heading_deg=rot,
+                           lateral=lateral, seed=view_seed)
                 desc = enc.encode(hm, weights)
                 res = db.query(desc.values, k=10, query_position=qpos)
                 cell_results.append(res)

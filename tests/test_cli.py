@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from radarplace.fileio import (
     load_heatmap,
     load_offsets_csv,
     load_poses_csv,
+    save_heatmap,
     save_poses_csv,
     save_scene,
 )
+from radarplace.heatmap import Heatmap
 from radarplace.radar import Scatterer
 
 
@@ -60,6 +63,31 @@ def test_bad_magic_exits_3(tmp_path):
     bad.write_bytes(b"JUNKJUNKJUNK")
     rc = main(["render", "--in", str(bad), "--out", str(tmp_path / "x.pgm")])
     assert rc == 3
+
+
+def test_missing_or_unreadable_input_exits_3(tmp_path):
+    assert main(["render", "--in", str(tmp_path / "nope.rah"),
+                 "--out", str(tmp_path / "x.pgm")]) == 3
+    assert main(["query", "--db", str(tmp_path / "nope.mpdb"),
+                 "--weights", str(tmp_path / "nope.mmw"), str(tmp_path / "q.rah")]) == 3
+    assert main(["simulate", "--scene", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_wrongly_sized_binary_exits_3(tmp_path):
+    huge = tmp_path / "huge.ifc"
+    huge.write_bytes(b"IFC1" + struct.pack("<III", 2**31 - 1, 2**31 - 1, 2**31 - 1))
+    assert main(["heatmap", "--in", str(huge), "--out", str(tmp_path / "maps")]) == 3
+    long = tmp_path / "long.rah"
+    save_heatmap(long, Heatmap(np.ones((2, 3)), 1.0, np.linspace(-1.0, 1.0, 3)))
+    long.write_bytes(long.read_bytes() + bytes(8))
+    assert main(["render", "--in", str(long), "--out", str(tmp_path / "x.pgm")]) == 3
+
+
+def test_heatmap_rows_without_cols_exits_1(tmp_path, cfg_file):
+    cfg = tmp_path / "rows_only.cfg"
+    cfg.write_text(cfg_file.read_text() + "heatmap_rows = 32\n")
+    assert main(["heatmap", "--in", str(tmp_path), "--config", str(cfg),
+                 "--out", str(tmp_path / "maps")]) == 1
 
 
 def test_simulate_writes_frames_and_truth(tmp_path, scene_file, cfg_file):

@@ -13,9 +13,11 @@ from radarplace.concat import (
     default_a_window,
     detect_cycles,
     estimate_offset,
+    register_sequence,
     signs_consistent,
     translate,
 )
+from radarplace import synth
 from radarplace.errors import AlignmentError, ConfigError, DimensionError, NoRotationError
 from radarplace.heatmap import Heatmap, generate_heatmap, resize_cube
 from radarplace.radar import (
@@ -221,3 +223,26 @@ def test_default_a_window_values():
     assert default_a_window(256, span_deg=10.0) == math.ceil(
         math.radians(10.0) * 128
     )
+
+
+def _offsets_reference(frames, r_window, a_window):
+    """The explicit pairwise loop that register_sequence replaces."""
+    offsets = [PoseOffset(0, 0, 1.0)]
+    for t in range(1, len(frames)):
+        offsets.append(estimate_offset(frames[t - 1], frames[t], r_window, a_window))
+    return offsets
+
+
+def test_register_sequence_matches_explicit_loop():
+    cfg = RadarConfig(n_chirps=4)
+    pcfg = PlatformConfig(jitter_std=1.0)
+    for world_seed, seed, heading in ((0, 1, 0.0), (1, 7, -12.0), (2, 30, 25.0)):
+        world = synth.build_world(synth.WorldConfig(
+            n_places=3, range_lo=9.0, heatmap_rows=64, heatmap_cols=96, seed=world_seed,
+        ))
+        frames = synth.render_sweep(world, world_seed, cfg, pcfg, 13,
+                                    body_heading_deg=heading, seed=seed)
+        for r_window, a_window in ((2, default_a_window(96, 23.0)), (0, 3)):
+            got = register_sequence(frames, r_window, a_window)
+            assert got == _offsets_reference(frames, r_window, a_window)
+    assert register_sequence(frames[:1], 2, 3) == [PoseOffset(0, 0, 1.0)]

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from radarplace import synth
 from radarplace.encoder import (
     EncoderArch,
     TrainConfig,
     TripletBatch,
+    _val_recall1,
     backward,
     encode,
     init_weights,
@@ -17,6 +19,8 @@ from radarplace.encoder import (
     triplet_loss,
 )
 from radarplace.errors import ConfigError, DimensionError, EmptyResultError
+from radarplace.placedb import MATCH_RADIUS_M
+from radarplace.radar import RadarConfig
 
 from conftest import random_heatmap_values
 
@@ -225,3 +229,48 @@ def test_descriptor_is_translation_sensitive():
     d0 = encode(base, w)
     d1 = encode(shifted, w)
     assert np.linalg.norm(d0.values - d1.values) > 1e-3
+
+
+def _val_recall1_reference(dataset, weights, holdout_stride=5, radius=3.0):
+    """Leave-out recall@1 by its own brute-force search (the earlier code)."""
+    descs = np.stack([encode(h, weights).values for h, _ in dataset])
+    positions = np.array([np.asarray(p, dtype=np.float64) for _, p in dataset])
+    n = len(dataset)
+    val_idx = np.arange(0, n, holdout_stride)
+    db_idx = np.array([i for i in range(n) if i % holdout_stride != 0])
+    if val_idx.size == 0 or db_idx.size == 0:
+        return 0.0
+    hits = 0
+    counted = 0
+    for qi in val_idx:
+        geo = np.linalg.norm(positions[db_idx] - positions[qi], axis=1)
+        if not np.any(geo <= radius):
+            continue
+        counted += 1
+        d = np.linalg.norm(descs[db_idx] - descs[qi], axis=1)
+        hits += geo[np.argmin(d)] <= radius
+    return hits / counted if counted else 0.0
+
+
+def test_val_recall1_matches_brute_force_reference():
+    # places 4 m apart with up to 1.5 m lateral offsets: some held-out
+    # queries have several records within the match radius, some only one
+    rcfg = RadarConfig(n_chirps=4)
+    arch = EncoderArch(input_shape=(64, 32))
+    values = []
+    for world_seed in range(3):
+        world = synth.build_world(synth.WorldConfig(
+            n_places=12, spacing_m=4.0, range_lo=9.0, heatmap_rows=64,
+            heatmap_cols=32, seed=world_seed,
+        ))
+        dataset = synth.training_dataset(
+            world, rcfg, max_rot_deg=20.0, max_lat_m=1.5, passes=3, seed=world_seed,
+        )
+        for weight_seed in range(3):
+            w = init_weights(arch, weight_seed)
+            got = _val_recall1(dataset, w)
+            assert got == _val_recall1_reference(dataset, w, radius=MATCH_RADIUS_M)
+            values.append(got)
+    assert any(0.0 < v < 1.0 for v in values)
+    # too few records to hold one out: both sides report 0
+    assert _val_recall1(dataset[:1], w) == _val_recall1_reference(dataset[:1], w) == 0.0

@@ -1,5 +1,7 @@
 """Binary and text format round-trip and corruption tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,19 @@ def test_cube_truncation_and_magic(tmp_path, small_cfg):
         load_cube(tmp_path / "bad.ifc")
 
 
+def test_cube_header_sizes_checked_before_reading(tmp_path, small_cfg):
+    p = tmp_path / "cube.ifc"
+    save_cube(p, simulate_if_cube([], small_cfg))
+    raw = p.read_bytes()
+    huge = tmp_path / "huge.ifc"
+    huge.write_bytes(b"IFC1" + struct.pack("<III", 2**31 - 1, 2**31 - 1, 2**31 - 1) + raw[16:])
+    with pytest.raises(FormatError, match="truncated"):
+        load_cube(huge)
+    (tmp_path / "long.ifc").write_bytes(raw + bytes(8))
+    with pytest.raises(FormatError, match="trailing"):
+        load_cube(tmp_path / "long.ifc")
+
+
 def test_heatmap_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     vals = random_heatmap_values(rng, 12, 20).astype(np.float32).astype(np.float64)
@@ -75,6 +90,22 @@ def test_heatmap_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(FormatError):
         load_heatmap(p)
+
+
+def test_heatmap_size_must_match_header(tmp_path):
+    h = Heatmap(np.ones((4, 6)), 0.5, np.linspace(-1.0, 1.0, 6))
+    p = tmp_path / "map.rah"
+    save_heatmap(p, h)
+    raw = p.read_bytes()
+    (tmp_path / "long.rah").write_bytes(raw + bytes(8))
+    with pytest.raises(FormatError, match="trailing"):
+        load_heatmap(tmp_path / "long.rah")
+    (tmp_path / "short.rah").write_bytes(raw[:-1])
+    with pytest.raises(FormatError, match="truncated"):
+        load_heatmap(tmp_path / "short.rah")
+    (tmp_path / "huge.rah").write_bytes(b"RAH1" + struct.pack("<II", 2**32 - 1, 2**32 - 1) + raw[12:])
+    with pytest.raises(FormatError, match="truncated"):
+        load_heatmap(tmp_path / "huge.rah")
 
 
 def test_weights_round_trip_and_crc(tmp_path):
@@ -121,6 +152,24 @@ def test_db_round_trip(tmp_path):
     (tmp_path / "bad.mpdb").write_bytes(b"ZZZZ")
     with pytest.raises(FormatError):
         load_db(tmp_path / "bad.mpdb")
+
+
+def test_db_size_must_match_header(tmp_path):
+    db = PlaceDB()
+    db.add(PlaceRecord(1, np.arange(4.0), (1.0, 2.0)))
+    db.add(PlaceRecord(2, np.ones(4), (3.0, 4.0), heading=10.0))
+    p = tmp_path / "places.mpdb"
+    save_db(p, db)
+    raw = p.read_bytes()
+    (tmp_path / "long.mpdb").write_bytes(raw + bytes(3))
+    with pytest.raises(FormatError, match="trailing"):
+        load_db(tmp_path / "long.mpdb")
+    (tmp_path / "short.mpdb").write_bytes(raw[:-4])
+    with pytest.raises(FormatError, match="truncated"):
+        load_db(tmp_path / "short.mpdb")
+    (tmp_path / "huge.mpdb").write_bytes(b"MPDB" + struct.pack("<II", 2**32 - 1, 2**20) + raw[12:])
+    with pytest.raises(FormatError, match="truncated"):
+        load_db(tmp_path / "huge.mpdb")
 
 
 def test_empty_db_round_trip(tmp_path):

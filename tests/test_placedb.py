@@ -36,7 +36,6 @@ def test_add_get_and_duplicate_id():
         db.add(PlaceRecord(3, [0.0, 1.0], (1.0, 1.0)))
     with pytest.raises(KeyError):
         db.get(99)
-    assert db.add_new([0.0, 1.0], (5.0, 5.0)) == 4
 
 
 def test_dim_mismatch_leaves_db_unchanged():
