@@ -37,7 +37,7 @@ class EncoderArch:
             if pool is None:
                 continue
             ph, pw = pool
-            if h % ph or w % pw:
+            if ph < 1 or pw < 1 or h % ph or w % pw:
                 raise ConfigError(
                     f"pool {pool} does not divide feature map {h}x{w}"
                 )
@@ -241,15 +241,11 @@ def triplet_loss(dq, dps, dns, alpha: float) -> float:
     ns = [_as_array(n) for n in dns]
     if not ps or not ns:
         raise ConfigError("positives and negatives must be nonempty")
-    d_pos = min(np.linalg.norm(q - p) for p in ps)
-    total = 0.0
-    for n in ns:
-        total += max(d_pos - np.linalg.norm(q - n) + alpha, 0.0)
-    return float(total)
+    return float(_loss_and_descriptor_grads(q, ps, ns, alpha)[0])
 
 
 def _loss_and_descriptor_grads(q, ps, ns, alpha):
-    """Loss value and gradients w.r.t. each descriptor.
+    """Loss value and gradients w.r.t. each descriptor, in [q, *ps, *ns] order.
 
     Subgradient conventions: zero at hinge kinks, first index on positive
     ties, zero for coincident (zero-distance) pairs.
@@ -259,9 +255,7 @@ def _loss_and_descriptor_grads(q, ps, ns, alpha):
     d_pos = d_ps[i_star]
     p_star = ps[i_star]
 
-    gq = np.zeros_like(q)
-    gps = [np.zeros_like(p) for p in ps]
-    gns = [np.zeros_like(n) for n in ns]
+    grads = [np.zeros_like(x) for x in [q, *ps, *ns]]
     loss = 0.0
     if d_pos > 0:
         u_pos = (q - p_star) / d_pos
@@ -274,10 +268,10 @@ def _loss_and_descriptor_grads(q, ps, ns, alpha):
             continue
         loss += margin
         u_neg = (q - n) / d_n if d_n > 0 else np.zeros_like(q)
-        gq += u_pos - u_neg
-        gps[i_star] -= u_pos
-        gns[j] += u_neg
-    return loss, gq, gps, gns
+        grads[0] += u_pos - u_neg
+        grads[1 + i_star] -= u_pos
+        grads[1 + len(ps) + j] += u_neg
+    return loss, grads
 
 
 def _norm_backward(desc: Descriptor, norm: float, dnorm: np.ndarray) -> np.ndarray:
@@ -292,54 +286,60 @@ def _norm_backward(desc: Descriptor, norm: float, dnorm: np.ndarray) -> np.ndarr
 class TripletBatch:
     """One mined triplet: a query with its positives and negatives.
 
-    Samples are referenced by dataset index; ``bind`` resolves them to
-    heatmap arrays before gradient evaluation.
+    Samples are referenced by index into a sample sequence; ``bind``
+    attaches that sequence before gradient evaluation.
     """
 
     query_idx: int
     positive_idxs: list[int]
     negative_idxs: list[int]
     margin: float = 0.5
-    query: np.ndarray | None = None
-    positives: list[np.ndarray] | None = None
-    negatives: list[np.ndarray] | None = None
+    samples: list | None = None
 
     def bind(self, heatmaps) -> "TripletBatch":
-        return replace(
-            self,
-            query=_as_array(heatmaps[self.query_idx]),
-            positives=[_as_array(heatmaps[i]) for i in self.positive_idxs],
-            negatives=[_as_array(heatmaps[i]) for i in self.negative_idxs],
+        return replace(self, samples=heatmaps)
+
+
+def _zero_grads(w: EncoderWeights) -> list[list[np.ndarray]]:
+    """Zeros shaped like the weights, as a list of [kernel, bias] pairs."""
+    return [[np.zeros_like(k), np.zeros_like(b)] for k, b in zip(w.kernels, w.biases)]
+
+
+def _triplet_grads(triplets, samples, w: EncoderWeights):
+    """Summed weight gradients and per-triplet losses over a sample sequence.
+
+    Each sample is described once, its descriptor gradients are summed over
+    the triplets that use it, and it is backpropagated once in first-use
+    order by re-running its forward pass: one forward cache is alive at a
+    time.  Returns (grads, losses), grads as [dkernel, dbias] pairs.
+    """
+    grads = _zero_grads(w)
+    uses = [[t.query_idx, *t.positive_idxs, *t.negative_idxs] for t in triplets]
+    first_use = dict.fromkeys(i for idxs in uses for i in idxs)
+    described = {i: _describe(_as_array(samples[i]), w)[:2] for i in first_use}
+    dnorms = {i: np.zeros(desc.dim) for i, (desc, _) in described.items()}
+    losses = []
+    for t, idxs in zip(triplets, uses):
+        descs = [described[i][0].values for i in idxs]
+        n_pos = len(t.positive_idxs)
+        loss, dgrads = _loss_and_descriptor_grads(
+            descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], t.margin
         )
+        losses.append(loss)
+        for i, g in zip(idxs, dgrads):
+            dnorms[i] += g
+    for i, (desc, norm) in described.items():
+        if np.any(dnorms[i]):
+            cache = _describe(_as_array(samples[i]), w)[2]
+            _backward(_norm_backward(desc, norm, dnorms[i]), cache, w, grads)
+    return grads, losses
 
 
 def backward(batch: TripletBatch, w: EncoderWeights):
-    """Exact loss gradients for one triplet through the encoder.
-
-    Returns (grads, loss) where grads mirrors the weight structure as a
-    list of [dkernel, dbias] pairs.
-    """
-    if batch.query is None or batch.positives is None or batch.negatives is None:
+    """Exact loss gradients for one bound triplet: (grads, loss) as in _triplet_grads."""
+    if batch.samples is None:
         raise ConfigError("triplet must be bound to heatmaps before backward")
-    grads = [
-        [np.zeros_like(k), np.zeros_like(b)]
-        for k, b in zip(w.kernels, w.biases)
-    ]
-    samples = [batch.query] + list(batch.positives) + list(batch.negatives)
-    described = [_describe(_as_array(x), w) for x in samples]
-    descs = [desc.values for desc, _, _ in described]
-
-    n_pos = len(batch.positives)
-    q = descs[0]
-    ps = descs[1 : 1 + n_pos]
-    ns = descs[1 + n_pos :]
-    loss, gq, gps, gns = _loss_and_descriptor_grads(q, ps, ns, batch.margin)
-    dgrads = [gq] + gps + gns
-    for (desc, norm, cache), dnorm in zip(described, dgrads):
-        if not np.any(dnorm):
-            continue
-        dflat = _norm_backward(desc, norm, dnorm)
-        _backward(dflat, cache, w, grads)
+    grads, (loss,) = _triplet_grads([batch], batch.samples, w)
     return grads, loss
 
 
@@ -457,10 +457,7 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
         arch = EncoderArch(input_shape=shape)
     heatmaps = [_as_array(h) for h, _ in dataset]
     weights = init_weights(arch, cfg.seed)
-    velocity = [
-        [np.zeros_like(k), np.zeros_like(b)]
-        for k, b in zip(weights.kernels, weights.biases)
-    ]
+    velocity = _zero_grads(weights)
 
     best = weights.copy()
     best_recall = -1.0
@@ -481,18 +478,10 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             chunk = [batches[i] for i in order[start : start + cfg.batch_size]]
-            acc = [
-                [np.zeros_like(k), np.zeros_like(b)]
-                for k, b in zip(weights.kernels, weights.biases)
-            ]
-            for triplet in chunk:
-                grads, loss = backward(triplet.bind(heatmaps), weights)
-                losses.append(loss)
-                for a, g in zip(acc, grads):
-                    a[0] += g[0]
-                    a[1] += g[1]
+            grads, chunk_losses = _triplet_grads(chunk, heatmaps, weights)
+            losses.extend(chunk_losses)
             inv = 1.0 / len(chunk)
-            for l, (gk, gb) in enumerate(acc):
+            for l, (gk, gb) in enumerate(grads):
                 gk = gk * inv + cfg.weight_decay * weights.kernels[l]
                 gb = gb * inv + cfg.weight_decay * weights.biases[l]
                 velocity[l][0] = cfg.momentum * velocity[l][0] - lr * gk

@@ -10,13 +10,14 @@ import csv
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .concat import PoseOffset
 from .encoder import EncoderArch, EncoderWeights
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .heatmap import Heatmap
 from .placedb import PlaceDB, PlaceRecord
 from .radar import IFCube, PlatformConfig, RadarConfig, Scatterer
@@ -45,6 +46,15 @@ def _expect_payload(fh, n: int, path) -> None:
         raise FormatError(f"{path}: {problem} payload: header declares {n} bytes, {left} remain")
 
 
+@contextmanager
+def _decoding(path):
+    """Report decoded content that fails its type's own checks as a malformed file."""
+    try:
+        yield
+    except (ConfigError, DimensionError, ValueError, struct.error) as exc:
+        raise FormatError(f"{path}: invalid content: {exc}") from None
+
+
 # -- IF cubes -----------------------------------------------------------------
 
 def save_cube(path, cube: IFCube) -> None:
@@ -66,7 +76,8 @@ def load_cube(path) -> IFCube:
         _expect_payload(fh, n_s * n_c * n_r * 2 * 4, path)
         raw = np.frombuffer(fh.read(), dtype="<f4")
     inter = raw.reshape(n_s, n_c, n_r, 2).astype(np.float64)
-    return IFCube(inter[..., 0] + 1j * inter[..., 1])
+    with _decoding(path):
+        return IFCube(inter[..., 0] + 1j * inter[..., 1])
 
 
 # -- heatmaps -----------------------------------------------------------------
@@ -89,7 +100,8 @@ def load_heatmap(path) -> Heatmap:
         _expect_payload(fh, cols * 8 + rows * cols * 4, path)
         axis = np.frombuffer(fh.read(cols * 8), dtype="<f8")
         vals = np.frombuffer(fh.read(), dtype="<f4")
-    return Heatmap(vals.astype(np.float64).reshape(rows, cols), range_bin_m, axis.copy())
+    with _decoding(path):
+        return Heatmap(vals.astype(np.float64).reshape(rows, cols), range_bin_m, axis.copy())
 
 
 # -- encoder weights ----------------------------------------------------------
@@ -132,32 +144,33 @@ def load_weights(path) -> EncoderWeights:
         off += size
         return vals
 
-    rows, cols = take("<II")
-    (n_ch,) = take("<I")
-    channels = take(f"<{n_ch}I")
-    pools = []
-    for _ in range(n_ch - 1):
-        ph, pw = take("<II")
-        pools.append((ph, pw) if ph else None)
-    (seed,) = take("<Q")
-    arch = EncoderArch((rows, cols), tuple(channels), tuple(pools))
-    kernels, biases = [], []
-    for l in range(arch.n_layers):
-        c_in, c_out = channels[l], channels[l + 1]
-        n_k = c_out * c_in * 9
-        kernels.append(
-            np.frombuffer(payload, dtype="<f4", count=n_k, offset=off)
-            .astype(np.float64)
-            .reshape(c_out, c_in, 3, 3)
-        )
-        off += n_k * 4
-        biases.append(
-            np.frombuffer(payload, dtype="<f4", count=c_out, offset=off).astype(np.float64)
-        )
-        off += c_out * 4
-    if off != len(payload):
-        raise FormatError(f"{path}: trailing bytes in weights payload")
-    return EncoderWeights(arch, kernels, biases, seed)
+    with _decoding(path):
+        rows, cols = take("<II")
+        (n_ch,) = take("<I")
+        channels = take(f"<{n_ch}I")
+        pools = []
+        for _ in range(n_ch - 1):
+            ph, pw = take("<II")
+            pools.append((ph, pw) if ph else None)
+        (seed,) = take("<Q")
+        arch = EncoderArch((rows, cols), tuple(channels), tuple(pools))
+        kernels, biases = [], []
+        for l in range(arch.n_layers):
+            c_in, c_out = channels[l], channels[l + 1]
+            n_k = c_out * c_in * 9
+            kernels.append(
+                np.frombuffer(payload, dtype="<f4", count=n_k, offset=off)
+                .astype(np.float64)
+                .reshape(c_out, c_in, 3, 3)
+            )
+            off += n_k * 4
+            biases.append(
+                np.frombuffer(payload, dtype="<f4", count=c_out, offset=off).astype(np.float64)
+            )
+            off += c_out * 4
+        if off != len(payload):
+            raise FormatError(f"{path}: trailing bytes in weights payload")
+        return EncoderWeights(arch, kernels, biases, seed)
 
 
 # -- place databases ----------------------------------------------------------

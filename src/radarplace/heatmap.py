@@ -1,10 +1,11 @@
 """Range-azimuth heatmap generation.
 
-The IF cube is reduced to a real power matrix by an FFT over fast time
-(range), an FFT over the antenna axis (angle), a coherent sum over chirps
-and a final magnitude.  The angle axis is FFT-shifted and calibrated
-through the arcsine phase-to-angle map so columns run over monotonically
-increasing azimuth.
+The IF cube is reduced to a real power matrix by a coherent sum over
+chirps, an FFT over fast time (range), an FFT over the antenna axis (angle)
+and a final magnitude.  Both FFTs are linear, so integrating the chirps
+first gives the same map as transforming every chirp and summing after.
+The angle axis is FFT-shifted and calibrated through the arcsine
+phase-to-angle map so columns run over monotonically increasing azimuth.
 """
 
 from __future__ import annotations
@@ -125,23 +126,21 @@ def generate_heatmap(
 ) -> Heatmap:
     """FFT cascade from IF cube to range-azimuth heatmap.
 
-    FFT over fast time, FFT over antennas, coherent chirp sum, magnitude.
+    Coherent chirp sum, FFT over fast time, FFT over antennas, magnitude.
     ``window`` may be "rect" (default) or "hann" applied over fast time.
     Rows beyond ``max_range_m`` are discarded when given.
     """
-    data = cube.data
-    if not np.all(np.isfinite(data)):
+    summed = cube.data.sum(axis=1)               # coherent chirp integration
+    if not np.all(np.isfinite(summed)):
         raise ConfigError("IF cube contains non-finite values")
     if window == "hann":
-        data = data * np.hanning(data.shape[0])[:, None, None]
+        summed = summed * np.hanning(summed.shape[0])[:, None]
     elif window != "rect":
         raise ConfigError(f"unknown window {window!r}")
 
-    spec = np.fft.fft(data, axis=0)          # fast time -> range
-    spec = np.fft.fft(spec, axis=2)          # antennas -> angle
-    spec = np.fft.fftshift(spec, axes=2)     # ascending wrapped phase
-    summed = spec.sum(axis=1)                # coherent chirp integration
-    values = np.abs(summed)
+    spec = np.fft.fft(summed, axis=0)            # fast time -> range
+    spec = np.fft.fft(spec, axis=1)              # antennas -> angle
+    values = np.abs(np.fft.fftshift(spec, axes=1))  # ascending wrapped phase
 
     n_rows, n_cols = values.shape
     axis, valid = angle_axis_for(cfg, n_cols)

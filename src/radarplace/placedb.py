@@ -55,7 +55,7 @@ class PlaceDB:
 
     def __init__(self):
         self.records: list[PlaceRecord] = []
-        self._ids: set[int] = set()
+        self._row_of: dict[int, int] = {}  # record id -> index into records
 
     def __len__(self) -> int:
         return len(self.records)
@@ -69,17 +69,14 @@ class PlaceDB:
             raise DimensionError(
                 f"descriptor dim {record.descriptor.size} != db dim {self.dim}"
             )
-        if record.id in self._ids:
+        if record.id in self._row_of:
             raise DuplicateIdError(f"record id {record.id} already present")
+        self._row_of[record.id] = len(self.records)
         self.records.append(record)
-        self._ids.add(record.id)
         return record.id
 
     def get(self, record_id: int) -> PlaceRecord:
-        for r in self.records:
-            if r.id == record_id:
-                return r
-        raise KeyError(record_id)
+        return self.records[self._row_of[record_id]]
 
     def _matrix(self) -> np.ndarray:
         return np.stack([r.descriptor for r in self.records])
@@ -107,9 +104,7 @@ class PlaceDB:
         has_match = None
         if query_position is not None:
             qp = np.asarray(query_position, dtype=np.float64)
-            geo = np.array(
-                [np.linalg.norm(np.array(r.position) - qp) for r in self.records]
-            )
+            geo = np.hypot(*(np.array([r.position for r in self.records]) - qp).T)
             correct = geo <= MATCH_RADIUS_M
             flags = [bool(correct[i]) for i in order]
             has_match = bool(np.any(correct))

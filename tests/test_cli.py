@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ def test_wrongly_sized_binary_exits_3(tmp_path):
     save_heatmap(long, Heatmap(np.ones((2, 3)), 1.0, np.linspace(-1.0, 1.0, 3)))
     long.write_bytes(long.read_bytes() + bytes(8))
     assert main(["render", "--in", str(long), "--out", str(tmp_path / "x.pgm")]) == 3
+
+
+def test_invalid_binary_content_exits_3(tmp_path, capsys):
+    nan_map = tmp_path / "nan.rah"
+    save_heatmap(nan_map, Heatmap(np.ones((2, 3)), 1.0, np.linspace(-1.0, 1.0, 3)))
+    raw = bytearray(nan_map.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    nan_map.write_bytes(bytes(raw))
+    assert main(["render", "--in", str(nan_map), "--out", str(tmp_path / "x.pgm")]) == 3
+    # crc-valid weights whose header declares 2**31 channel widths
+    payload = struct.pack("<III", 16, 24, 2**31)
+    weights = tmp_path / "huge.mmw"
+    weights.write_bytes(b"MMW1" + payload + struct.pack("<I", zlib.crc32(payload)))
+    capsys.readouterr()
+    assert main(["query", "--db", str(tmp_path / "none.mpdb"), "--weights", str(weights),
+                 str(nan_map)]) == 3
+    assert "huge.mmw: invalid content" in capsys.readouterr().err
 
 
 def test_heatmap_rows_without_cols_exits_1(tmp_path, cfg_file):

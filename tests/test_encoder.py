@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from radarplace import encoder as enc
 from radarplace import synth
 from radarplace.encoder import (
     EncoderArch,
     TrainConfig,
     TripletBatch,
+    _triplet_grads,
     _val_recall1,
     backward,
     encode,
@@ -274,3 +276,90 @@ def test_val_recall1_matches_brute_force_reference():
     assert any(0.0 < v < 1.0 for v in values)
     # too few records to hold one out: both sides report 0
     assert _val_recall1(dataset[:1], w) == _val_recall1_reference(dataset[:1], w) == 0.0
+
+
+def _zeros_like(w):
+    return [[np.zeros_like(k), np.zeros_like(b)] for k, b in zip(w.kernels, w.biases)]
+
+
+def _descriptor_grads_reference(q, ps, ns, alpha):
+    """The earlier loss and descriptor gradients, returned as (loss, gq, gps, gns)."""
+    d_ps = [np.linalg.norm(q - p) for p in ps]
+    i_star = int(np.argmin(d_ps))
+    d_pos = d_ps[i_star]
+    gq = np.zeros_like(q)
+    gps = [np.zeros_like(p) for p in ps]
+    gns = [np.zeros_like(n) for n in ns]
+    loss = 0.0
+    u_pos = (q - ps[i_star]) / d_pos if d_pos > 0 else np.zeros_like(q)
+    for j, n in enumerate(ns):
+        d_n = np.linalg.norm(q - n)
+        margin = d_pos - d_n + alpha
+        if margin <= 0:
+            continue
+        loss += margin
+        u_neg = (q - n) / d_n if d_n > 0 else np.zeros_like(q)
+        gq += u_pos - u_neg
+        gps[i_star] -= u_pos
+        gns[j] += u_neg
+    return loss, gq, gps, gns
+
+
+def _backward_reference(samples, t, w):
+    """The earlier per-triplet backward: every reference described and backpropagated."""
+    grads = _zeros_like(w)
+    idxs = [t.query_idx, *t.positive_idxs, *t.negative_idxs]
+    described = [enc._describe(samples[i], w) for i in idxs]
+    descs = [desc.values for desc, _, _ in described]
+    n_pos = len(t.positive_idxs)
+    loss, gq, gps, gns = _descriptor_grads_reference(
+        descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], t.margin
+    )
+    for (desc, norm, cache), dnorm in zip(described, [gq] + gps + gns):
+        if np.any(dnorm):
+            enc._backward(enc._norm_backward(desc, norm, dnorm), cache, w, grads)
+    return grads, loss
+
+
+def _chunk_reference(chunk, samples, w):
+    """The earlier training chunk: one backward per triplet, gradients accumulated."""
+    acc, losses = _zeros_like(w), []
+    for t in chunk:
+        grads, loss = _backward_reference(samples, t, w)
+        losses.append(loss)
+        for a, g in zip(acc, grads):
+            a[0] += g[0]
+            a[1] += g[1]
+    return acc, losses
+
+
+def test_chunk_gradients_match_per_triplet_accumulation():
+    rng = np.random.default_rng(21)
+    samples = [random_heatmap_values(rng, 16, 24) for _ in range(9)]
+    w = init_weights(SMALL_ARCH, seed=5)
+    chunk = []
+    for _ in range(12):
+        idxs = rng.choice(9, size=6, replace=False)
+        n_pos = int(rng.integers(1, 3))
+        chunk.append(TripletBatch(int(idxs[0]), sorted(idxs[1 : 1 + n_pos].tolist()),
+                                  sorted(idxs[1 + n_pos :].tolist()), margin=2.0))
+    grads, losses = _triplet_grads(chunk, samples, w)
+    ref_grads, ref_losses = _chunk_reference(chunk, samples, w)
+    assert losses == ref_losses and sum(losses) > 0.0
+    for (gk, gb), (rk, rb) in zip(grads, ref_grads):
+        assert np.max(np.abs(gk - rk)) <= 1e-12 * np.max(np.abs(rk))
+        assert np.max(np.abs(gb - rb)) <= 1e-12 * np.max(np.abs(rb))
+
+
+def test_backward_is_bit_identical_on_distinct_indices():
+    rng = np.random.default_rng(22)
+    samples = [random_heatmap_values(rng, 16, 24) for _ in range(7)]
+    w = init_weights(SMALL_ARCH, seed=6)
+    for q, pos, neg, margin in [(5, [1], [2, 3], 2.0), (3, [4, 5], [0, 2, 6], 1.0),
+                                (0, [3], [1], 0.1)]:
+        t = TripletBatch(q, pos, neg, margin=margin)
+        grads, loss = backward(t.bind(samples), w)
+        ref_grads, ref_loss = _backward_reference(samples, t, w)
+        assert loss == ref_loss
+        for (gk, gb), (rk, rb) in zip(grads, ref_grads):
+            assert np.array_equal(gk, rk) and np.array_equal(gb, rb)

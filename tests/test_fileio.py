@@ -1,6 +1,7 @@
 """Binary and text format round-trip and corruption tests."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -130,6 +131,61 @@ def test_weights_round_trip_and_crc(tmp_path):
     (tmp_path / "tiny.mmw").write_bytes(b"MMW1\x00\x00")
     with pytest.raises(FormatError):
         load_weights(tmp_path / "tiny.mmw")
+
+
+def _rah_bytes(values, axis, range_bin_m=0.5):
+    rows, cols = values.shape
+    return (b"RAH1" + struct.pack("<IId", rows, cols, range_bin_m)
+            + np.asarray(axis, "<f8").tobytes() + np.asarray(values, "<f4").tobytes())
+
+
+def _signed_mmw(payload):
+    return b"MMW1" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_invalid_heatmap_content_is_a_format_error(tmp_path):
+    axis = np.linspace(-1.0, 1.0, 3)
+    p = tmp_path / "map.rah"
+    p.write_bytes(_rah_bytes(np.ones((2, 3)), axis))
+    assert load_heatmap(p).values.shape == (2, 3)
+    for values, ax in [
+        (np.array([[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]]), axis),
+        (np.array([[1.0, 1.0, 1.0], [1.0, -2.0, 1.0]]), axis),
+        (np.ones((2, 3)), np.array([-1.0, 0.5, 0.5])),
+    ]:
+        p.write_bytes(_rah_bytes(values, ax))
+        with pytest.raises(FormatError, match="invalid content"):
+            load_heatmap(p)
+
+
+def test_invalid_cube_content_is_a_format_error(tmp_path):
+    p = tmp_path / "cube.ifc"
+    inter = np.zeros((4, 2, 3, 2), dtype="<f4")
+    inter[1, 0, 2, 1] = np.nan
+    p.write_bytes(b"IFC1" + struct.pack("<III", 4, 2, 3) + inter.tobytes())
+    with pytest.raises(FormatError, match="invalid content"):
+        load_cube(p)
+
+
+def test_signed_weights_with_invalid_header_are_format_errors(tmp_path):
+    arch = EncoderArch(input_shape=(16, 24), channels=(1, 4, 6), pools=((2, 2), None))
+    p = tmp_path / "enc.mmw"
+    save_weights(p, init_weights(arch, seed=1))
+    payload = p.read_bytes()[4:-4]
+    # a channel count of 2**31 declares more widths than the payload holds
+    p.write_bytes(_signed_mmw(payload[:8] + struct.pack("<I", 2**31) + payload[12:]))
+    with pytest.raises(FormatError, match="invalid content"):
+        load_weights(p)
+    # rows, cols, n_ch, three widths, then the first pool: (2, 2) -> (5, 2)
+    pool_at = 12 + 3 * 4
+    bad_pool = payload[:pool_at] + struct.pack("<I", 5) + payload[pool_at + 4 :]
+    p.write_bytes(_signed_mmw(bad_pool))
+    with pytest.raises(FormatError, match="does not divide"):
+        load_weights(p)
+    zero_pool = payload[:pool_at + 4] + struct.pack("<I", 0) + payload[pool_at + 8 :]
+    p.write_bytes(_signed_mmw(zero_pool))
+    with pytest.raises(FormatError, match="invalid content"):
+        load_weights(p)
 
 
 def test_db_round_trip(tmp_path):

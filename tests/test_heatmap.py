@@ -172,3 +172,36 @@ def test_random_single_scatterer_peaks_match_prediction():
         row, col = np.unravel_index(np.argmax(hm.values), hm.values.shape)
         assert abs(row - range_to_row(sc.range, cfg, cfg.n_samples)) <= 1
         assert abs(col - angle_to_col(sc.azimuth, cfg, cfg.n_antennas)) <= 1
+
+
+def _fft_then_sum_reference(cube, cfg, max_range_m=None, window="rect"):
+    """The earlier cascade: both FFTs over every chirp, then the chirp sum."""
+    data = cube.data
+    if window == "hann":
+        data = data * np.hanning(data.shape[0])[:, None, None]
+    spec = np.fft.fftshift(np.fft.fft(np.fft.fft(data, axis=0), axis=2), axes=2)
+    values = np.abs(spec.sum(axis=1))
+    n_rows, n_cols = values.shape
+    axis, valid = angle_axis_for(cfg, n_cols)
+    range_bin_m = cfg.sample_rate / n_rows * cfg.c / (2.0 * cfg.slope)
+    keep = n_rows
+    if max_range_m is not None:
+        keep = max(1, min(int(math.floor(max_range_m / range_bin_m)) + 1, n_rows))
+    return values[:keep, valid], range_bin_m, axis[valid]
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+@pytest.mark.parametrize(
+    "rows, cols, max_range_m",
+    [(128, 8, None), (128, 64, None), (64, 96, 20.0), (100, 12, None), (37, 33, 30.0)],
+)
+def test_chirp_sum_first_matches_fft_then_sum(window, rows, cols, max_range_m):
+    cfg = RadarConfig(n_samples=128, n_chirps=16, n_antennas=8)
+    scene = random_scene(np.random.default_rng(rows + cols), 5, range_hi=30.0)
+    cube = resize_cube(simulate_if_cube(scene, cfg, noise_std=0.3, seed=rows), rows, cols)
+    hm = generate_heatmap(cube, cfg, max_range_m=max_range_m, window=window)
+    values, range_bin_m, axis = _fft_then_sum_reference(cube, cfg, max_range_m, window)
+    assert hm.values.shape == values.shape
+    assert np.max(np.abs(hm.values - values)) <= 1e-12 * np.max(values)
+    assert hm.range_bin_m == range_bin_m
+    assert np.array_equal(hm.angle_axis, axis)
