@@ -18,7 +18,6 @@ from .heatmap import (
     angle_from_phase,
     generate_heatmap,
     range_from_frequency,
-    resize_cube,
 )
 from .concat import (
     CycleSegment,

@@ -22,9 +22,9 @@ from . import concat as cc
 from . import encoder as enc
 from . import fileio, synth
 from .errors import ConfigError, EmptyResultError, RadarPlaceError
-from .heatmap import generate_heatmap, range_to_row, angle_to_col, resize_cube
+from .heatmap import generate_heatmap, range_to_row, angle_to_col
 from .placedb import PlaceDB, PlaceRecord
-from .radar import PlatformConfig, RadarConfig, simulate_if_cube, simulate_platform_sweep
+from .radar import simulate_if_cube, simulate_platform_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,6 +105,8 @@ def cmd_heatmap(args) -> int:
         if not keyvals.keys() >= {"heatmap_rows", "heatmap_cols"}:
             raise ConfigError("heatmap_rows and heatmap_cols must be given together")
         size = (int(keyvals["heatmap_rows"]), int(keyvals["heatmap_cols"]))
+    if size is not None and min(size) < 1:
+        raise ConfigError(f"heatmap size must be >= 1, got {size[0]}x{size[1]}")
     src = Path(args.input)
     files = sorted(src.glob("*.ifc")) if src.is_dir() else [src]
     if not files:
@@ -113,10 +115,8 @@ def cmd_heatmap(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for f in files:
-        cube = fileio.load_cube(f)
-        if size is not None:
-            cube = resize_cube(cube, *size)
-        hm = generate_heatmap(cube, rcfg, max_range_m=args.max_range, window=args.window)
+        hm = generate_heatmap(fileio.load_cube(f), rcfg, size,
+                              max_range_m=args.max_range, window=args.window)
         fileio.save_heatmap(out / (f.stem + ".rah"), hm)
     print(f"wrote {len(files)} heatmap(s) to {out}")
     return EXIT_OK
@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--heatmap-size", help="RxC crop/zero-pad before the FFTs")
+    p.add_argument("--heatmap-size",
+                   help="RxC FFT lengths: first R fast-time samples, C-point angle FFT")
     p.add_argument("--max-range", type=float, default=None)
     p.add_argument("--window", choices=["rect", "hann"], default="rect")
     p.set_defaults(func=cmd_heatmap)

@@ -79,7 +79,6 @@ def estimate_offset(
     h_cur: Heatmap,
     r_window: int,
     a_window: int,
-    min_overlap: float = DEFAULT_MIN_OVERLAP,
 ) -> PoseOffset:
     """Exhaustive integer-translation registration of h_cur against h_prev.
 
@@ -89,7 +88,7 @@ def estimate_offset(
     scored by the cosine similarity of the rectangular overlap; the
     best-scoring displacement wins.  Ties break towards smaller |a|, then
     smaller |r|, then lexicographic (r, a).  Candidates whose overlap is
-    below ``min_overlap`` of the frame area are skipped.
+    below DEFAULT_MIN_OVERLAP of the frame area are skipped.
     """
     if h_prev.values.shape != h_cur.values.shape:
         raise DimensionError("frames must have equal dims for registration")
@@ -108,7 +107,7 @@ def estimate_offset(
             # displacement candidate: h_prev translated by (r, a) vs h_cur
             x = A[mov]
             y = B[ref]
-            if x.size < min_overlap * area:
+            if x.size < DEFAULT_MIN_OVERLAP * area:
                 continue
             xf = x.ravel()
             yf = y.ravel()
@@ -122,7 +121,7 @@ def estimate_offset(
                 best = key
     if best is None:
         raise AlignmentError(
-            f"no candidate shift reaches {min_overlap:.0%} overlap "
+            f"no candidate shift reaches {DEFAULT_MIN_OVERLAP:.0%} overlap "
             f"(windows r={r_window}, a={a_window})"
         )
     return PoseOffset(r_offset=best[3], a_offset=best[4], score=-best[0])

@@ -19,6 +19,7 @@ from .heatmap import Heatmap
 from .placedb import PlaceDB, PlaceRecord, recall_at_n
 
 _DEGENERATE_EPS = 1e-12
+HOLDOUT_STRIDE = 5
 
 
 @dataclass(frozen=True)
@@ -424,8 +425,8 @@ class TrainResult:
     history: list[dict]  # per epoch: epoch, mean_loss, lr, val_recall1
 
 
-def _val_recall1(dataset, weights, holdout_stride=5):
-    """Leave-out recall@1: every holdout_stride-th record queries the rest.
+def _val_recall1(dataset, weights):
+    """Leave-out recall@1: every HOLDOUT_STRIDE-th record queries the rest.
 
     The rest form a PlaceDB; held-out queries with no record within
     MATCH_RADIUS_M are not counted.  Returns 0.0 when nothing is counted.
@@ -433,7 +434,7 @@ def _val_recall1(dataset, weights, holdout_stride=5):
     db, queries = PlaceDB(), []
     for i, (h, pos) in enumerate(dataset):
         desc = encode(h, weights).values
-        if i % holdout_stride:
+        if i % HOLDOUT_STRIDE:
             db.add(PlaceRecord(i, desc, pos))
         else:
             queries.append((desc, pos))

@@ -11,7 +11,6 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -58,14 +57,10 @@ def _decoding(path):
 # -- IF cubes -----------------------------------------------------------------
 
 def save_cube(path, cube: IFCube) -> None:
-    n_s, n_c, n_r = cube.dims
-    inter = np.empty((n_s, n_c, n_r, 2), dtype="<f4")
-    inter[..., 0] = cube.data.real
-    inter[..., 1] = cube.data.imag
     with open(path, "wb") as fh:
         fh.write(IFC_MAGIC)
-        fh.write(struct.pack("<III", n_s, n_c, n_r))
-        fh.write(inter.tobytes())
+        fh.write(struct.pack("<III", *cube.dims))
+        fh.write(cube.data.astype("<c8").tobytes())  # interleaved float32 re, im
 
 
 def load_cube(path) -> IFCube:
@@ -74,10 +69,9 @@ def load_cube(path) -> IFCube:
             raise FormatError(f"{path}: not an IF cube file")
         n_s, n_c, n_r = struct.unpack("<III", _read_exact(fh, 12, "dims"))
         _expect_payload(fh, n_s * n_c * n_r * 2 * 4, path)
-        raw = np.frombuffer(fh.read(), dtype="<f4")
-    inter = raw.reshape(n_s, n_c, n_r, 2).astype(np.float64)
+        raw = np.frombuffer(fh.read(), dtype="<c8")
     with _decoding(path):
-        return IFCube(inter[..., 0] + 1j * inter[..., 1])
+        return IFCube(raw.reshape(n_s, n_c, n_r))
 
 
 # -- heatmaps -----------------------------------------------------------------

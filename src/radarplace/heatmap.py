@@ -4,26 +4,30 @@ The IF cube is reduced to a real power matrix by a coherent sum over
 chirps, an FFT over fast time (range), an FFT over the antenna axis (angle)
 and a final magnitude.  Both FFTs are linear, so integrating the chirps
 first gives the same map as transforming every chirp and summing after.
-The angle axis is FFT-shifted and calibrated through the arcsine
-phase-to-angle map so columns run over monotonically increasing azimuth.
+The heatmap size sets the FFT lengths: the range FFT runs over the first
+``rows`` fast-time samples, and the angle FFT has length ``cols``, which
+zero-pads the antennas and interpolates the angle spectrum without moving
+its peaks.  The angle axis is FFT-shifted and calibrated through the
+arcsine phase-to-angle map so columns run over monotonically increasing
+azimuth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AngleAmbiguityError, ConfigError, DimensionError
-from .radar import IFCube, RadarConfig
+from .radar import SPEED_OF_LIGHT, IFCube, RadarConfig
 
 
 def range_from_frequency(f_if: float, cfg: RadarConfig) -> float:
     """Reflector range for a beat frequency: d = f_IF * c / (2 * slope)."""
     if f_if < 0:
         raise ConfigError(f"beat frequency must be >= 0, got {f_if}")
-    return f_if * cfg.c / (2.0 * cfg.slope)
+    return f_if * SPEED_OF_LIGHT / (2.0 * cfg.slope)
 
 
 def angle_from_phase(omega: float, cfg: RadarConfig) -> float:
@@ -35,30 +39,6 @@ def angle_from_phase(omega: float, cfg: RadarConfig) -> float:
             f"(argument {arg:.4f})"
         )
     return math.asin(arg)
-
-
-def resize_cube(cube: IFCube, target_rows: int, target_cols: int) -> IFCube:
-    """Crop fast time and zero-pad the antenna axis of an IF cube.
-
-    The fast-time axis is truncated to its first ``target_rows`` samples;
-    the antenna axis keeps the physical channels first and appends zeros up
-    to ``target_cols``.  Chirps are untouched.  Zero padding interpolates
-    the angle spectrum without moving its peaks.
-    """
-    n_s, n_c, n_r = cube.dims
-    if target_rows > n_s:
-        raise DimensionError(
-            f"cannot extend fast-time axis: {target_rows} > {n_s} samples"
-        )
-    if target_rows < 1 or target_cols < 1:
-        raise DimensionError("target dims must be >= 1")
-    if target_cols < n_r:
-        raise DimensionError(
-            f"cannot drop antennas: target_cols {target_cols} < {n_r}"
-        )
-    out = np.zeros((target_rows, n_c, target_cols), dtype=np.complex128)
-    out[:, :, :n_r] = cube.data[:target_rows, :, :]
-    return IFCube(out)
 
 
 @dataclass
@@ -122,36 +102,46 @@ def range_to_row(range_m: float, cfg: RadarConfig, n_rows: int) -> int:
 
 
 def generate_heatmap(
-    cube: IFCube, cfg: RadarConfig, max_range_m: float | None = None, window: str = "rect"
+    cube: IFCube, cfg: RadarConfig, size: tuple[int, int] | None = None,
+    max_range_m: float | None = None, window: str = "rect",
 ) -> Heatmap:
     """FFT cascade from IF cube to range-azimuth heatmap.
 
     Coherent chirp sum, FFT over fast time, FFT over antennas, magnitude.
-    ``window`` may be "rect" (default) or "hann" applied over fast time.
-    Rows beyond ``max_range_m`` are discarded when given.
+    ``size`` is the (rows, cols) of the transform, by default the cube's
+    (samples, antennas): the first ``rows`` fast-time samples are kept and
+    the angle FFT zero-pads the antennas to ``cols``.  ``window`` may be
+    "rect" (default) or "hann" applied over fast time.  Rows beyond
+    ``max_range_m`` are discarded when given.
     """
-    summed = cube.data.sum(axis=1)               # coherent chirp integration
+    n_s, _, n_r = cube.dims
+    rows, cols = size or (n_s, n_r)
+    if rows > n_s:
+        raise DimensionError(f"cannot extend fast-time axis: {rows} > {n_s} samples")
+    if rows < 1 or cols < 1:
+        raise DimensionError("heatmap dims must be >= 1")
+    if cols < n_r:
+        raise DimensionError(f"cannot drop antennas: {cols} cols < {n_r} antennas")
+    summed = cube.data[:rows].sum(axis=1)        # coherent chirp integration
     if not np.all(np.isfinite(summed)):
         raise ConfigError("IF cube contains non-finite values")
     if window == "hann":
-        summed = summed * np.hanning(summed.shape[0])[:, None]
+        summed = summed * np.hanning(rows)[:, None]
     elif window != "rect":
         raise ConfigError(f"unknown window {window!r}")
 
     spec = np.fft.fft(summed, axis=0)            # fast time -> range
-    spec = np.fft.fft(spec, axis=1)              # antennas -> angle
+    spec = np.fft.fft(spec, n=cols, axis=1)      # antennas -> angle
     values = np.abs(np.fft.fftshift(spec, axes=1))  # ascending wrapped phase
 
-    n_rows, n_cols = values.shape
-    axis, valid = angle_axis_for(cfg, n_cols)
+    axis, valid = angle_axis_for(cfg, cols)
     values = values[:, valid]
     axis = axis[valid]
 
-    # FFT bin spacing in range uses the cube's fast-time length, which may
-    # have been cropped before the transform.
-    range_bin_m = cfg.sample_rate / n_rows * cfg.c / (2.0 * cfg.slope)
+    # range bins are spaced by the cropped fast-time length
+    range_bin_m = cfg.sample_rate / rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
-        keep = max(1, min(keep, n_rows))
+        keep = max(1, min(keep, rows))
         values = values[:keep, :]
     return Heatmap(values, range_bin_m, axis)

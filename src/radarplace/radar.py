@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class RadarConfig:
     n_antennas: int = 8               # virtual receive channels
     fov_deg: float = 120.0            # usable azimuth field of view
     gain_taper_exp: float = 1.0       # cosine-power antenna taper; 0 disables
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.slope <= 0 or self.wavelength <= 0 or self.antenna_spacing <= 0:
@@ -57,11 +56,11 @@ class RadarConfig:
     @property
     def max_range(self) -> float:
         """Unambiguous range: beat frequencies above sample_rate alias."""
-        return self.sample_rate * self.c / (2.0 * self.slope)
+        return self.sample_rate * SPEED_OF_LIGHT / (2.0 * self.slope)
 
     def beat_frequency(self, range_m: float) -> float:
         """Beat (IF) frequency of a reflector at the given range."""
-        return 2.0 * range_m * self.slope / self.c
+        return 2.0 * range_m * self.slope / SPEED_OF_LIGHT
 
     def phase_step(self, azimuth_rad: float) -> float:
         """Per-antenna phase progression of a reflector at the given azimuth."""
@@ -136,15 +135,15 @@ def simulate_if_cube(
 
     Each scatterer contributes a fast-time tone at its beat frequency and a
     linear phase progression across antennas; chirps are identical (static
-    scene, zero Doppler).  The antenna taper attenuates off-boresight
-    reflectors by cos(azimuth)**gain_taper_exp.  Noise is circularly
-    symmetric complex Gaussian with total standard deviation ``noise_std``
-    per element.
+    scene, zero Doppler), so the signal is built once and repeated over
+    them.  The antenna taper attenuates off-boresight reflectors by
+    cos(azimuth)**gain_taper_exp.  Noise is circularly symmetric complex
+    Gaussian with total standard deviation ``noise_std`` per element.
     """
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
     n_s, n_c, n_r = cfg.n_samples, cfg.n_chirps, cfg.n_antennas
-    cube = np.zeros((n_s, n_c, n_r), dtype=np.complex128)
+    signal = np.zeros((n_s, n_r), dtype=np.complex128)
 
     i = np.arange(n_s)
     k = np.arange(n_r)
@@ -165,14 +164,16 @@ def simulate_if_cube(
         omega = cfg.phase_step(sc.azimuth)
         tone = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
         steer = np.exp(1j * omega * k)
-        cube += amp * tone[:, None, None] * steer[None, None, :]
+        signal += amp * tone[:, None] * steer[None, :]
 
+    cube = np.repeat(signal[:, None, :], n_c, axis=1)
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         scale = noise_std / math.sqrt(2.0)
-        cube += scale * (
-            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
-        )
+        # one draw for the real parts, then one for the imaginary parts; adding
+        # them per component allocates no cube-sized complex temporary
+        cube.real += scale * rng.standard_normal(cube.shape)
+        cube.imag += scale * rng.standard_normal(cube.shape)
     return IFCube(cube)
 
 

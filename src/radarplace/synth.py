@@ -9,16 +9,15 @@ fixed-step versus relative-pose mosaicking comparison.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import concat as cc
 from . import encoder as enc
 from .errors import ConfigError
-from .heatmap import Heatmap, generate_heatmap, resize_cube
+from .heatmap import Heatmap, generate_heatmap
 from .placedb import PlaceDB, PlaceRecord, max_f1, recall_at_n
 from .radar import (
     PlatformConfig,
@@ -31,6 +30,7 @@ from .radar import (
 
 ROTATION_BUCKETS = ((0.0, 5.0), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0))
 LATERAL_BUCKETS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0))
+MOSAIC_R_WINDOW = 2  # range search window (rows) when registering sweep frames
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class WorldConfig:
             raise ConfigError("n_places must be >= 1")
         if self.spacing_m <= 0:
             raise ConfigError("spacing_m must be > 0")
+        if min(self.heatmap_rows, self.heatmap_cols, self.mosaic_cols) < 1:
+            raise ConfigError("heatmap_rows, heatmap_cols and mosaic_cols must be >= 1")
 
 
 @dataclass
@@ -101,11 +103,10 @@ def _render_frame(
     scene: list[Scatterer], cfg: RadarConfig, wcfg: WorldConfig,
     heading_deg: float, seed: int,
 ) -> Heatmap:
-    """One heatmap of a world-frame scene: rotate, simulate, resize, FFT."""
+    """One heatmap of a world-frame scene: rotate, simulate, FFT."""
     local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
     cube = simulate_if_cube(local, cfg, noise_std=wcfg.noise_std, seed=seed)
-    cube = resize_cube(cube, wcfg.heatmap_rows, wcfg.heatmap_cols)
-    return generate_heatmap(cube, cfg)
+    return generate_heatmap(cube, cfg, (wcfg.heatmap_rows, wcfg.heatmap_cols))
 
 
 def render_view(
@@ -164,8 +165,6 @@ def mosaic_view(
     body_heading_deg: float = 0.0,
     lateral: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
-    r_window: int = 2,
-    a_window: int | None = None,
 ) -> Heatmap:
     """One-cycle mosaic (fixed rows, standardized columns) from one pose."""
     wcfg = world.cfg
@@ -173,9 +172,8 @@ def mosaic_view(
     frames = render_sweep(
         world, place_idx, cfg, pcfg, n_frames, body_heading_deg, lateral, seed
     )
-    if a_window is None:
-        a_window = cc.default_a_window(wcfg.heatmap_cols, span_deg=pcfg.nominal_step + 8)
-    offsets = cc.register_sequence(frames, r_window, a_window)
+    a_window = cc.default_a_window(wcfg.heatmap_cols, span_deg=pcfg.nominal_step + 8)
+    offsets = cc.register_sequence(frames, MOSAIC_R_WINDOW, a_window)
     # jitter can reflect off the sweep limit a frame early; keep the first
     # constant-sign run only
     segment = cc.detect_cycles(offsets)[0]

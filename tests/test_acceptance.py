@@ -31,7 +31,6 @@ from radarplace.heatmap import (
     angle_to_col,
     generate_heatmap,
     range_to_row,
-    resize_cube,
 )
 from radarplace.placedb import (
     PlaceDB,
@@ -74,7 +73,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _heatmap_of(scene, cfg, rows, cols, noise_std=0.0, seed=0):
     cube = simulate_if_cube(scene, cfg, noise_std=noise_std, seed=seed)
-    return generate_heatmap(resize_cube(cube, rows, cols), cfg)
+    return generate_heatmap(cube, cfg, (rows, cols))
 
 
 # -- 1: heatmap peak oracle ----------------------------------------------------
@@ -179,7 +178,7 @@ def test_criterion_3_cycle_detection():
             for az in range(-45, 226, 15)
         ]
         frames = simulate_platform_sweep(scene, cfg, pcfg, 36, seed=300 + trial)
-        maps = [generate_heatmap(resize_cube(c, 64, 96), cfg) for c, _ in frames]
+        maps = [generate_heatmap(c, cfg, (64, 96)) for c, _ in frames]
         a_window = cc.default_a_window(96)
         offsets = []
         for prev, cur in zip(maps, maps[1:]):
@@ -260,7 +259,7 @@ def test_criterion_4_mosaic_fov_and_placement():
             world_scene, cfg, pcfg, 13, noise_std=0.05, seed=500 + trial
         )
         headings = [h for _, h in sweep]
-        maps = [generate_heatmap(resize_cube(c, rows, cols), cfg) for c, _ in sweep]
+        maps = [generate_heatmap(c, cfg, (rows, cols)) for c, _ in sweep]
         offs = [
             cc.estimate_offset(maps[t - 1], maps[t], 2, 39) for t in range(1, 13)
         ]
@@ -607,8 +606,8 @@ def test_criterion_9_round_trips_and_reports(tmp_path):
     c1 = load_cube(tmp_path / "a.ifc")
     save_cube(tmp_path / "b.ifc", c1)
     c2 = load_cube(tmp_path / "b.ifc")
-    h1 = generate_heatmap(resize_cube(c1, 64, 32), cfg)
-    h2 = generate_heatmap(resize_cube(c2, 64, 32), cfg)
+    h1 = generate_heatmap(c1, cfg, (64, 32))
+    h2 = generate_heatmap(c2, cfg, (64, 32))
     ok &= h1.values.tobytes() == h2.values.tobytes()
 
     # RAH1

@@ -108,6 +108,26 @@ def test_heatmap_rows_without_cols_exits_1(tmp_path, cfg_file):
                  "--out", str(tmp_path / "maps")]) == 1
 
 
+def test_heatmap_size_exit_codes(tmp_path, scene_file):
+    cubes = tmp_path / "cubes"  # 256 samples, 8 antennas
+    assert main(["simulate", "--scene", str(scene_file), "--out", str(cubes)]) == 0
+
+    def heatmap(*extra):
+        return main(["heatmap", "--in", str(cubes), "--out", str(tmp_path / "maps"), *extra])
+
+    # a size below 1 is a usage error
+    for size in ("0x8", "-5x8", "64x0"):
+        assert heatmap(f"--heatmap-size={size}") == 1
+    cfg = tmp_path / "zero_rows.cfg"
+    cfg.write_text("heatmap_rows = 0\nheatmap_cols = 8\n")
+    assert heatmap("--config", str(cfg)) == 1
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "eval")]) == 1
+    # a size the cube cannot supply is a data error
+    for size in ("512x8", "64x4"):
+        assert heatmap(f"--heatmap-size={size}") == 3
+    assert heatmap("--heatmap-size=256x8") == 0
+
+
 def test_simulate_writes_frames_and_truth(tmp_path, scene_file, cfg_file):
     out = tmp_path / "cubes"
     rc = main([

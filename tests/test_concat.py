@@ -19,7 +19,7 @@ from radarplace.concat import (
 )
 from radarplace import synth
 from radarplace.errors import AlignmentError, ConfigError, DimensionError, NoRotationError
-from radarplace.heatmap import Heatmap, generate_heatmap, resize_cube
+from radarplace.heatmap import Heatmap, generate_heatmap
 from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
@@ -151,7 +151,7 @@ def test_platform_sweep_produces_three_alternating_cycles():
     ]
     frames = simulate_platform_sweep(scene, cfg, PlatformConfig(), 36, seed=2)
     maps = [
-        generate_heatmap(resize_cube(c, 64, 96), cfg) for c, _ in frames
+        generate_heatmap(c, cfg, (64, 96)) for c, _ in frames
     ]
     aw = default_a_window(96)
     offsets = [PoseOffset(0, 0, 1.0)]

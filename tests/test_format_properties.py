@@ -1,9 +1,14 @@
-"""Property tests: a damaged binary file loads or raises FormatError, nothing else.
+"""Property tests of the four binary formats.
 
-Every format is checked under any truncation, any trailing bytes and any
-single-byte flip of a valid file.  MMW1 is checked twice: as damaged on
-disk, where the CRC-32 trailer catches the damage, and with the damaged
-payload signed again, so the header checks behind the CRC are reached.
+A damaged file loads or raises FormatError, nothing else.  Every format is
+checked under any truncation, any trailing bytes and any single-byte flip
+of a valid file.  MMW1 is checked twice: as damaged on disk, where the
+CRC-32 trailer catches the damage, and with the damaged payload signed
+again, so the header checks behind the CRC are reached.
+
+A valid file round-trips: for random contents, save -> load -> save gives
+the same bytes, and the loaded values are the originals rounded to float32
+where the format stores float32.
 """
 
 import struct
@@ -12,8 +17,9 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from radarplace.encoder import EncoderArch, init_weights
+from radarplace.encoder import EncoderArch, EncoderWeights, init_weights
 from radarplace.errors import DuplicateIdError, FormatError
 from radarplace.fileio import (
     load_cube,
@@ -99,3 +105,92 @@ def test_any_single_byte_flip(workdir, valid, kind, at, mask):
         return bytes(out)
 
     _check(workdir, valid, kind, flip)
+
+
+# -- round trips ---------------------------------------------------------------
+
+# finite after rounding to float32
+F32 = st.floats(-1e30, 1e30)
+SIDE = st.integers(1, 5)
+
+
+def _round_trip(workdir, save, load, obj):
+    """Save, load and save again; the two files must be byte-identical."""
+    first, second = workdir / "first", workdir / "second"
+    save(first, obj)
+    loaded = load(first)
+    save(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
+    return loaded
+
+
+def _f32(a):
+    return np.asarray(a).astype(np.float32).astype(np.float64)
+
+
+@given(data=st.data())
+def test_cube_round_trip(workdir, data):
+    shape = data.draw(st.tuples(SIDE, SIDE, SIDE))
+    re, im = (data.draw(arrays(np.float64, shape, elements=F32)) for _ in range(2))
+    loaded = _round_trip(workdir, save_cube, load_cube, IFCube(re + 1j * im))
+    assert np.array_equal(loaded.data.real, _f32(re))
+    assert np.array_equal(loaded.data.imag, _f32(im))
+
+
+@given(data=st.data())
+def test_heatmap_round_trip(workdir, data):
+    rows, cols = data.draw(SIDE), data.draw(SIDE)
+    values = data.draw(arrays(np.float64, (rows, cols), elements=st.floats(0.0, 1e30)))
+    axis = sorted(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=cols, max_size=cols,
+                                     unique=True)))
+    hm = Heatmap(values, data.draw(st.floats(1e-6, 1e3)), np.array(axis))
+    loaded = _round_trip(workdir, save_heatmap, load_heatmap, hm)
+    assert np.array_equal(loaded.values, _f32(values))
+    assert loaded.range_bin_m == hm.range_bin_m
+    assert np.array_equal(loaded.angle_axis, hm.angle_axis)
+
+
+@given(data=st.data())
+def test_weights_round_trip(workdir, data):
+    n_layers = data.draw(st.integers(1, 3))
+    channels = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n_layers + 1,
+                                        max_size=n_layers + 1)))
+    h, w = shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    pools = []
+    for _ in range(n_layers):
+        pool = data.draw(st.none() | st.tuples(
+            st.sampled_from([d for d in range(1, h + 1) if h % d == 0]),
+            st.sampled_from([d for d in range(1, w + 1) if w % d == 0]),
+        ))
+        if pool is not None:
+            h, w = h // pool[0], w // pool[1]
+        pools.append(pool)
+    kernels = [data.draw(arrays(np.float64, (c_out, c_in, 3, 3), elements=F32))
+               for c_in, c_out in zip(channels, channels[1:])]
+    biases = [data.draw(arrays(np.float64, c, elements=F32)) for c in channels[1:]]
+    weights = EncoderWeights(EncoderArch(shape, channels, tuple(pools)), kernels, biases,
+                             data.draw(st.integers(0, 2**64 - 1)))
+    loaded = _round_trip(workdir, save_weights, load_weights, weights)
+    assert loaded.arch == weights.arch
+    assert loaded.seed == weights.seed
+    for got, want in zip(loaded.kernels + loaded.biases, kernels + biases, strict=True):
+        assert np.array_equal(got, _f32(want))
+
+
+@given(data=st.data())
+def test_db_round_trip(workdir, data):
+    dim = data.draw(st.integers(1, 6))
+    ids = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=5, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    originals, db = [], PlaceDB()
+    for rid in ids:
+        desc = data.draw(arrays(np.float64, dim, elements=F32))
+        position = data.draw(st.tuples(finite, finite))
+        heading = data.draw(st.none() | finite)
+        originals.append((rid, desc, position, heading))
+        db.add(PlaceRecord(rid, desc, position, heading=heading))
+    loaded = _round_trip(workdir, save_db, load_db, db)
+    assert len(loaded) == len(originals)
+    for rec, (rid, desc, position, heading) in zip(loaded.records, originals):
+        assert (rec.id, rec.position, rec.heading) == (rid, position, heading)
+        assert np.array_equal(rec.descriptor, _f32(desc))

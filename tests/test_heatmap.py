@@ -14,9 +14,8 @@ from radarplace.heatmap import (
     generate_heatmap,
     range_from_frequency,
     range_to_row,
-    resize_cube,
 )
-from radarplace.radar import IFCube, RadarConfig, Scatterer, simulate_if_cube
+from radarplace.radar import SPEED_OF_LIGHT, IFCube, RadarConfig, Scatterer, simulate_if_cube
 
 from conftest import random_scene
 
@@ -43,22 +42,25 @@ def test_angle_from_phase_values():
         angle_from_phase(math.pi, wide)
 
 
-def test_resize_identity_and_dims(small_cfg):
+def test_heatmap_size_sets_the_fft_lengths(small_cfg):
     cube = simulate_if_cube([Scatterer(10.0, 0.3)], small_cfg)
-    same = resize_cube(cube, 64, 8)
-    assert np.array_equal(same.data, cube.data)
-    big = resize_cube(cube, 32, 768)
-    assert big.dims == (32, 4, 768)
-    assert np.array_equal(big.data[:, :, :8], cube.data[:32])
-    assert not np.any(big.data[:, :, 8:])
+    native = generate_heatmap(cube, small_cfg)
+    same = generate_heatmap(cube, small_cfg, (64, 8))
+    assert np.array_equal(same.values, native.values)
+    big = generate_heatmap(cube, small_cfg, (32, 768))
+    assert big.values.shape == (32, 768)
+    assert big.range_bin_m == pytest.approx(2 * native.range_bin_m)
 
 
-def test_resize_rejects_bad_targets(small_cfg):
+def test_heatmap_size_rejections(small_cfg):
     cube = simulate_if_cube([], small_cfg)
     with pytest.raises(DimensionError):
-        resize_cube(cube, 128, 8)  # cannot extend fast time
+        generate_heatmap(cube, small_cfg, (128, 8))  # cannot extend fast time
     with pytest.raises(DimensionError):
-        resize_cube(cube, 64, 4)   # cannot drop antennas
+        generate_heatmap(cube, small_cfg, (64, 4))   # cannot drop antennas
+    for size in [(0, 8), (-5, 8), (64, 0)]:
+        with pytest.raises(DimensionError):
+            generate_heatmap(cube, small_cfg, size)
 
 
 def test_zero_padding_interpolates_the_angle_spectrum(small_cfg):
@@ -125,7 +127,7 @@ def test_peak_angle_invariant_under_antenna_padding(small_cfg):
     sc = Scatterer(10.0, 0.4)
     cube = simulate_if_cube([sc], small_cfg)
     coarse = generate_heatmap(cube, small_cfg)
-    fine = generate_heatmap(resize_cube(cube, 64, 256), small_cfg)
+    fine = generate_heatmap(cube, small_cfg, (64, 256))
     _, c8 = np.unravel_index(np.argmax(coarse.values), coarse.values.shape)
     _, c256 = np.unravel_index(np.argmax(fine.values), fine.values.shape)
     bin_width = fine.angle_axis[128] - fine.angle_axis[127]
@@ -174,20 +176,67 @@ def test_random_single_scatterer_peaks_match_prediction():
         assert abs(col - angle_to_col(sc.azimuth, cfg, cfg.n_antennas)) <= 1
 
 
+def _calibrated(values, cfg, max_range_m):
+    """Resolvable columns, range bin and max-range crop of a shifted magnitude map."""
+    n_rows, n_cols = values.shape
+    axis, valid = angle_axis_for(cfg, n_cols)
+    range_bin_m = cfg.sample_rate / n_rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
+    keep = n_rows
+    if max_range_m is not None:
+        keep = max(1, min(int(math.floor(max_range_m / range_bin_m)) + 1, n_rows))
+    return values[:keep, valid], range_bin_m, axis[valid]
+
+
+def _resize_cube_reference(cube, rows, cols):
+    """The earlier resize_cube: a copy cropped to ``rows`` samples, antennas padded to ``cols``."""
+    out = np.zeros((rows, cube.dims[1], cols), dtype=np.complex128)
+    out[:, :, : cube.dims[2]] = cube.data[:rows]
+    return IFCube(out)
+
+
+def _heatmap_reference(cube, cfg, max_range_m=None, window="rect"):
+    """The earlier generate_heatmap: chirp sum and both FFTs over the whole resized cube."""
+    summed = cube.data.sum(axis=1)
+    if window == "hann":
+        summed = summed * np.hanning(summed.shape[0])[:, None]
+    spec = np.fft.fft(np.fft.fft(summed, axis=0), axis=1)
+    return _calibrated(np.abs(np.fft.fftshift(spec, axes=1)), cfg, max_range_m)
+
+
+@pytest.fixture(scope="module")
+def noisy_cubes():
+    cfg = RadarConfig()
+    rng = np.random.default_rng(5)
+    cubes = [
+        simulate_if_cube(random_scene(rng, 1 + i % 6), cfg, noise_std=0.2, seed=i)
+        for i in range(20)
+    ]
+    return cfg, cubes
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(64, 96), (64, 768), (256, 8), (1, 8), (256, 192), (37, 33), (128, 64)]
+)
+def test_fft_lengths_match_resize_then_transform(noisy_cubes, rows, cols):
+    cfg, cubes = noisy_cubes
+    for cube in cubes:
+        padded = _resize_cube_reference(cube, rows, cols)
+        for window in ("rect", "hann"):
+            for max_range_m in (None, 20.0):
+                hm = generate_heatmap(cube, cfg, (rows, cols), max_range_m, window)
+                values, range_bin_m, axis = _heatmap_reference(padded, cfg, max_range_m, window)
+                assert np.array_equal(hm.values, values)
+                assert hm.range_bin_m == range_bin_m
+                assert np.array_equal(hm.angle_axis, axis)
+
+
 def _fft_then_sum_reference(cube, cfg, max_range_m=None, window="rect"):
     """The earlier cascade: both FFTs over every chirp, then the chirp sum."""
     data = cube.data
     if window == "hann":
         data = data * np.hanning(data.shape[0])[:, None, None]
     spec = np.fft.fftshift(np.fft.fft(np.fft.fft(data, axis=0), axis=2), axes=2)
-    values = np.abs(spec.sum(axis=1))
-    n_rows, n_cols = values.shape
-    axis, valid = angle_axis_for(cfg, n_cols)
-    range_bin_m = cfg.sample_rate / n_rows * cfg.c / (2.0 * cfg.slope)
-    keep = n_rows
-    if max_range_m is not None:
-        keep = max(1, min(int(math.floor(max_range_m / range_bin_m)) + 1, n_rows))
-    return values[:keep, valid], range_bin_m, axis[valid]
+    return _calibrated(np.abs(spec.sum(axis=1)), cfg, max_range_m)
 
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
@@ -198,7 +247,7 @@ def _fft_then_sum_reference(cube, cfg, max_range_m=None, window="rect"):
 def test_chirp_sum_first_matches_fft_then_sum(window, rows, cols, max_range_m):
     cfg = RadarConfig(n_samples=128, n_chirps=16, n_antennas=8)
     scene = random_scene(np.random.default_rng(rows + cols), 5, range_hi=30.0)
-    cube = resize_cube(simulate_if_cube(scene, cfg, noise_std=0.3, seed=rows), rows, cols)
+    cube = _resize_cube_reference(simulate_if_cube(scene, cfg, noise_std=0.3, seed=rows), rows, cols)
     hm = generate_heatmap(cube, cfg, max_range_m=max_range_m, window=window)
     values, range_bin_m, axis = _fft_then_sum_reference(cube, cfg, max_range_m, window)
     assert hm.values.shape == values.shape

@@ -146,3 +146,38 @@ def test_platform_sweep_returns_true_headings(small_cfg):
     again = simulate_platform_sweep(scene, small_cfg, PlatformConfig(), 5, seed=1)
     for (c1, _), (c2, _) in zip(frames, again):
         assert np.array_equal(c1.data, c2.data)
+
+
+def _simulate_reference(scene, cfg, noise_std=0.0, seed=0):
+    """The earlier simulate_if_cube: every scatterer added into the 3-D cube."""
+    n_s, n_c, n_r = cfg.n_samples, cfg.n_chirps, cfg.n_antennas
+    cube = np.zeros((n_s, n_c, n_r), dtype=np.complex128)
+    i = np.arange(n_s)
+    k = np.arange(n_r)
+    for sc in scene:
+        amp = sc.amplitude
+        if cfg.gain_taper_exp > 0:
+            amp *= max(math.cos(sc.azimuth), 0.0) ** cfg.gain_taper_exp
+        tone = np.exp(2j * math.pi * cfg.beat_frequency(sc.range) * i / cfg.sample_rate)
+        steer = np.exp(1j * cfg.phase_step(sc.azimuth) * k)
+        cube += amp * tone[:, None, None] * steer[None, None, :]
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        scale = noise_std / math.sqrt(2.0)
+        cube += scale * (rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape))
+    return cube
+
+
+def test_signal_built_once_matches_per_chirp_accumulation():
+    rng = np.random.default_rng(8)
+    configs = [
+        RadarConfig(n_samples=64, n_chirps=1, n_antennas=8),
+        RadarConfig(n_samples=64, n_chirps=4, n_antennas=8, gain_taper_exp=0.0),
+        RadarConfig(n_samples=128, n_chirps=16, n_antennas=4, gain_taper_exp=2.0),
+    ]
+    for case in range(60):
+        cfg = configs[case % 3]
+        scene = random_scene(rng, case % 9, range_hi=30.0, az_limit_deg=80.0)
+        for noise_std in (0.0, 0.3):
+            got = simulate_if_cube(scene, cfg, noise_std=noise_std, seed=case)
+            assert np.array_equal(got.data, _simulate_reference(scene, cfg, noise_std, case))

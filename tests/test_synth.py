@@ -5,7 +5,8 @@ import pytest
 
 from radarplace import encoder as enc
 from radarplace import synth
-from radarplace.heatmap import generate_heatmap, resize_cube
+from radarplace.errors import ConfigError
+from radarplace.heatmap import generate_heatmap
 from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
@@ -38,8 +39,7 @@ def _render_sweep_reference(world, place_idx, cfg, pcfg, n_frames,
     for f in range(n_frames):
         local = scene_at_heading(scene, body_heading_deg + headings[f], cfg.fov_deg)
         cube = simulate_if_cube(local, cfg, noise_std=wcfg.noise_std, seed=noise_seeds[f])
-        cube = resize_cube(cube, wcfg.heatmap_rows, wcfg.heatmap_cols)
-        frames.append(generate_heatmap(cube, cfg))
+        frames.append(generate_heatmap(cube, cfg, (wcfg.heatmap_rows, wcfg.heatmap_cols)))
     return frames
 
 
@@ -70,7 +70,7 @@ def test_platform_sweep_cubes_rebuild_render_sweep(world_seed, place, pcfg, _, l
     scene = synth._scene_from(world.places[place], lateral)
     cubes = simulate_platform_sweep(scene, CFG, pcfg, 9, noise_std=wcfg.noise_std, seed=seed)
     rebuilt = [
-        generate_heatmap(resize_cube(c, wcfg.heatmap_rows, wcfg.heatmap_cols), CFG)
+        generate_heatmap(c, CFG, (wcfg.heatmap_rows, wcfg.heatmap_cols))
         for c, _ in cubes
     ]
     frames = synth.render_sweep(world, place, CFG, pcfg, 9, 0.0, lateral, seed)
@@ -93,3 +93,10 @@ def test_reference_db_mode_selects_frame_or_mosaic():
         for i, rec in enumerate(db.records):
             want = enc.encode(view(i), w).values.astype(np.float32)
             assert np.array_equal(rec.descriptor, want)
+
+
+@pytest.mark.parametrize("field", ["heatmap_rows", "heatmap_cols", "mosaic_cols"])
+def test_world_config_rejects_sizes_below_1(field):
+    for value in (0, -3):
+        with pytest.raises(ConfigError):
+            synth.WorldConfig(**{field: value})
