@@ -123,6 +123,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_concat(args) -> int:
+    _, _, pcfg = _load_configs(args.config)
     files = _heatmap_files(Path(args.input))
     if len(files) < 2:
         print("warning: need at least two heatmaps to concatenate", file=sys.stderr)
@@ -138,7 +139,7 @@ def cmd_concat(args) -> int:
         if args.mode == "relpose":
             mosaic = cc.concat_relative_pose(frames, seg, offsets)
         else:
-            step = args.step_bins or cc.default_a_window(frames[0].n_cols, span_deg=15.0)
+            step = args.step_bins or cc.step_bins(pcfg.nominal_step, frames[0].n_cols)
             mosaic = cc.concat_fixed_step(frames, seg, step)
         fileio.save_heatmap(out / f"mosaic_{s:02d}.rah", mosaic)
     print(f"wrote offsets and {len(segments)} mosaic(s) to {out}")
@@ -213,17 +214,7 @@ def cmd_render(args) -> int:
 def cmd_eval(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
     _apply_preset(args, keyvals)
-    wcfg = synth.WorldConfig(
-        n_places=int(keyvals.get("n_places", 60)),
-        spacing_m=keyvals.get("spacing_m", 20.0),
-        scatterers_per_place=int(keyvals.get("scatterers_per_place", 8)),
-        noise_std=keyvals.get("noise_std", 0.05),
-        heatmap_rows=int(keyvals.get("heatmap_rows", 64)),
-        heatmap_cols=int(keyvals.get("heatmap_cols", 192)),
-        mosaic_cols=int(keyvals.get("mosaic_cols", 512)),
-        seed=args.seed,
-    )
-    world = synth.build_world(wcfg)
+    world = synth.build_world(fileio.world_config_from(keyvals, args.seed))
 
     if args.weights:
         weights = fileio.load_weights(args.weights)
@@ -269,80 +260,78 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_SHARED_FLAGS = {
+    "--config": {"help": "key-value config file"},
+    "--seed": {"type": int, "default": 0},
+    "--preset": {"choices": ["paper-defaults"], "default": None},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="radarplace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key-value config file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--preset", choices=["paper-defaults"], default=None)
+    def subcommand(name, func, help, shared=()):
+        """A subparser for ``func`` with the shared flags it reads."""
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simulate", help="simulate IF cubes from a scene file")
-    common(p)
+    p = subcommand("simulate", cmd_simulate, "simulate IF cubes from a scene file",
+                   ("--config", "--seed"))
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=0, help="override n_frames")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("heatmap", help="convert IF cubes to heatmaps")
-    common(p)
+    p = subcommand("heatmap", cmd_heatmap, "convert IF cubes to heatmaps",
+                   ("--config", "--preset"))
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap-size",
                    help="RxC FFT lengths: first R fast-time samples, C-point angle FFT")
     p.add_argument("--max-range", type=float, default=None)
     p.add_argument("--window", choices=["rect", "hann"], default="rect")
-    p.set_defaults(func=cmd_heatmap)
 
-    p = sub.add_parser("concat", help="estimate offsets and mosaic cycles")
-    common(p)
+    p = subcommand("concat", cmd_concat, "estimate offsets and mosaic cycles", ("--config",))
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["fixed", "relpose"], default="relpose")
-    p.add_argument("--step-bins", type=int, default=0)
+    p.add_argument("--step-bins", type=int, default=0,
+                   help="fixed-mode step; default: the platform's nominal step")
     p.add_argument("--r-window", type=int, default=4)
     p.add_argument("--a-window", type=int, default=0)
-    p.set_defaults(func=cmd_concat)
 
-    p = sub.add_parser("train", help="train the spatial encoder")
-    common(p)
+    p = subcommand("train", cmd_train, "train the spatial encoder", ("--seed",))
     p.add_argument("--heatmaps", required=True)
     p.add_argument("--poses", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--margin", type=float, default=0.5)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("build-db", help="encode heatmaps into a place database")
-    common(p)
+    p = subcommand("build-db", cmd_build_db, "encode heatmaps into a place database")
     p.add_argument("--heatmaps", required=True)
     p.add_argument("--poses", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_db)
 
-    p = sub.add_parser("query", help="retrieve nearest places for heatmaps")
-    common(p)
+    p = subcommand("query", cmd_query, "retrieve nearest places for heatmaps")
     p.add_argument("--db", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("inputs", nargs="+")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("render", help="write a heatmap as an 8-bit PGM")
-    common(p)
+    p = subcommand("render", cmd_render, "write a heatmap as an 8-bit PGM")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", action="store_true", help="log-compress magnitudes")
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("eval", help="end-to-end synthetic retrieval evaluation")
-    common(p)
+    p = subcommand("eval", cmd_eval, "end-to-end synthetic retrieval evaluation",
+                   ("--config", "--seed", "--preset"))
     p.add_argument("--out", required=True)
     p.add_argument("--concat", choices=["none", "fixed", "relpose"], default="none")
     p.add_argument("--weights", help="reuse trained weights instead of training")
-    p.set_defaults(func=cmd_eval)
     return parser
 
 

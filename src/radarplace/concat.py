@@ -18,6 +18,7 @@ from .errors import AlignmentError, ConfigError, DimensionError, NoRotationError
 from .heatmap import Heatmap
 
 DEFAULT_MIN_OVERLAP = 0.25
+MAX_CANVAS_COLS = 8192
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,6 @@ def _extend_angle_axis(axis: np.ndarray, left: int, right: int) -> np.ndarray:
 def _concat_at_offsets(
     frames: list[Heatmap],
     per_pair: list[tuple[int, int]],
-    max_canvas_cols: int,
 ) -> Heatmap:
     """Union frames on a canvas at cumulative (range, angle) placements.
 
@@ -204,10 +204,10 @@ def _concat_at_offsets(
     a_min, a_max = min(as_), max(as_)
     canvas_rows = rows + (r_max - r_min)
     canvas_cols = cols + (a_max - a_min)
-    if canvas_cols > max_canvas_cols:
+    if canvas_cols > MAX_CANVAS_COLS:
         raise ConfigError(
             f"cumulative offsets span {canvas_cols} columns, above the "
-            f"canvas limit {max_canvas_cols}"
+            f"canvas limit {MAX_CANVAS_COLS}"
         )
     canvas = np.zeros((canvas_rows, canvas_cols))
     for frame, (cr, ca) in zip(frames, cum):
@@ -229,7 +229,6 @@ def concat_relative_pose(
     frames: list[Heatmap],
     segment: CycleSegment,
     offsets: list[PoseOffset],
-    max_canvas_cols: int = 8192,
 ) -> Heatmap:
     """Mosaic one rotation cycle using estimated pairwise offsets.
 
@@ -243,14 +242,13 @@ def concat_relative_pose(
         raise ConfigError("segment indices out of range")
     seg_frames = frames[lo : hi + 1]
     per_pair = [(offsets[t].r_offset, offsets[t].a_offset) for t in range(lo + 1, hi + 1)]
-    return _concat_at_offsets(seg_frames, per_pair, max_canvas_cols)
+    return _concat_at_offsets(seg_frames, per_pair)
 
 
 def concat_fixed_step(
     frames: list[Heatmap],
     segment: CycleSegment,
     step_bins: int,
-    max_canvas_cols: int = 8192,
 ) -> Heatmap:
     """Mosaic one rotation cycle at a fixed nominal angle step (baseline)."""
     if step_bins <= 0:
@@ -260,7 +258,7 @@ def concat_fixed_step(
         raise ConfigError("segment indices out of range")
     seg_frames = frames[lo : hi + 1]
     per_pair = [(0, segment.direction * step_bins) for _ in range(len(seg_frames) - 1)]
-    return _concat_at_offsets(seg_frames, per_pair, max_canvas_cols)
+    return _concat_at_offsets(seg_frames, per_pair)
 
 
 def default_a_window(n_cols: int, span_deg: float = 20.0) -> int:
@@ -271,3 +269,8 @@ def default_a_window(n_cols: int, span_deg: float = 20.0) -> int:
     """
     bins_per_rad = n_cols / 2.0
     return int(math.ceil(math.radians(span_deg) * bins_per_rad))
+
+
+def step_bins(step_deg: float, n_cols: int) -> int:
+    """Nearest whole number of angle bins for a heading step of step_deg at boresight."""
+    return int(round(math.radians(step_deg) * n_cols / 2.0))

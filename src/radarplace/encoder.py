@@ -10,13 +10,13 @@ central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyResultError
 from .heatmap import Heatmap
-from .placedb import PlaceDB, PlaceRecord, recall_at_n
+from .placedb import MATCH_RADIUS_M, PlaceDB, PlaceRecord, recall_at_n
 
 _DEGENERATE_EPS = 1e-12
 HOLDOUT_STRIDE = 5
@@ -287,18 +287,13 @@ def _norm_backward(desc: Descriptor, norm: float, dnorm: np.ndarray) -> np.ndarr
 class TripletBatch:
     """One mined triplet: a query with its positives and negatives.
 
-    Samples are referenced by index into a sample sequence; ``bind``
-    attaches that sequence before gradient evaluation.
+    Samples are referenced by index into the sample sequence that
+    ``backward`` is given.
     """
 
     query_idx: int
     positive_idxs: list[int]
     negative_idxs: list[int]
-    margin: float = 0.5
-    samples: list | None = None
-
-    def bind(self, heatmaps) -> "TripletBatch":
-        return replace(self, samples=heatmaps)
 
 
 def _zero_grads(w: EncoderWeights) -> list[list[np.ndarray]]:
@@ -306,13 +301,14 @@ def _zero_grads(w: EncoderWeights) -> list[list[np.ndarray]]:
     return [[np.zeros_like(k), np.zeros_like(b)] for k, b in zip(w.kernels, w.biases)]
 
 
-def _triplet_grads(triplets, samples, w: EncoderWeights):
-    """Summed weight gradients and per-triplet losses over a sample sequence.
+def backward(triplets, samples, w: EncoderWeights, margin: float):
+    """Summed weight gradients and per-triplet hinge losses at ``margin``.
 
-    Each sample is described once, its descriptor gradients are summed over
-    the triplets that use it, and it is backpropagated once in first-use
-    order by re-running its forward pass: one forward cache is alive at a
-    time.  Returns (grads, losses), grads as [dkernel, dbias] pairs.
+    ``triplets`` index into ``samples``.  Each sample is described once,
+    its descriptor gradients are summed over the triplets that use it, and
+    it is backpropagated once in first-use order by re-running its forward
+    pass: one forward cache is alive at a time.  Returns (grads, losses),
+    grads as [dkernel, dbias] pairs.
     """
     grads = _zero_grads(w)
     uses = [[t.query_idx, *t.positive_idxs, *t.negative_idxs] for t in triplets]
@@ -324,7 +320,7 @@ def _triplet_grads(triplets, samples, w: EncoderWeights):
         descs = [described[i][0].values for i in idxs]
         n_pos = len(t.positive_idxs)
         loss, dgrads = _loss_and_descriptor_grads(
-            descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], t.margin
+            descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], margin
         )
         losses.append(loss)
         for i, g in zip(idxs, dgrads):
@@ -336,33 +332,23 @@ def _triplet_grads(triplets, samples, w: EncoderWeights):
     return grads, losses
 
 
-def backward(batch: TripletBatch, w: EncoderWeights):
-    """Exact loss gradients for one bound triplet: (grads, loss) as in _triplet_grads."""
-    if batch.samples is None:
-        raise ConfigError("triplet must be bound to heatmaps before backward")
-    grads, (loss,) = _triplet_grads([batch], batch.samples, w)
-    return grads, loss
-
-
 def mine_triplets(
     records,
-    r_pos: float = 3.0,
+    r_pos: float = MATCH_RADIUS_M,
     r_neg: float = 18.0,
     n_pos: int = 1,
     n_neg: int = 10,
     seed: int = 0,
-    margin: float = 0.5,
 ) -> tuple[list[TripletBatch], int]:
     """Sample one triplet per eligible query by the distance rule.
 
-    ``records`` is any sequence of objects with a 2-D ``position`` (or
-    (heatmap, position) pairs).  Queries lacking enough positives within
-    r_pos or negatives beyond r_neg are skipped; the skip count is
-    returned alongside the batches.
+    ``records`` is a sequence of (item, position) pairs with 2-D positions.
+    Queries lacking enough positives within r_pos or negatives beyond r_neg
+    are skipped; the skip count is returned alongside the batches.
     """
     if r_pos >= r_neg:
         raise ConfigError("r_pos must be < r_neg")
-    positions = np.array([_position_of(r) for r in records], dtype=np.float64)
+    positions = np.array([pos for _, pos in records], dtype=np.float64)
     n = len(positions)
     rng = np.random.default_rng(seed)
     batches: list[TripletBatch] = []
@@ -379,15 +365,9 @@ def mine_triplets(
         ps = rng.choice(pos_cand, size=n_pos, replace=False)
         nss = rng.choice(neg_cand, size=n_neg, replace=False)
         batches.append(
-            TripletBatch(qi, sorted(int(i) for i in ps), sorted(int(i) for i in nss), margin)
+            TripletBatch(qi, sorted(int(i) for i in ps), sorted(int(i) for i in nss))
         )
     return batches, skipped
-
-
-def _position_of(record):
-    if hasattr(record, "position"):
-        return np.asarray(record.position, dtype=np.float64)
-    return np.asarray(record[1], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -402,9 +382,6 @@ class TrainConfig:
     lr_decay_every: int = 5
     max_epochs: int = 50
     margin: float = 0.5
-    r_pos: float = 3.0
-    r_neg: float = 18.0
-    n_pos: int = 1
     n_neg: int = 10
     seed: int = 0
 
@@ -449,9 +426,10 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     """Triplet-margin SGD training of the spatial encoder.
 
     ``dataset`` is a list of (heatmap, position) pairs.  Triplets are
-    re-mined every epoch from the run seed; the returned weights are the
-    ones with the best leave-out recall@1.  Fully deterministic for a
-    fixed (dataset, cfg, arch).
+    re-mined every epoch from the run seed by ``mine_triplets``'s distance
+    rule, so positives lie within MATCH_RADIUS_M, the radius leave-out
+    recall scores at; the returned weights are the ones with the best
+    leave-out recall@1.  Fully deterministic for a fixed (dataset, cfg, arch).
     """
     if arch is None:
         shape = _as_array(dataset[0][0]).shape
@@ -466,10 +444,7 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.max_epochs):
         lr = cfg.lr_at(epoch)
-        batches, _ = mine_triplets(
-            dataset, cfg.r_pos, cfg.r_neg, cfg.n_pos, cfg.n_neg,
-            seed=cfg.seed + epoch, margin=cfg.margin,
-        )
+        batches, _ = mine_triplets(dataset, n_neg=cfg.n_neg, seed=cfg.seed + epoch)
         # eligibility depends on positions only: epoch 0 decides for all
         if not batches:
             raise EmptyResultError(
@@ -479,7 +454,7 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             chunk = [batches[i] for i in order[start : start + cfg.batch_size]]
-            grads, chunk_losses = _triplet_grads(chunk, heatmaps, weights)
+            grads, chunk_losses = backward(chunk, heatmaps, weights, cfg.margin)
             losses.extend(chunk_losses)
             inv = 1.0 / len(chunk)
             for l, (gk, gb) in enumerate(grads):

@@ -7,10 +7,12 @@ are line-oriented with ``#`` comments.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import zlib
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .errors import ConfigError, DimensionError, FormatError
 from .heatmap import Heatmap
 from .placedb import PlaceDB, PlaceRecord
 from .radar import IFCube, PlatformConfig, RadarConfig, Scatterer
+from .synth import WorldConfig
 
 IFC_MAGIC = b"IFC1"
 RAH_MAGIC = b"RAH1"
@@ -232,7 +235,10 @@ def save_scene(path, scene: list[Scatterer]) -> None:
 
 
 def load_keyvals(path) -> dict[str, float]:
-    """Key-value config file: ``key = value`` lines, ``#`` comments."""
+    """Key-value config file: ``key = value`` lines, ``#`` comments, finite numbers.
+
+    Non-numeric text is a malformed file; ``nan`` or ``inf`` is a bad setting.
+    """
     out: dict[str, float] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -247,9 +253,12 @@ def load_keyvals(path) -> dict[str, float]:
                     raise FormatError(f"{path}:{lineno}: expected 'key value'")
                 key, val = parts
             try:
-                out[key.strip()] = float(val.strip())
+                value = float(val.strip())
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-numeric value {val.strip()!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}:{lineno}: non-finite value {val.strip()!r}")
+            out[key.strip()] = value
     return out
 
 
@@ -258,20 +267,29 @@ _RADAR_KEYS = {
     "n_samples", "n_chirps", "n_antennas", "fov_deg", "gain_taper_exp",
 }
 _PLATFORM_KEYS = {"angular_speed", "frame_rate", "sweep_extent", "jitter_std"}
-_INT_KEYS = {"n_samples", "n_chirps", "n_antennas"}
+_WORLD_KEYS = {
+    "n_places", "spacing_m", "scatterers_per_place", "noise_std",
+    "heatmap_rows", "heatmap_cols", "mosaic_cols",
+}
+
+
+def _config_from(cls, keys, keyvals, **fixed):
+    """``cls`` from the ``keys`` that ``keyvals`` sets plus ``fixed``; ``int`` fields truncate."""
+    ints = {f.name for f in fields(cls) if f.type in ("int", int)}
+    kwargs = {k: int(keyvals[k]) if k in ints else keyvals[k] for k in keys & keyvals.keys()}
+    return cls(**kwargs, **fixed)
 
 
 def radar_config_from(keyvals: dict[str, float]) -> RadarConfig:
-    kwargs = {}
-    for key in _RADAR_KEYS & keyvals.keys():
-        val = keyvals[key]
-        kwargs[key] = int(val) if key in _INT_KEYS else val
-    return RadarConfig(**kwargs)
+    return _config_from(RadarConfig, _RADAR_KEYS, keyvals)
 
 
 def platform_config_from(keyvals: dict[str, float]) -> PlatformConfig:
-    kwargs = {key: keyvals[key] for key in _PLATFORM_KEYS & keyvals.keys()}
-    return PlatformConfig(**kwargs)
+    return _config_from(PlatformConfig, _PLATFORM_KEYS, keyvals)
+
+
+def world_config_from(keyvals: dict[str, float], seed: int) -> WorldConfig:
+    return _config_from(WorldConfig, _WORLD_KEYS, keyvals, seed=seed)
 
 
 def save_offsets_csv(path, offsets: list[PoseOffset]) -> None:

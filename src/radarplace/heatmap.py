@@ -112,7 +112,7 @@ def generate_heatmap(
     (samples, antennas): the first ``rows`` fast-time samples are kept and
     the angle FFT zero-pads the antennas to ``cols``.  ``window`` may be
     "rect" (default) or "hann" applied over fast time.  Rows beyond
-    ``max_range_m`` are discarded when given.
+    ``max_range_m``, a finite positive range, are discarded when given.
     """
     n_s, _, n_r = cube.dims
     rows, cols = size or (n_s, n_r)
@@ -122,6 +122,8 @@ def generate_heatmap(
         raise DimensionError("heatmap dims must be >= 1")
     if cols < n_r:
         raise DimensionError(f"cannot drop antennas: {cols} cols < {n_r} antennas")
+    if max_range_m is not None and not (math.isfinite(max_range_m) and max_range_m > 0):
+        raise ConfigError(f"max_range_m must be finite and > 0, got {max_range_m}")
     summed = cube.data[:rows].sum(axis=1)        # coherent chirp integration
     if not np.all(np.isfinite(summed)):
         raise ConfigError("IF cube contains non-finite values")
@@ -142,6 +144,5 @@ def generate_heatmap(
     range_bin_m = cfg.sample_rate / rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
-        keep = max(1, min(keep, rows))
         values = values[:keep, :]
     return Heatmap(values, range_bin_m, axis)

@@ -31,6 +31,8 @@ from .radar import (
 ROTATION_BUCKETS = ((0.0, 5.0), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0))
 LATERAL_BUCKETS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0))
 MOSAIC_R_WINDOW = 2  # range search window (rows) when registering sweep frames
+RANGE_HI_M = 40.0  # farthest reflector of a place, m
+AMP_LO, AMP_HI = 0.5, 2.0  # reflector amplitude range
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,6 @@ class WorldConfig:
     spacing_m: float = 20.0
     scatterers_per_place: int = 8
     range_lo: float = 6.0
-    range_hi: float = 40.0
-    amp_lo: float = 0.5
-    amp_hi: float = 2.0
     noise_std: float = 0.05
     heatmap_rows: int = 64
     heatmap_cols: int = 192
@@ -55,6 +54,8 @@ class WorldConfig:
             raise ConfigError("n_places must be >= 1")
         if self.spacing_m <= 0:
             raise ConfigError("spacing_m must be > 0")
+        if self.scatterers_per_place < 0:
+            raise ConfigError("scatterers_per_place must be >= 0")
         if min(self.heatmap_rows, self.heatmap_cols, self.mosaic_cols) < 1:
             raise ConfigError("heatmap_rows, heatmap_cols and mosaic_cols must be >= 1")
 
@@ -77,9 +78,9 @@ def build_world(cfg: WorldConfig) -> World:
     places = []
     for i in range(cfg.n_places):
         k = cfg.scatterers_per_place
-        ranges = rng.uniform(cfg.range_lo, cfg.range_hi, size=k)
+        ranges = rng.uniform(cfg.range_lo, RANGE_HI_M, size=k)
         azimuths = rng.uniform(-math.pi, math.pi, size=k)
-        amps = rng.uniform(cfg.amp_lo, cfg.amp_hi, size=k)
+        amps = rng.uniform(AMP_LO, AMP_HI, size=k)
         points = np.stack(
             [ranges * np.cos(azimuths), ranges * np.sin(azimuths), amps], axis=1
         )
@@ -180,7 +181,7 @@ def mosaic_view(
     if mode == "relpose":
         mosaic = cc.concat_relative_pose(frames, segment, offsets)
     elif mode == "fixed":
-        step = int(round(math.radians(pcfg.nominal_step) * wcfg.heatmap_cols / 2.0))
+        step = cc.step_bins(pcfg.nominal_step, wcfg.heatmap_cols)
         mosaic = cc.concat_fixed_step(frames, segment, step)
     else:
         raise ConfigError(f"unknown mosaic mode {mode!r}")
@@ -259,6 +260,8 @@ def evaluate(
     """
     if concat_mode not in ("none", "fixed", "relpose"):
         raise ConfigError(f"unknown concat mode {concat_mode!r}")
+    if queries_per_cell < 1:
+        raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")
     db = build_reference_db(world, cfg, weights, seed=seed, pcfg=pcfg, mode=concat_mode)
 
     rng = np.random.default_rng(seed + 1)

@@ -312,8 +312,7 @@ def test_criterion_5_gradient_oracle():
         rows, cols = arch.input_shape
         hs = [random_heatmap_values(rng, rows, cols) for _ in range(4)]
         w = enc.init_weights(arch, seed=40 + ai)
-        batch = TripletBatch(0, [1], [2, 3], margin=margin).bind(hs)
-        grads, _ = enc.backward(batch, w)
+        grads, _ = enc.backward([TripletBatch(0, [1], [2, 3])], hs, w, margin)
 
         def loss_at(weights):
             # independent path: public encode + triplet_loss

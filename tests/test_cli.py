@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from radarplace.cli import main
+from radarplace.concat import detect_cycles
+from radarplace.encoder import EncoderArch, init_weights
 from radarplace.fileio import (
     load_heatmap,
     load_offsets_csv,
@@ -17,6 +19,7 @@ from radarplace.fileio import (
     save_heatmap,
     save_poses_csv,
     save_scene,
+    save_weights,
 )
 from radarplace.heatmap import Heatmap
 from radarplace.radar import Scatterer
@@ -287,3 +290,50 @@ def test_build_db_pose_count_mismatch_exits_1(tmp_path, scene_file, cfg_file):
         "--out", str(tmp_path / "w.mmw"),
     ])
     assert rc == 1
+
+
+def test_bad_eval_config_exits_1(tmp_path):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("scatterers_per_place = -1\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+    weights = tmp_path / "w.mmw"
+    save_weights(weights, init_weights(EncoderArch(input_shape=(64, 192)), 0))
+    cfg.write_text("n_places = 2\nqueries_per_cell = 0\n")
+    assert main(["eval", "--config", str(cfg), "--weights", str(weights),
+                 "--out", str(tmp_path / "b")]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+def test_heatmap_max_range_must_be_finite_and_positive(tmp_path, scene_file, cfg_file, value):
+    cubes = tmp_path / "cubes"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                 "--out", str(cubes)]) == 0
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
+                 "--out", str(tmp_path / "maps"), f"--max-range={value}"]) == 1
+
+
+@pytest.mark.parametrize("line", ["angular_speed = nan", "n_samples = inf"])
+def test_non_finite_config_value_exits_1(tmp_path, scene_file, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_chirps = 4\n{line}\n")
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "cubes"), "--frames", "3"]) == 1
+
+
+def test_concat_fixed_default_step_is_the_nominal_step(tmp_path, scene_file, cfg_file):
+    cubes, maps = tmp_path / "cubes", tmp_path / "maps"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                 "--out", str(cubes), "--frames", "8", "--seed", "1"]) == 0
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
+                 "--out", str(maps), "--heatmap-size", "64x32"]) == 0
+    fast = tmp_path / "fast.cfg"
+    fast.write_text("angular_speed = 300\n")
+    # 15 deg (the default platform) and 30 deg steps at 2/32 rad per column
+    for step, config in ((4, []), (8, ["--config", str(fast)])):
+        out = tmp_path / f"mosaics_{step}"
+        assert main(["concat", "--in", str(maps), "--out", str(out),
+                     "--mode", "fixed", *config]) == 0
+        segments = detect_cycles(load_offsets_csv(out / "offsets.csv"))
+        for s, seg in enumerate(segments):
+            mosaic = load_heatmap(out / f"mosaic_{s:02d}.rah")
+            assert mosaic.n_cols == 32 + (len(seg) - 1) * step

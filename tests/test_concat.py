@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radarplace.concat import (
+    MAX_CANVAS_COLS,
     CycleSegment,
     PoseOffset,
     concat_fixed_step,
@@ -203,7 +204,8 @@ def test_canvas_limit_enforced():
     rng = np.random.default_rng(12)
     h = _hm(random_heatmap_values(rng, 8, 16))
     with pytest.raises(ConfigError):
-        concat_fixed_step([h] * 5, CycleSegment(0, 4, 1), 10, max_canvas_cols=32)
+        # five 16-column frames 2048 bins apart span 16 + 4 * 2048 > 8192 columns
+        concat_fixed_step([h] * 5, CycleSegment(0, 4, 1), MAX_CANVAS_COLS // 4)
     with pytest.raises(ConfigError):
         concat_fixed_step([h, h], CycleSegment(0, 1, 1), 0)
 

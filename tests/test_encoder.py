@@ -11,7 +11,6 @@ from radarplace.encoder import (
     EncoderArch,
     TrainConfig,
     TripletBatch,
-    _triplet_grads,
     _val_recall1,
     backward,
     encode,
@@ -90,8 +89,7 @@ def test_zero_loss_gives_zero_gradients():
     hs = [random_heatmap_values(rng, 16, 24) for _ in range(3)]
     hs[1] = hs[0].copy()  # positive identical to query
     w = init_weights(SMALL_ARCH, seed=2)
-    batch = TripletBatch(0, [1], [2], margin=0.0).bind(hs)
-    grads, loss = backward(batch, w)
+    grads, (loss,) = backward([TripletBatch(0, [1], [2])], hs, w, 0.0)
     assert loss == 0.0
     for gk, gb in grads:
         assert not np.any(gk) and not np.any(gb)
@@ -101,9 +99,9 @@ def test_duplicate_negative_doubles_loss_and_gradient():
     rng = np.random.default_rng(4)
     hs = [random_heatmap_values(rng, 16, 24) for _ in range(3)]
     w = init_weights(SMALL_ARCH, seed=3)
-    single = backward(TripletBatch(0, [1], [2], margin=2.0).bind(hs), w)
-    double = backward(TripletBatch(0, [1], [2, 2], margin=2.0).bind(hs), w)
-    assert double[1] == pytest.approx(2.0 * single[1])
+    single = backward([TripletBatch(0, [1], [2])], hs, w, 2.0)
+    double = backward([TripletBatch(0, [1], [2, 2])], hs, w, 2.0)
+    assert double[1][0] == pytest.approx(2.0 * single[1][0])
     for (gk1, gb1), (gk2, gb2) in zip(single[0], double[0]):
         assert np.allclose(gk2, 2.0 * gk1)
         assert np.allclose(gb2, 2.0 * gb1)
@@ -114,8 +112,7 @@ def test_analytic_gradient_matches_finite_differences():
     arch = EncoderArch(input_shape=(8, 12), channels=(1, 3, 4), pools=((2, 2), None))
     hs = [random_heatmap_values(rng, 8, 12) for _ in range(4)]
     w = init_weights(arch, seed=7)
-    batch = TripletBatch(0, [1], [2, 3], margin=1.0).bind(hs)
-    grads, loss = backward(batch, w)
+    grads, (loss,) = backward([TripletBatch(0, [1], [2, 3])], hs, w, 1.0)
     assert loss > 0.0
 
     def loss_at(weights):
@@ -305,7 +302,7 @@ def _descriptor_grads_reference(q, ps, ns, alpha):
     return loss, gq, gps, gns
 
 
-def _backward_reference(samples, t, w):
+def _backward_reference(samples, t, w, margin):
     """The earlier per-triplet backward: every reference described and backpropagated."""
     grads = _zeros_like(w)
     idxs = [t.query_idx, *t.positive_idxs, *t.negative_idxs]
@@ -313,7 +310,7 @@ def _backward_reference(samples, t, w):
     descs = [desc.values for desc, _, _ in described]
     n_pos = len(t.positive_idxs)
     loss, gq, gps, gns = _descriptor_grads_reference(
-        descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], t.margin
+        descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], margin
     )
     for (desc, norm, cache), dnorm in zip(described, [gq] + gps + gns):
         if np.any(dnorm):
@@ -321,11 +318,11 @@ def _backward_reference(samples, t, w):
     return grads, loss
 
 
-def _chunk_reference(chunk, samples, w):
+def _chunk_reference(chunk, samples, w, margin):
     """The earlier training chunk: one backward per triplet, gradients accumulated."""
     acc, losses = _zeros_like(w), []
     for t in chunk:
-        grads, loss = _backward_reference(samples, t, w)
+        grads, loss = _backward_reference(samples, t, w, margin)
         losses.append(loss)
         for a, g in zip(acc, grads):
             a[0] += g[0]
@@ -342,9 +339,9 @@ def test_chunk_gradients_match_per_triplet_accumulation():
         idxs = rng.choice(9, size=6, replace=False)
         n_pos = int(rng.integers(1, 3))
         chunk.append(TripletBatch(int(idxs[0]), sorted(idxs[1 : 1 + n_pos].tolist()),
-                                  sorted(idxs[1 + n_pos :].tolist()), margin=2.0))
-    grads, losses = _triplet_grads(chunk, samples, w)
-    ref_grads, ref_losses = _chunk_reference(chunk, samples, w)
+                                  sorted(idxs[1 + n_pos :].tolist())))
+    grads, losses = backward(chunk, samples, w, 2.0)
+    ref_grads, ref_losses = _chunk_reference(chunk, samples, w, 2.0)
     assert losses == ref_losses and sum(losses) > 0.0
     for (gk, gb), (rk, rb) in zip(grads, ref_grads):
         assert np.max(np.abs(gk - rk)) <= 1e-12 * np.max(np.abs(rk))
@@ -357,9 +354,9 @@ def test_backward_is_bit_identical_on_distinct_indices():
     w = init_weights(SMALL_ARCH, seed=6)
     for q, pos, neg, margin in [(5, [1], [2, 3], 2.0), (3, [4, 5], [0, 2, 6], 1.0),
                                 (0, [3], [1], 0.1)]:
-        t = TripletBatch(q, pos, neg, margin=margin)
-        grads, loss = backward(t.bind(samples), w)
-        ref_grads, ref_loss = _backward_reference(samples, t, w)
+        t = TripletBatch(q, pos, neg)
+        grads, (loss,) = backward([t], samples, w, margin)
+        ref_grads, ref_loss = _backward_reference(samples, t, w, margin)
         assert loss == ref_loss
         for (gk, gb), (rk, rb) in zip(grads, ref_grads):
             assert np.array_equal(gk, rk) and np.array_equal(gb, rb)

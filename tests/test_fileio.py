@@ -8,7 +8,7 @@ import pytest
 
 from radarplace.concat import PoseOffset
 from radarplace.encoder import EncoderArch, init_weights
-from radarplace.errors import FormatError
+from radarplace.errors import ConfigError, FormatError
 from radarplace.fileio import (
     load_cube,
     load_db,
@@ -276,6 +276,14 @@ def test_keyvals_and_configs(tmp_path):
     p.write_text("lonely\n")
     with pytest.raises(FormatError):
         load_keyvals(p)
+
+
+def test_keyvals_reject_non_finite_values(tmp_path):
+    p = tmp_path / "bad.cfg"
+    for text in ("nan", "inf", "-inf", "1e400"):
+        p.write_text(f"n_samples = 64\nangular_speed = {text}\n")
+        with pytest.raises(ConfigError, match="bad.cfg:2: non-finite"):
+            load_keyvals(p)
 
 
 def test_offsets_csv_round_trip(tmp_path):

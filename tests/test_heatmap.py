@@ -152,6 +152,9 @@ def test_max_range_crop_and_hann_window(small_cfg):
     assert windowed.values.shape == full.values.shape
     with pytest.raises(ConfigError):
         generate_heatmap(cube, small_cfg, window="flattop")
+    for bad in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ConfigError):
+            generate_heatmap(cube, small_cfg, max_range_m=bad)
 
 
 def test_heatmap_invariant_validation():

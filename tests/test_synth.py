@@ -100,3 +100,17 @@ def test_world_config_rejects_sizes_below_1(field):
     for value in (0, -3):
         with pytest.raises(ConfigError):
             synth.WorldConfig(**{field: value})
+
+
+def test_world_config_rejects_negative_scatterer_count():
+    assert synth.WorldConfig(scatterers_per_place=0).scatterers_per_place == 0
+    with pytest.raises(ConfigError):
+        synth.WorldConfig(scatterers_per_place=-1)
+
+
+def test_evaluate_rejects_fewer_than_one_query_per_cell():
+    world = _world(0)
+    w = enc.init_weights(enc.EncoderArch(input_shape=(64, 96)), 0)
+    for n in (0, -2):
+        with pytest.raises(ConfigError):
+            synth.evaluate(world, CFG, w, queries_per_cell=n)
