@@ -215,6 +215,9 @@ def cmd_eval(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
     _apply_preset(args, keyvals)
     world = synth.build_world(fileio.world_config_from(keyvals, args.seed))
+    queries_per_cell = int(keyvals.get("queries_per_cell", 4))
+    if queries_per_cell < 1:  # before training, which can take minutes or fail first
+        raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")
 
     if args.weights:
         weights = fileio.load_weights(args.weights)
@@ -238,7 +241,7 @@ def cmd_eval(args) -> int:
 
     report = synth.evaluate(
         world, rcfg, weights,
-        queries_per_cell=int(keyvals.get("queries_per_cell", 4)),
+        queries_per_cell=queries_per_cell,
         seed=args.seed, concat_mode=args.concat, pcfg=pcfg,
     )
     out = Path(args.out)

@@ -172,17 +172,25 @@ def load_weights(path) -> EncoderWeights:
 
 # -- place databases ----------------------------------------------------------
 
+def _mpdb_record(dim: int) -> np.dtype:
+    """One packed MPDB record: id, x, y, heading (NaN for none), descriptor."""
+    return np.dtype([("id", "<u8"), ("x", "<f8"), ("y", "<f8"), ("heading", "<f8"),
+                     ("descriptor", "<f4", (dim,))])
+
+
 def save_db(path, db: PlaceDB) -> None:
+    recs, dim = db.records, db.dim or 0
+    table = np.empty(len(recs), _mpdb_record(dim))
+    # packing the ids with struct keeps its error for an id that does not fit <Q
+    table["id"] = np.frombuffer(struct.pack(f"<{len(recs)}Q", *[r.id for r in recs]), "<u8")
+    table["x"] = [r.position[0] for r in recs]
+    table["y"] = [r.position[1] for r in recs]
+    table["heading"] = [math.nan if r.heading is None else r.heading for r in recs]
+    table["descriptor"] = [r.descriptor for r in recs]
     with open(path, "wb") as fh:
         fh.write(MPDB_MAGIC)
-        dim = db.dim or 0
-        fh.write(struct.pack("<II", len(db), dim))
-        for r in db.records:
-            fh.write(struct.pack("<Q", r.id))
-            fh.write(struct.pack("<dd", *r.position))
-            heading = float("nan") if r.heading is None else r.heading
-            fh.write(struct.pack("<d", heading))
-            fh.write(r.descriptor.astype("<f4").tobytes())
+        fh.write(struct.pack("<II", len(recs), dim))
+        fh.write(table)  # the packed records as they are in memory, without a copy
 
 
 def load_db(path) -> PlaceDB:
@@ -192,17 +200,15 @@ def load_db(path) -> PlaceDB:
             raise FormatError(f"{path}: not a place database file")
         count, dim = struct.unpack("<II", _read_exact(fh, 8, "header"))
         _expect_payload(fh, count * (32 + dim * 4), path)
-        for _ in range(count):
-            rid, x, y, heading = struct.unpack("<Qddd", fh.read(32))
-            desc = np.frombuffer(fh.read(dim * 4), dtype="<f4")
-            db.add(
-                PlaceRecord(
-                    rid,
-                    desc.copy(),
-                    (x, y),
-                    None if np.isnan(heading) else heading,
-                )
-            )
+        if not count:
+            return db
+        # read straight into the record array: no intermediate copy of the payload
+        table = np.empty(count, _mpdb_record(dim))
+        if fh.readinto(table) != table.nbytes:
+            raise FormatError(f"{path}: truncated payload")
+    columns = (table[name].tolist() for name in ("id", "x", "y", "heading"))
+    for rid, x, y, heading, desc in zip(*columns, table["descriptor"]):
+        db.add(PlaceRecord(rid, desc, (x, y), None if math.isnan(heading) else heading))
     return db
 
 

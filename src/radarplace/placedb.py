@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +48,25 @@ class QueryResult:
 
 
 class PlaceDB:
-    """In-memory place database with exact brute-force search.
+    """In-memory place database with exact retrieval.
 
     Descriptors are held as float32, matching the on-disk format, so a
     save/load round trip reproduces query results bit for bit.
+
+    ``records`` grows only through ``add``, and a stored descriptor is never
+    changed after it is added: ``query`` keeps arrays that mirror
+    ``records`` (float32 descriptors, float64 squared norms, ids,
+    positions) and copies only the records added since the last query.
     """
 
     def __init__(self):
         self.records: list[PlaceRecord] = []
         self._row_of: dict[int, int] = {}  # record id -> index into records
+        self._n = 0  # records mirrored so far
+        self._desc = np.empty((0, 0), np.float32)
+        self._sqnorm = np.empty(0)
+        self._ids = np.empty(0, np.int64)
+        self._pos = np.empty((0, 2))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -78,11 +89,38 @@ class PlaceDB:
     def get(self, record_id: int) -> PlaceRecord:
         return self.records[self._row_of[record_id]]
 
-    def _matrix(self) -> np.ndarray:
-        return np.stack([r.descriptor for r in self.records])
+    def _sync(self) -> int:
+        """Copy the records added since the last query into the mirror; return its size."""
+        n, new = self._n, self.records[self._n:]
+        if not new:
+            return n
+        need = n + len(new)
+        if need > len(self._ids):  # amortised doubling
+            cap = max(need, 2 * len(self._ids))
+            self._desc = _grown(self._desc, n, (cap, self.dim))
+            self._sqnorm = _grown(self._sqnorm, n, (cap,))
+            self._ids = _grown(self._ids, n, (cap,))
+            self._pos = _grown(self._pos, n, (cap, 2))
+        rows = np.stack([r.descriptor for r in new], out=self._desc[n:need])
+        # products of float32 values are exact in float64
+        self._sqnorm[n:need] = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+        ids = [r.id for r in new]
+        try:
+            self._ids[n:need] = ids
+        except OverflowError:  # an id outside int64: keep exact Python ints
+            self._ids = self._ids.astype(object)
+            self._ids[n:need] = ids
+        self._pos[n:need] = [r.position for r in new]
+        self._n = need
+        return need
 
     def query(self, descriptor, k: int, query_position=None) -> QueryResult:
         """Exact top-k by Euclidean distance; ties break to the smaller id.
+
+        One float32 matrix-vector product scores every record; the float64
+        distance is computed only for the records that ``_coarse_margin``
+        cannot rule out of the top k, so ids, distances and tie-breaks are
+        those of a float64 brute force over the whole database.
 
         When the query's ground-truth position is given, per-candidate
         correctness flags and the database-level has-match flag are filled.
@@ -94,19 +132,29 @@ class PlaceDB:
         d = np.asarray(descriptor, dtype=np.float32).ravel()
         if d.size != self.dim:
             raise DimensionError(f"query dim {d.size} != db dim {self.dim}")
-        mat = self._matrix()
+        n = self._sync()
+        k = min(k, n)
+        d64 = d.astype(np.float64)
+        qq = float(d64 @ d64)
+        sqnorm = self._sqnorm[:n]
+        with np.errstate(over="ignore", invalid="ignore"):  # the margin covers overflow
+            approx = sqnorm - 2.0 * (self._desc[:n] @ d).astype(np.float64) + qq
+        a_k = float(np.partition(approx, k - 1)[k - 1])
+        limit = a_k + _coarse_margin(d.size, float(sqnorm.max()), qq, a_k)
+        # "not above" also keeps every row when a NaN or inf reaches the scores
+        cand = np.flatnonzero(~(approx > limit))
         # float64 accumulation keeps distance ties exact across save/load
-        dists = np.linalg.norm(mat.astype(np.float64) - d.astype(np.float64), axis=1)
-        ids = np.array([r.id for r in self.records])
-        order = np.lexsort((ids, dists))[: min(k, len(self.records))]
+        dists = np.linalg.norm(self._desc[cand].astype(np.float64) - d64, axis=1)
+        ids = self._ids[cand]
+        order = np.lexsort((ids, dists))[:k]
 
         flags = None
         has_match = None
         if query_position is not None:
             qp = np.asarray(query_position, dtype=np.float64)
-            geo = np.hypot(*(np.array([r.position for r in self.records]) - qp).T)
+            geo = np.hypot(*(self._pos[:n] - qp).T)
             correct = geo <= MATCH_RADIUS_M
-            flags = [bool(correct[i]) for i in order]
+            flags = [bool(correct[i]) for i in cand[order]]
             has_match = bool(np.any(correct))
         return QueryResult(
             ids=[int(ids[i]) for i in order],
@@ -114,6 +162,78 @@ class PlaceDB:
             flags=flags,
             has_match=has_match,
         )
+
+
+def _grown(a: np.ndarray, n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A new uninitialised array of ``shape`` that starts with ``a``'s first ``n`` rows."""
+    out = np.empty(shape, a.dtype)
+    if n:
+        out[:n] = a[:n]
+    return out
+
+
+_U64 = 2.0**-53  # unit roundoff of float64
+_U32 = 2.0**-24  # unit roundoff of float32
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u); infinite where the bound does not apply."""
+    return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
+
+
+def _coarse_margin(dim: int, sqnorm_max: float, qq: float, a_k: float) -> float:
+    """How far above the k-th coarse score a top-k row's coarse score can lie.
+
+    Notation: m is a stored row and q the query, both float32 vectors of
+    length n = ``dim``; R >= ||m|| for every row, Q >= ||q||, P = (R + Q)^2;
+    u = 2^-53 and v = 2^-24 are the float64 and float32 unit roundoffs;
+    gamma_n(u) = n u / (1 - n u).  The true squared distance is
+    D = ||m||^2 - 2 m.q + ||q||^2 = sum_j (m_j - q_j)^2 <= P.
+
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §3.1: a dot product of length n computed in any summation order (BLAS
+    blocking, FMA) has |fl(x.y) - x.y| <= gamma_n |x|.|y|.  Under gradual
+    underflow each float32 product adds at most 2^-150 absolute error.
+
+    Coarse score ``approx`` = fl(fl(s - 2p) + t), with
+      - s = fl64(sum m_j^2): |s - ||m||^2| <= gamma_n(u) R^2 (squares of
+        float32 values are exact in float64, no underflow or overflow);
+      - t = fl64(sum q_j^2): |t - ||q||^2| <= gamma_n(u) Q^2;
+      - p = fl32(m.q): |p - m.q| <= gamma_n(v) R Q + n 2^-149 (|x|.|y| <=
+        ||x|| ||y||, and the n underflow errors grow by at most
+        1 + gamma_n(v) <= 2); 2p and the cast to float64 are exact;
+      - the two float64 roundings add at most u|s - 2p| + u|s - 2p + t|
+        <= 8u P + n 2^-149 when gamma_n(v) <= 1.
+    So |approx - D| <= E = 2 gamma_n(v) R Q + (gamma_n(u) + 8u) P + 3n 2^-149.
+
+    Reference distance (``query``'s re-rank, and the brute force it
+    replaces): S = fl64(sum fl(fl(m_j - q_j)^2)) carries n + 2 roundings per
+    term, so |S - D| <= F = gamma_{n+2}(u) D <= gamma_{n+2}(u) P.
+
+    Let A_k be the k-th smallest coarse score: k rows i have
+    approx_i <= A_k, so S_i <= U = A_k + E + F.  A row r with
+    approx_r > A_k + 2(E + F) + 5u U has S_r > U (1 + 5u), and since
+    float64 sqrt is correctly rounded, fl(sqrt(S_r)) >= sqrt(S_r)(1 - u)
+    > sqrt(U)(1 + u) >= fl(sqrt(S_i)): its distance is strictly greater
+    than k others, so no id tie-break can bring it into the top k.  2(E + F)
+    alone would allow S_r > S_i with equal rounded square roots.
+
+    The returned margin uses 5u(|A_k| + E + F) >= 5u U, adds 2u|A_k| for
+    the rounding of A_k + margin, and is scaled by 1 + 2^-20 to cover the
+    roundings of this function's own arithmetic on nonnegative terms.  It
+    is infinite, so every row is re-ranked, when n v >= 1/2, when 2RQ may
+    overflow float32, or when an input is not finite.
+    """
+    g64, g32 = _gamma(dim, _U64), _gamma(dim, _U32)
+    r, q = math.sqrt(sqnorm_max / (1.0 - g64)), math.sqrt(qq / (1.0 - g64))
+    if not (g32 <= 1.0 and 2.0 * r * q < _F32_MAX):
+        return math.inf
+    p = (r + q) ** 2
+    e = 2.0 * g32 * r * q + (g64 + 8.0 * _U64) * p + 3.0 * dim * 2.0**-149
+    f = _gamma(dim + 2, _U64) * p
+    slack = 5.0 * _U64 * (abs(a_k) + e + f) + 2.0 * _U64 * abs(a_k)
+    return (2.0 * (e + f) + slack) * (1.0 + 2.0**-20)
 
 
 def recall_at_n(results: list[QueryResult], n: int) -> float:
@@ -149,15 +269,18 @@ def max_f1(results: list[QueryResult]) -> tuple[float, float]:
     if not any(correct for _, correct in top1):
         raise MetricError("recall undefined: no query has a correct top-1")
 
-    best_f1, best_tau = 0.0, float(top1[0][0])
-    for tau in sorted({d for d, _ in top1}):
-        recognized = [(d, c) for d, c in top1 if d <= tau]
-        tp = sum(c for _, c in recognized)
-        if not recognized or tp == 0:
-            continue
-        precision = tp / len(recognized)
-        recall = tp / total_with_match
-        f1 = 2 * precision * recall / (precision + recall)
-        if f1 > best_f1:
-            best_f1, best_tau = f1, float(tau)
-    return best_f1, best_tau
+    # sweep tau over the distinct distances in one sorted pass; the stable sort
+    # keeps equal distances in input order, so each tau is its group's first-seen
+    # value (0.0 or -0.0), the one a set of the distances keeps
+    dist = np.array([d for d, _ in top1], dtype=np.float64)
+    order = np.argsort(dist, kind="stable")
+    dist, tp_all = dist[order], np.cumsum(np.array([c for _, c in top1], dtype=bool)[order])
+    last = np.flatnonzero(np.append(dist[1:] != dist[:-1], True))
+    tau = dist[np.append(0, last[:-1] + 1)]
+    tp, recognized = tp_all[last], last + 1
+    keep = tp > 0
+    precision = tp[keep] / recognized[keep]
+    recall = tp[keep] / total_with_match
+    f1 = 2 * precision * recall / (precision + recall)
+    best = int(np.argmax(f1))  # the first of equal maxima, as a strict > sweep keeps
+    return float(f1[best]), float(tau[keep][best])

@@ -303,6 +303,19 @@ def test_bad_eval_config_exits_1(tmp_path):
                  "--out", str(tmp_path / "b")]) == 1
 
 
+def test_eval_checks_queries_per_cell_before_training(tmp_path, monkeypatch):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_places = 3\nqueries_per_cell = 0\nepochs = 1\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("eval trained before rejecting its config")
+
+    monkeypatch.setattr("radarplace.encoder.train", no_training)
+    cfg.write_text("n_places = 30\nspacing_m = 1\nqueries_per_cell = 0\nepochs = 1\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
 def test_heatmap_max_range_must_be_finite_and_positive(tmp_path, scene_file, cfg_file, value):
     cubes = tmp_path / "cubes"

@@ -228,6 +228,26 @@ def test_db_size_must_match_header(tmp_path):
         load_db(tmp_path / "huge.mpdb")
 
 
+@pytest.mark.parametrize("bad_id", [-1, 2**64, 1.5])
+def test_db_save_rejects_ids_outside_u64(tmp_path, bad_id):
+    # MPDB stores ids as <Q; an id it cannot hold is a struct.error, as from struct.pack
+    db = PlaceDB()
+    db.add(PlaceRecord(0, np.ones(3), (0.0, 0.0)))
+    db.add(PlaceRecord(bad_id, np.ones(3), (1.0, 0.0)))
+    with pytest.raises(struct.error):
+        save_db(tmp_path / "bad_id.mpdb", db)
+
+
+def test_db_ids_up_to_u64_max_round_trip(tmp_path):
+    db = PlaceDB()
+    for rid in (2**64 - 1, 0, 2**63):
+        db.add(PlaceRecord(rid, np.full(3, float(rid % 7)), (0.0, 0.0)))
+    save_db(tmp_path / "big_ids.mpdb", db)
+    back = load_db(tmp_path / "big_ids.mpdb")
+    assert [r.id for r in back.records] == [2**64 - 1, 0, 2**63]
+    assert all(type(r.id) is int for r in back.records)
+
+
 def test_empty_db_round_trip(tmp_path):
     p = tmp_path / "empty.mpdb"
     save_db(p, PlaceDB())

@@ -194,3 +194,54 @@ def test_db_round_trip(workdir, data):
     for rec, (rid, desc, position, heading) in zip(loaded.records, originals):
         assert (rec.id, rec.position, rec.heading) == (rid, position, heading)
         assert np.array_equal(rec.descriptor, _f32(desc))
+
+
+# -- MPDB against the per-record struct codec ------------------------------------
+
+def _save_db_reference(path, db):
+    """The earlier ``save_db``: one struct call per field of every record."""
+    with open(path, "wb") as fh:
+        fh.write(b"MPDB")
+        dim = db.dim or 0
+        fh.write(struct.pack("<II", len(db), dim))
+        for r in db.records:
+            fh.write(struct.pack("<Q", r.id))
+            fh.write(struct.pack("<dd", *r.position))
+            heading = float("nan") if r.heading is None else r.heading
+            fh.write(struct.pack("<d", heading))
+            fh.write(r.descriptor.astype("<f4").tobytes())
+
+
+def _load_db_reference(path):
+    """The earlier ``load_db`` body after the header checks."""
+    raw = path.read_bytes()
+    count, dim = struct.unpack_from("<II", raw, 4)
+    db, off = PlaceDB(), 12
+    for _ in range(count):
+        rid, x, y, heading = struct.unpack_from("<Qddd", raw, off)
+        desc = np.frombuffer(raw, dtype="<f4", count=dim, offset=off + 32)
+        db.add(PlaceRecord(rid, desc.copy(), (x, y), None if np.isnan(heading) else heading))
+        off += 32 + 4 * dim
+    return db
+
+
+@given(data=st.data())
+def test_db_codec_matches_struct_reference(workdir, data):
+    dim = data.draw(st.integers(0, 6))
+    ids = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=6, unique=True))
+    db = PlaceDB()
+    for rid in ids:
+        db.add(PlaceRecord(rid, data.draw(arrays(np.float32, dim)),
+                           data.draw(st.tuples(st.floats(), st.floats())),
+                           heading=data.draw(st.none() | st.floats())))
+    fast, ref = workdir / "fast", workdir / "ref"
+    save_db(fast, db)
+    _save_db_reference(ref, db)
+    assert fast.read_bytes() == ref.read_bytes()
+    got, want = load_db(fast), _load_db_reference(ref)
+    assert len(got) == len(want)
+    for a, b in zip(got.records, want.records, strict=True):
+        assert repr((a.id, a.position, a.heading)) == repr((b.id, b.position, b.heading))
+        assert type(a.id) is type(b.id) and type(a.heading) is type(b.heading)
+        assert a.descriptor.dtype == b.descriptor.dtype
+        assert a.descriptor.tobytes() == b.descriptor.tobytes()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from radarplace import placedb
 from radarplace.errors import ConfigError, DimensionError, DuplicateIdError, MetricError
+from radarplace.fileio import load_db, save_db
 from radarplace.placedb import (
     MATCH_RADIUS_M,
     PlaceDB,
@@ -17,6 +20,69 @@ from radarplace.placedb import (
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def _query_reference(db, descriptor, k, query_position=None):
+    """The earlier ``PlaceDB.query``: a float64 brute force over every record."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if not db.records:
+        raise ConfigError("cannot query an empty database")
+    d = np.asarray(descriptor, dtype=np.float32).ravel()
+    if d.size != db.dim:
+        raise DimensionError(f"query dim {d.size} != db dim {db.dim}")
+    mat = np.stack([r.descriptor for r in db.records])
+    dists = np.linalg.norm(mat.astype(np.float64) - d.astype(np.float64), axis=1)
+    ids = np.array([r.id for r in db.records])
+    order = np.lexsort((ids, dists))[: min(k, len(db.records))]
+
+    flags = None
+    has_match = None
+    if query_position is not None:
+        qp = np.asarray(query_position, dtype=np.float64)
+        geo = np.hypot(*(np.array([r.position for r in db.records]) - qp).T)
+        correct = geo <= MATCH_RADIUS_M
+        flags = [bool(correct[i]) for i in order]
+        has_match = bool(np.any(correct))
+    return QueryResult(
+        ids=[int(ids[i]) for i in order],
+        distances=[float(dists[i]) for i in order],
+        flags=flags,
+        has_match=has_match,
+    )
+
+
+def _max_f1_reference(results):
+    """The earlier ``max_f1``: one pass over the results per distinct distance."""
+    if not results:
+        raise MetricError("no query results")
+    for res in results:
+        if res.flags is None or res.has_match is None:
+            raise MetricError("maxF1 requires ground-truth flags on every result")
+    total_with_match = sum(r.has_match for r in results)
+    if total_with_match == 0:
+        raise MetricError("recall undefined: no query has a correct match")
+    top1 = [(r.top1_distance, r.top1_correct) for r in results]
+    if not any(correct for _, correct in top1):
+        raise MetricError("recall undefined: no query has a correct top-1")
+
+    best_f1, best_tau = 0.0, float(top1[0][0])
+    for tau in sorted({d for d, _ in top1}):
+        recognized = [(d, c) for d, c in top1 if d <= tau]
+        tp = sum(c for _, c in recognized)
+        if not recognized or tp == 0:
+            continue
+        precision = tp / len(recognized)
+        recall = tp / total_with_match
+        f1 = 2 * precision * recall / (precision + recall)
+        if f1 > best_f1:
+            best_f1, best_tau = f1, float(tau)
+    return best_f1, best_tau
+
+
+def _same(got, want):
+    """Bit for bit equal: repr writes each float so that it reads back to the same bits."""
+    assert repr(got) == repr(want)
 
 
 def _db_from(descs, positions=None):
@@ -210,3 +276,137 @@ def test_max_f1_error_policies():
 
 def test_match_radius_constant():
     assert MATCH_RADIUS_M == 3.0
+
+
+# -- the matrix-vector query against the brute-force reference -----------------
+
+def _near(draw, base):
+    """A copy of ``base``, possibly with one coordinate moved a few ulps."""
+    v = base.copy()
+    steps = draw(st.integers(-2, 2))
+    j = draw(st.integers(0, v.size - 1))
+    for _ in range(abs(steps)):
+        v[j] = np.nextafter(v[j], np.float32(np.sign(steps) * np.inf))
+    return v
+
+
+@given(data=st.data())
+def test_query_property_matches_reference(data):
+    draw = data.draw
+    dim = draw(st.integers(1, 8))
+    coord = st.integers(-16, 16).map(lambda i: i / 8) | st.floats(-4.0, 4.0, width=32)
+    bases = [np.array(draw(st.lists(coord, min_size=dim, max_size=dim)), dtype=np.float32)
+             for _ in range(draw(st.integers(1, 3)))]
+
+    def vector():
+        return _near(draw, bases[draw(st.integers(0, len(bases) - 1))])
+
+    position = st.tuples(st.integers(0, 6), st.integers(0, 2)).map(
+        lambda p: (2.0 * p[0], 2.0 * p[1]))
+    ids = iter(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=24, max_size=24,
+                             unique=True)))
+    db = PlaceDB()
+    for _ in range(draw(st.integers(1, 8))):
+        db.add(PlaceRecord(next(ids), vector(), draw(position)))
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            db.add(PlaceRecord(next(ids), vector(), draw(position)))
+        q, k = vector(), draw(st.integers(1, len(db) + 3))
+        qpos = draw(st.none() | position)
+        _same(db.query(q, k, qpos), _query_reference(db, q, k, qpos))
+
+
+def test_query_matches_reference_on_an_interleaved_8192x1024_stream():
+    # the shape of the benchmark's db workload: 1024 places in look-alike
+    # groups of 4, 8 noisy records each, then queries with adds between them
+    rng = np.random.default_rng(8)
+    places, dim = 1024, 1024
+    unit = lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True)
+    groups = unit(rng.standard_normal((places // 4, dim)))
+    centres = unit(np.repeat(groups, 4, axis=0) + 0.15 * unit(rng.standard_normal((places, dim))))
+    owner = np.repeat(np.arange(places), 8)
+    desc = unit(centres[owner] + 0.3 * unit(rng.standard_normal((owner.size, dim))))
+    db = PlaceDB()
+    for rid in range(owner.size):
+        db.add(PlaceRecord(rid, desc[rid], (20.0 * owner[rid], 0.0)))
+    for j in range(12):
+        place = int(rng.integers(places))
+        q = unit(centres[place] + 1.5 * j / 12 * unit(rng.standard_normal(dim)))
+        qpos = (20.0 * place + 1.0, 0.0)
+        _same(db.query(q, 10, qpos), _query_reference(db, q, 10, qpos))
+        db.add(PlaceRecord(owner.size + j, q, qpos))
+
+
+def test_query_after_save_and_load_matches_reference(tmp_path):
+    rng = np.random.default_rng(4)
+    descs = rng.standard_normal((60, 16)).astype(np.float32)
+    descs[30:40] = descs[:10]  # exact duplicates under other ids
+    db = _db_from(descs, positions=[(float(i), 0.0) for i in range(60)])
+    save_db(tmp_path / "db.mpdb", db)
+    loaded = load_db(tmp_path / "db.mpdb")
+    for j in range(10):
+        q = descs[j] if j % 2 else rng.standard_normal(16)
+        want = _query_reference(db, q, 7, (float(j), 0.0))
+        _same(loaded.query(q, 7, (float(j), 0.0)), want)
+        _same(db.query(q, 7, (float(j), 0.0)), want)
+
+
+def test_coarse_margin_is_needed_on_a_near_tie(monkeypatch):
+    # row 0 is one float32 ulp nearer the query than row 1, but the float32
+    # dot product rounds that difference away, so the coarse scores order
+    # them the other way round
+    db = PlaceDB()
+    db.add(PlaceRecord(0, [np.nextafter(np.float32(1.5), np.float32(2)), 6.5], (0.0, 0.0)))
+    db.add(PlaceRecord(1, [1.5, 6.5], (0.0, 0.0)))
+    q = [2.375, 6.5]
+    _same(db.query(q, 1), _query_reference(db, q, 1))
+    assert db.query(q, 1).ids == [0]
+    monkeypatch.setattr(placedb, "_coarse_margin", lambda *args: 0.0)
+    assert db.query(q, 1).ids == [1]
+
+
+def test_all_equal_rows_rerank_everything():
+    db = _db_from([[0.25, -1.0]] * 5)
+    res = db.query([3.0, 1.0], 3)
+    assert res.ids == [0, 1, 2]
+    _same(res, _query_reference(db, [3.0, 1.0], 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
+def test_non_finite_or_huge_values_rerank_everything(bad):
+    descs = np.eye(4, dtype=np.float32)
+    descs[2, 1] = bad
+    db = _db_from(descs)
+    for q in ([1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]):
+        _same(db.query(q, 4), _query_reference(db, q, 4))
+
+
+def test_query_returns_ids_beyond_int64_exactly():
+    # ids up to 2**64 - 1 are valid in MPDB files; ties still break to the smaller id
+    big = [2**64 - 1, 2**63 + 1, 2**63, -5]
+    db = PlaceDB()
+    for rid in big:
+        db.add(PlaceRecord(rid, [1.0, 0.0], (0.0, 0.0)))
+    db.add(PlaceRecord(3, [0.0, 1.0], (0.0, 0.0)))
+    assert db.query([1.0, 0.0], 5).ids == [-5, 2**63, 2**63 + 1, 2**64 - 1, 3]
+
+
+# -- maxF1 by one sort against the per-threshold sweep ----------------------------
+
+@given(data=st.data())
+def test_max_f1_property_matches_reference(data):
+    dist = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 3.0])
+    rows = data.draw(st.lists(st.tuples(dist, st.booleans(), st.booleans()), min_size=1,
+                              max_size=40))
+    results = [
+        QueryResult(ids=[0], distances=[d], flags=[c], has_match=c or m) for d, c, m in rows
+    ]
+    try:
+        want = _max_f1_reference(results)
+    except MetricError:
+        with pytest.raises(MetricError):
+            max_f1(results)
+        return
+    got = max_f1(results)
+    assert got == want
+    assert [x.hex() for x in got] == [x.hex() for x in want]
