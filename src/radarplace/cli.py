@@ -123,13 +123,17 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_concat(args) -> int:
+    for flag, value in (("--a-window", args.a_window), ("--step-bins", args.step_bins)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     _, _, pcfg = _load_configs(args.config)
     files = _heatmap_files(Path(args.input))
     if len(files) < 2:
         print("warning: need at least two heatmaps to concatenate", file=sys.stderr)
         return EXIT_EMPTY
     frames = [fileio.load_heatmap(f) for f in files]
-    a_window = args.a_window or cc.default_a_window(frames[0].n_cols)
+    n_cols = frames[0].n_cols
+    a_window = cc.default_a_window(n_cols) if args.a_window is None else args.a_window
     offsets = cc.register_sequence(frames, args.r_window, a_window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,7 +143,8 @@ def cmd_concat(args) -> int:
         if args.mode == "relpose":
             mosaic = cc.concat_relative_pose(frames, seg, offsets)
         else:
-            step = args.step_bins or cc.step_bins(pcfg.nominal_step, frames[0].n_cols)
+            step = (cc.step_bins(pcfg.nominal_step, n_cols) if args.step_bins is None
+                    else args.step_bins)
             mosaic = cc.concat_fixed_step(frames, seg, step)
         fileio.save_heatmap(out / f"mosaic_{s:02d}.rah", mosaic)
     print(f"wrote offsets and {len(segments)} mosaic(s) to {out}")
@@ -301,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["fixed", "relpose"], default="relpose")
-    p.add_argument("--step-bins", type=int, default=0,
+    p.add_argument("--step-bins", type=int,
                    help="fixed-mode step; default: the platform's nominal step")
     p.add_argument("--r-window", type=int, default=4)
-    p.add_argument("--a-window", type=int, default=0)
+    p.add_argument("--a-window", type=int, help="default: 20 degrees at boresight")
 
     p = subcommand("train", cmd_train, "train the spatial encoder", ("--seed",))
     p.add_argument("--heatmaps", required=True)

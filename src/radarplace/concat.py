@@ -1,9 +1,13 @@
 """Heatmap alignment and rotation-cycle mosaicking.
 
-Neighbouring frames from the rotating platform are registered by an
-exhaustive integer-translation search maximizing cosine similarity of the
-overlap, rotation cycles are detected from the sign of the angle offsets,
-and each cycle's frames are united onto a wide-FOV canvas at their
+Neighbouring frames from the rotating platform are registered by the
+integer translation that maximizes the cosine similarity of the overlap.
+Every candidate shift is scored in one vectorised pass (one Gram matrix per
+range shift for the numerators, running sums of squares for the norms);
+the few candidates within a proven rounding bound of the best are then
+re-scored with the direct formula, so the result is that of an exhaustive
+direct search.  Rotation cycles are detected from the sign of the angle
+offsets, and each cycle's frames are united onto a wide-FOV canvas at their
 cumulative offsets.
 """
 
@@ -89,7 +93,17 @@ def estimate_offset(
     scored by the cosine similarity of the rectangular overlap; the
     best-scoring displacement wins.  Ties break towards smaller |a|, then
     smaller |r|, then lexicographic (r, a).  Candidates whose overlap is
-    below DEFAULT_MIN_OVERLAP of the frame area are skipped.
+    below DEFAULT_MIN_OVERLAP of the frame area, or has zero norm, are
+    skipped.
+
+    All candidates are scored at once by ``_fast_scores`` (Lewis, "Fast
+    Normalized Cross-Correlation", 1995, with the overlap masks of
+    Padfield, IEEE TIP 2012).  Those scores differ from the direct formula
+    only by rounding, by at most ``_rescore_margin``; every candidate within
+    twice that margin of the best fast score is re-scored with the direct
+    formula, and the tie-break above picks among them.  The result is
+    bit-identical to scoring every candidate directly.  Windows beyond the
+    frame are clamped, since such shifts leave no overlap.
     """
     if h_prev.values.shape != h_cur.values.shape:
         raise DimensionError("frames must have equal dims for registration")
@@ -97,39 +111,141 @@ def estimate_offset(
         raise ConfigError("search windows must be >= 0")
     A = h_prev.values
     B = h_cur.values
-    area = A.size
-    best = None  # (-score, |a|, |r|, r, a)
-    for r in range(-r_window, r_window + 1):
-        for a in range(-a_window, a_window + 1):
-            sl = _overlap_slices(A.shape, r, a)
-            if sl is None:
-                continue
-            ref, mov = sl
-            # displacement candidate: h_prev translated by (r, a) vs h_cur
-            x = A[mov]
-            y = B[ref]
-            if x.size < DEFAULT_MIN_OVERLAP * area:
-                continue
-            xf = x.ravel()
-            yf = y.ravel()
-            nx = np.dot(xf, xf)
-            ny = np.dot(yf, yf)
-            if nx <= 0.0 or ny <= 0.0:
-                continue  # zero-norm overlap scores -inf
-            score = float(np.dot(xf, yf) / math.sqrt(nx * ny))
-            key = (-score, abs(a), abs(r), r, a)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    rows, cols = A.shape
+    R, W = min(int(r_window), rows - 1), min(int(a_window), cols - 1)
+    num, nx, ny = _fast_scores(A, B, R, W)
+    cells = np.outer(rows - np.abs(np.arange(-R, R + 1)), cols - np.abs(np.arange(-W, W + 1)))
+    valid = ~(cells < DEFAULT_MIN_OVERLAP * A.size) & (nx > 0.0) & (ny > 0.0)
+    if not valid.any():
         raise AlignmentError(
             f"no candidate shift reaches {DEFAULT_MIN_OVERLAP:.0%} overlap "
             f"(windows r={r_window}, a={a_window})"
         )
+    with np.errstate(all="ignore"):  # the margin is infinite on any non-finite score
+        fast = num[valid] / np.sqrt(nx[valid] * ny[valid])
+        delta = _rescore_margin(A.size, nx[valid], ny[valid], fast)
+        # "not below" keeps every candidate when the margin is infinite or a score is NaN
+        keep = ~(fast < fast.max() - 2.0 * delta)
+    best = min(_direct_key(A, B, int(i) - R, int(j) - W) for i, j in np.argwhere(valid)[keep])
     return PoseOffset(r_offset=best[3], a_offset=best[4], score=-best[0])
+
+
+def _direct_key(A: np.ndarray, B: np.ndarray, r: int, a: int) -> tuple:
+    """Tie-break key (-score, |a|, |r|, r, a) of shift (r, a), its score computed directly."""
+    ref, mov = _overlap_slices(A.shape, r, a)
+    # displacement candidate: h_prev translated by (r, a) vs h_cur
+    xf = A[mov].ravel()
+    yf = B[ref].ravel()
+    score = float(np.dot(xf, yf) / math.sqrt(np.dot(xf, xf) * np.dot(yf, yf)))
+    return (-score, abs(a), abs(r), r, a)
+
+
+def _fast_scores(A: np.ndarray, B: np.ndarray, R: int, W: int):
+    """Numerator and the two squared norms of every shift in [-R, R] x [-W, W].
+
+    Each is a (2R + 1, 2W + 1) array indexed by (r + R, a + W).  For a range
+    shift r the overlap rows give one Gram matrix G = A[mov].T @ B[ref];
+    the numerator of shift (r, a) is the sum of its diagonal a,
+    sum_c G[c - a, c].  The overlap columns of the moving map are a prefix
+    of A for a >= 0 and a suffix for a < 0, and the reverse for B, so each
+    norm is a left or a right running sum of per-column sums of squares,
+    never a difference of sums: every sum here adds non-negative terms.
+    """
+    rows, cols = A.shape
+    shifts = 2 * R + 1
+    sq_a, sq_b = A * A, B * B
+    num = np.empty((shifts, 2 * W + 1))
+    sq_x = np.empty((shifts, cols))
+    sq_y = np.empty((shifts, cols))
+    # pad[c, c + a + W] = G[c, c + a], and 0 where c + a leaves the frame
+    pad = np.zeros((cols, cols + 2 * W))
+    st = pad.strides
+    diagonals = np.lib.stride_tricks.as_strided(pad, (cols, 2 * W + 1), (st[0] + st[1], st[1]))
+    for i, r in enumerate(range(-R, R + 1)):
+        mov = slice(max(0, -r), rows - max(0, r))
+        ref = slice(max(0, r), rows + min(0, r))
+        pad[:, W : W + cols] = A[mov].T @ B[ref]
+        num[i] = diagonals.sum(axis=0)
+        sq_x[i] = sq_a[mov].sum(axis=0)
+        sq_y[i] = sq_b[ref].sum(axis=0)
+    left_x, right_x = _running_sums(sq_x)
+    left_y, right_y = _running_sums(sq_y)
+    pos = np.arange(W + 1)  # a = 0 .. W
+    neg = np.arange(W, 0, -1)  # -a for a = -W .. -1
+    nx = np.concatenate([right_x[:, neg], left_x[:, cols - pos]], axis=1)
+    ny = np.concatenate([left_y[:, cols - neg], right_y[:, pos]], axis=1)
+    return num, nx, ny
+
+
+def _running_sums(s: np.ndarray):
+    """``left[:, k]`` sums ``s[:, :k]`` and ``right[:, k]`` sums ``s[:, k:]``, k = 0 .. cols."""
+    zero = np.zeros((s.shape[0], 1))
+    left = np.concatenate([zero, np.cumsum(s, axis=1)], axis=1)
+    right = np.concatenate([np.cumsum(s[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+    return left, right
+
+
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _rescore_margin(area: int, nx: np.ndarray, ny: np.ndarray, fast: np.ndarray) -> float:
+    """A bound delta >= |fast score - direct score| over the scored candidates.
+
+    Notation: the frames hold m = ``area`` finite values >= 0; for one
+    shift, c, X, Y are the exact numerator and squared norms and
+    s = c / sqrt(XY) the exact score, 0 <= s <= 1 (Cauchy-Schwarz);
+    u = 2^-53; gamma_n = n u / (1 - n u).
+
+    Each of c, X, Y is a sum of at most m products of non-negative
+    floats.  Both paths take every product through at most one rounding
+    and at most m - 1 additions (the fast numerator through a Gram entry
+    and a diagonal sum, each fast norm through a column sum and a running
+    sum, each direct one through one dot product), so for any summation
+    order (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., §3.1) the computed value S' of an exact sum S of non-negative
+    terms has |S' - S| <= e S + eta, with e = gamma_{m+1} and, under
+    gradual underflow, eta = (m + 1) 2^-1074 (each product adds at most
+    2^-1075, grown by at most 1 + e <= 2; additions are exact when they
+    underflow).
+
+    Require 2^-500 <= X', Y' <= 2^500 for every computed fast norm,
+    (m + 1) u <= 2^-21 (so e <= 2^-20) and every fast score finite.  Then X, Y >= 2^-501, so
+    |X' - X| <= (e + v) X with v = (m + 1) 2^-573, and the same holds for
+    the direct norms, which therefore also lie in [2^-502, 2^502]: no
+    product XY, square root or quotient overflows or underflows, except a
+    quotient that underflows with absolute error <= 2^-1075.  The computed
+    score of either path is then
+        s' = (s + d) f + h,  |d| <= e s + v,  |h| <= 2^-1075,
+    where f collects the norm errors (e + v each, counted whole for the
+    square roots) and the roundings of the product, square root and
+    quotient (u each): |f - 1| <= p = U / (1 - U), U = 2(e + v) + 3u
+    (Higham, Lemma 3.1).  With s <= 1,
+        |s' - s| <= d1 = p + (e + v)(1 + p) + 2^-1075,
+    and delta = 2 d1 bounds |fast - direct|.  The returned value adds u,
+    since the threshold (best fast score - 2 delta) <= 2 is itself rounded,
+    and is scaled by 1 + 2^-20 to cover this function's own roundings.
+
+    A candidate left out has fast < best - 2 delta, so its direct score is
+    below the direct score of the best fast candidate, and it cannot win or
+    tie.  The margin is infinite, so every candidate is re-scored, when a
+    requirement fails.
+    """
+    e = (area + 1) * _U / (1.0 - (area + 1) * _U)
+    norms = np.concatenate([nx, ny])
+    if not ((area + 1) * _U <= 2.0**-21 and norms.min() >= 2.0**-500
+            and norms.max() <= 2.0**500 and np.isfinite(fast).all()):
+        return math.inf
+    ev = e + (area + 1) * 2.0**-573
+    big_u = 2.0 * ev + 3.0 * _U
+    p = big_u / (1.0 - big_u)
+    d1 = p + ev * (1.0 + p) + 2.0**-1075
+    return (2.0 * d1 + _U) * (1.0 + 2.0**-20)
 
 
 def register_sequence(frames: list[Heatmap], r_window: int, a_window: int) -> list[PoseOffset]:
     """Per-frame offsets, identity first: ``offsets[t]`` registers frame t on t-1."""
+    if not frames:
+        raise ConfigError("frames must be nonempty")
     return [PoseOffset(0, 0, 1.0)] + [
         estimate_offset(prev, cur, r_window, a_window) for prev, cur in zip(frames, frames[1:])
     ]

@@ -350,3 +350,19 @@ def test_concat_fixed_default_step_is_the_nominal_step(tmp_path, scene_file, cfg
         for s, seg in enumerate(segments):
             mosaic = load_heatmap(out / f"mosaic_{s:02d}.rah")
             assert mosaic.n_cols == 32 + (len(seg) - 1) * step
+
+
+@pytest.mark.parametrize("flag", ["--a-window", "--step-bins"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_concat_window_and_step_below_1_exit_1(tmp_path, scene_file, cfg_file, capsys,
+                                               flag, value):
+    # an explicit 0 must not silently become the derived default
+    cubes, maps = tmp_path / "cubes", tmp_path / "maps"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                 "--out", str(cubes), "--frames", "4", "--seed", "1"]) == 0
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
+                 "--out", str(maps), "--heatmap-size", "64x32"]) == 0
+    capsys.readouterr()
+    assert main(["concat", "--in", str(maps), "--out", str(tmp_path / "mo"),
+                 "--mode", "fixed", flag, value]) == 1
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err

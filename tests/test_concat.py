@@ -1,11 +1,15 @@
 """Registration, cycle detection, and mosaicking tests."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from radarplace import concat
 from radarplace.concat import (
+    DEFAULT_MIN_OVERLAP,
     MAX_CANVAS_COLS,
     CycleSegment,
     PoseOffset,
@@ -25,6 +29,8 @@ from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
     Scatterer,
+    scene_at_heading,
+    simulate_if_cube,
     simulate_platform_sweep,
 )
 
@@ -248,3 +254,189 @@ def test_register_sequence_matches_explicit_loop():
             got = register_sequence(frames, r_window, a_window)
             assert got == _offsets_reference(frames, r_window, a_window)
     assert register_sequence(frames[:1], 2, 3) == [PoseOffset(0, 0, 1.0)]
+
+
+def test_register_sequence_rejects_no_frames():
+    with pytest.raises(ConfigError):
+        register_sequence([], 2, 3)
+
+
+def test_register_sequence_calls_estimate_offset_once_per_pair(monkeypatch):
+    # the benchmark's per-layer registration rows wrap the module attribute
+    frames = _sweep(0, 0, 1)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return estimate_offset(*args)
+
+    monkeypatch.setattr(concat, "estimate_offset", counting)
+    assert len(register_sequence(frames, 2, 3)) == 13
+    assert len(calls) == 12
+
+
+# -- the vectorised search against the direct loop it replaces ----------------
+
+def _estimate_offset_reference(h_prev, h_cur, r_window, a_window):
+    """The direct candidate loop that estimate_offset replaces."""
+    A = h_prev.values
+    B = h_cur.values
+    area = A.size
+    best = None  # (-score, |a|, |r|, r, a)
+    for r in range(-r_window, r_window + 1):
+        for a in range(-a_window, a_window + 1):
+            sl = concat._overlap_slices(A.shape, r, a)
+            if sl is None:
+                continue
+            ref, mov = sl
+            x = A[mov]
+            y = B[ref]
+            if x.size < DEFAULT_MIN_OVERLAP * area:
+                continue
+            xf = x.ravel()
+            yf = y.ravel()
+            nx = np.dot(xf, xf)
+            ny = np.dot(yf, yf)
+            if nx <= 0.0 or ny <= 0.0:
+                continue  # zero-norm overlap scores -inf
+            score = float(np.dot(xf, yf) / math.sqrt(nx * ny))
+            key = (-score, abs(a), abs(r), r, a)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise AlignmentError("no candidate shift")
+    return PoseOffset(r_offset=best[3], a_offset=best[4], score=-best[0])
+
+
+def _same_offset(h_prev, h_cur, r_window, a_window):
+    """estimate_offset equals the reference, score bits included, or both raise."""
+    try:
+        want = _estimate_offset_reference(h_prev, h_cur, r_window, a_window)
+    except AlignmentError:
+        with pytest.raises(AlignmentError):
+            estimate_offset(h_prev, h_cur, r_window, a_window)
+        return
+    got = estimate_offset(h_prev, h_cur, r_window, a_window)
+    assert got == want and repr(got) == repr(want)
+    assert type(got.r_offset) is int and type(got.a_offset) is int
+
+
+def _sweep(world_seed, place, seed):
+    world = synth.build_world(synth.WorldConfig(
+        n_places=3, range_lo=9.0, heatmap_rows=64, heatmap_cols=96, seed=world_seed,
+    ))
+    return synth.render_sweep(world, place, RadarConfig(n_chirps=4),
+                              PlatformConfig(jitter_std=1.0), 13, seed=seed)
+
+
+def test_matches_reference_on_criterion_2_pairs():
+    # the 400 pairs of acceptance criterion 2, registered in both directions
+    rng = np.random.default_rng(2)
+    axis = np.linspace(-1.0, 1.0, 48)
+    for _ in range(200):
+        vals = random_heatmap_values(rng, 32, 48)
+        r = int(rng.integers(-3, 4))
+        a = int(rng.integers(-8, 9))
+        h_prev, h_cur = Heatmap(vals, 1.0, axis), Heatmap(translate(vals, r, a), 1.0, axis)
+        _same_offset(h_prev, h_cur, 4, 10)
+        _same_offset(h_cur, h_prev, 4, 10)
+    cfg = RadarConfig(n_samples=64, n_chirps=4, n_antennas=8, gain_taper_exp=8.0)
+    for i in range(200):
+        prng = np.random.default_rng(2000 + i)
+        scene = [
+            Scatterer(
+                float(prng.uniform(8.0, 40.0)),
+                math.radians(float(prng.uniform(-20.0, 20.0))),
+                float(prng.uniform(0.5, 2.0)),
+            )
+            for _ in range(6)
+        ]
+        step = 15.0 + float(prng.uniform(-2.0, 2.0))
+        h_a, h_b = (
+            generate_heatmap(simulate_if_cube(scene_at_heading(scene, heading, cfg.fov_deg), cfg,
+                                              noise_std=0.05, seed=seed), cfg, (64, 192))
+            for heading, seed in ((0.0, 2 * i), (step, 2 * i + 1))
+        )
+        _same_offset(h_a, h_b, 2, 39)
+        _same_offset(h_b, h_a, 2, 39)
+
+
+def test_matches_reference_on_mosaic_sweeps():
+    a_window = default_a_window(96, 23.0)
+    for world_seed, place, seed in ((0, 0, 1), (1, 1, 7), (2, 2, 30), (3, 0, 901), (4, 1, 902)):
+        frames = _sweep(world_seed, place, seed)
+        for prev, cur in zip(frames, frames[1:]):
+            _same_offset(prev, cur, 2, a_window)
+
+
+def _frame(draw, rows, cols):
+    kind = draw(st.sampled_from(["random", "constant", "periodic", "zero edges",
+                                 "spike", "subnormal", "huge"]))
+    if kind == "constant":
+        return np.full((rows, cols), draw(st.sampled_from([0.1, 1.0, 3.0])))
+    if kind == "periodic":
+        # equal columns one period apart give exactly tied direct scores
+        period = draw(st.integers(1, cols))
+        base = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0]),
+                             min_size=rows * period, max_size=rows * period))
+        return np.tile(np.reshape(base, (rows, period)), (1, cols // period + 1))[:, :cols]
+    values = np.abs(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                    .standard_normal((rows, cols)))
+    if kind == "zero edges":
+        values[: draw(st.integers(0, rows)), :] = 0.0
+        values[:, cols - draw(st.integers(0, cols)) :] = 0.0
+    elif kind == "spike":
+        # one bright column: a norm taken as a difference of running sums
+        # would lose the rest of the frame to cancellation
+        values[:, draw(st.integers(0, cols - 1))] *= 1e12
+    elif kind == "subnormal":
+        values *= draw(st.sampled_from([1e-160, 1e-310, 5e-324]))
+    elif kind == "huge":
+        values *= 1e150
+    return values
+
+
+@given(data=st.data())
+def test_estimate_offset_property_matches_reference(data):
+    draw = data.draw
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    h_prev = _hm(_frame(draw, rows, cols))
+    h_cur = h_prev if draw(st.booleans()) else _hm(_frame(draw, rows, cols))
+    _same_offset(h_prev, h_cur, draw(st.integers(0, rows + 2)), draw(st.integers(0, cols + 2)))
+
+
+@pytest.mark.parametrize("zero_prev, zero_cur", [(True, True), (True, False), (False, True)])
+def test_all_zero_map_raises_alignment_error(zero_prev, zero_cur):
+    # the (0, 0) shift always overlaps fully, so only an all-zero map leaves
+    # no candidate with a nonzero norm
+    rng = np.random.default_rng(14)
+    z = np.zeros((10, 12))
+    h_prev = _hm(z if zero_prev else random_heatmap_values(rng, 10, 12))
+    h_cur = _hm(z if zero_cur else random_heatmap_values(rng, 10, 12))
+    for r_window, a_window in ((0, 0), (3, 3), (20, 30)):
+        with pytest.raises(AlignmentError):
+            _estimate_offset_reference(h_prev, h_cur, r_window, a_window)
+        with pytest.raises(AlignmentError):
+            estimate_offset(h_prev, h_cur, r_window, a_window)
+
+
+def test_huge_windows_cost_a_full_frame_search():
+    rng = np.random.default_rng(15)
+    a = _hm(random_heatmap_values(rng, 16, 24))
+    b = _hm(translate(a.values, 2, -5))
+    start = time.perf_counter()
+    got = estimate_offset(a, b, 10**6, 10**6)
+    assert time.perf_counter() - start < 10.0
+    assert got == estimate_offset(a, b, 15, 23)
+    assert (got.r_offset, got.a_offset) == (2, -5)
+
+
+def test_rescore_margin_is_needed_on_a_near_tie(monkeypatch):
+    # shifts 0 and -2 of this 2-periodic row both score exactly 1.0 directly,
+    # and the tie breaks to a = 0; the fast score of a = 0 rounds below that
+    # of a = -2, so without the margin a = 0 is never re-scored
+    h = _hm([[0.1, 0.2, 0.1, 0.2]])
+    assert estimate_offset(h, h, 0, 3) == PoseOffset(0, 0, 1.0)
+    _same_offset(h, h, 0, 3)
+    monkeypatch.setattr(concat, "_rescore_margin", lambda *args: 0.0)
+    assert estimate_offset(h, h, 0, 3) == PoseOffset(0, -2, 1.0)
