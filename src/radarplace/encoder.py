@@ -399,7 +399,7 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     weights: EncoderWeights
-    history: list[dict]  # per epoch: epoch, mean_loss, lr, val_recall1
+    history: list[dict]  # per epoch: epoch, mean_loss, lr, val_recall1, triplets_skipped
 
 
 def _val_recall1(dataset, weights):
@@ -444,7 +444,7 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.max_epochs):
         lr = cfg.lr_at(epoch)
-        batches, _ = mine_triplets(dataset, n_neg=cfg.n_neg, seed=cfg.seed + epoch)
+        batches, skipped = mine_triplets(dataset, n_neg=cfg.n_neg, seed=cfg.seed + epoch)
         # eligibility depends on positions only: epoch 0 decides for all
         if not batches:
             raise EmptyResultError(
@@ -466,9 +466,8 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
                 weights.biases[l] += velocity[l][1]
         recall = _val_recall1(dataset, weights)
         mean_loss = float(np.mean(losses))
-        history.append(
-            {"epoch": epoch, "mean_loss": mean_loss, "lr": lr, "val_recall1": recall}
-        )
+        history.append({"epoch": epoch, "mean_loss": mean_loss, "lr": lr,
+                        "val_recall1": recall, "triplets_skipped": skipped})
         if recall > best_recall:
             best_recall = recall
             best = weights.copy()

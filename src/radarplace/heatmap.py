@@ -1,9 +1,12 @@
 """Range-azimuth heatmap generation.
 
-The IF cube is reduced to a real power matrix by a coherent sum over
+An IF signal is reduced to a real power matrix by a coherent sum over
 chirps, an FFT over fast time (range), an FFT over the antenna axis (angle)
 and a final magnitude.  Both FFTs are linear, so integrating the chirps
 first gives the same map as transforming every chirp and summing after.
+:func:`generate_heatmap` sums the chirps of an IF cube;
+:func:`heatmap_from_sum` runs the rest of the cascade on a chirp sum, such
+as one drawn directly by ``radar.simulate_chirp_sum``.
 The heatmap size sets the FFT lengths: the range FFT runs over the first
 ``rows`` fast-time samples, and the angle FFT has length ``cols``, which
 zero-pads the antennas and interpolates the angle spectrum without moving
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AngleAmbiguityError, ConfigError, DimensionError
-from .radar import SPEED_OF_LIGHT, IFCube, RadarConfig
+from .radar import SPEED_OF_LIGHT, IFCube, RadarConfig, _check_rows
 
 
 def range_from_frequency(f_if: float, cfg: RadarConfig) -> float:
@@ -107,26 +110,37 @@ def generate_heatmap(
 ) -> Heatmap:
     """FFT cascade from IF cube to range-azimuth heatmap.
 
-    Coherent chirp sum, FFT over fast time, FFT over antennas, magnitude.
     ``size`` is the (rows, cols) of the transform, by default the cube's
-    (samples, antennas): the first ``rows`` fast-time samples are kept and
-    the angle FFT zero-pads the antennas to ``cols``.  ``window`` may be
-    "rect" (default) or "hann" applied over fast time.  Rows beyond
-    ``max_range_m``, a finite positive range, are discarded when given.
+    (samples, antennas).  The chirps of the first ``rows`` fast-time samples
+    are summed (coherent integration) and :func:`heatmap_from_sum` turns
+    that sum into the heatmap; see there for ``max_range_m`` and ``window``.
     """
     n_s, _, n_r = cube.dims
     rows, cols = size or (n_s, n_r)
-    if rows > n_s:
-        raise DimensionError(f"cannot extend fast-time axis: {rows} > {n_s} samples")
-    if rows < 1 or cols < 1:
+    _check_rows(rows, n_s)
+    return heatmap_from_sum(cube.data[:rows].sum(axis=1), cfg, cols, max_range_m, window)
+
+
+def heatmap_from_sum(
+    summed: np.ndarray, cfg: RadarConfig, cols: int,
+    max_range_m: float | None = None, window: str = "rect",
+) -> Heatmap:
+    """Range-azimuth heatmap of a (rows, n_antennas) coherent chirp sum.
+
+    FFT over fast time, FFT over antennas zero-padded to ``cols``,
+    magnitude.  ``window`` may be "rect" (default) or "hann" applied over
+    fast time.  Rows beyond ``max_range_m``, a finite positive range, are
+    discarded when given.
+    """
+    rows, n_r = summed.shape
+    if cols < 1:
         raise DimensionError("heatmap dims must be >= 1")
     if cols < n_r:
         raise DimensionError(f"cannot drop antennas: {cols} cols < {n_r} antennas")
     if max_range_m is not None and not (math.isfinite(max_range_m) and max_range_m > 0):
         raise ConfigError(f"max_range_m must be finite and > 0, got {max_range_m}")
-    summed = cube.data[:rows].sum(axis=1)        # coherent chirp integration
     if not np.all(np.isfinite(summed)):
-        raise ConfigError("IF cube contains non-finite values")
+        raise ConfigError("chirp sum contains non-finite values")
     if window == "hann":
         summed = summed * np.hanning(rows)[:, None]
     elif window != "rect":

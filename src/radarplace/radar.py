@@ -1,8 +1,11 @@
 """FMCW radar forward model.
 
-Point-scatterer scenes are turned into complex IF sample cubes with known
-ground truth, so every downstream stage can be checked against arithmetic
-on the scene instead of recorded data.
+Point-scatterer scenes are turned into complex IF signals with known ground
+truth, so every downstream stage can be checked against arithmetic on the
+scene instead of recorded data.  One scatterer loop (:func:`_signal`) feeds
+both outputs: the full (sample, chirp, antenna) IF cube that IFC1 files
+hold, and the coherent chirp sum of the first ``rows`` samples, which is
+all a range-azimuth heatmap reads.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RangeAliasingError
+from .errors import ConfigError, DimensionError, RangeAliasingError
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -125,28 +128,26 @@ class PlatformConfig:
         return self.angular_speed / self.frame_rate
 
 
-def simulate_if_cube(
-    scene: list[Scatterer],
-    cfg: RadarConfig,
-    noise_std: float = 0.0,
-    seed: int = 0,
-) -> IFCube:
-    """Forward-simulate the IF cube of a static point-scatterer scene.
+def _check_rows(rows: int, n_samples: int) -> None:
+    """Reject a fast-time crop outside [1, n_samples]: a chirp is never extended."""
+    if rows > n_samples:
+        raise DimensionError(f"cannot extend fast-time axis: {rows} > {n_samples} samples")
+    if rows < 1:
+        raise DimensionError("heatmap dims must be >= 1")
+
+
+def _signal(scene: list[Scatterer], cfg: RadarConfig, rows: int) -> np.ndarray:
+    """Chirp-invariant (rows, n_antennas) signal of the first ``rows`` fast-time samples.
 
     Each scatterer contributes a fast-time tone at its beat frequency and a
-    linear phase progression across antennas; chirps are identical (static
-    scene, zero Doppler), so the signal is built once and repeated over
-    them.  The antenna taper attenuates off-boresight reflectors by
-    cos(azimuth)**gain_taper_exp.  Noise is circularly symmetric complex
-    Gaussian with total standard deviation ``noise_std`` per element.
+    linear phase progression across antennas.  The antenna taper attenuates
+    off-boresight reflectors by cos(azimuth)**gain_taper_exp.  Chirps are
+    identical (static scene, zero Doppler), so this one matrix is every
+    chirp's signal.
     """
-    if noise_std < 0:
-        raise ConfigError("noise_std must be >= 0")
-    n_s, n_c, n_r = cfg.n_samples, cfg.n_chirps, cfg.n_antennas
-    signal = np.zeros((n_s, n_r), dtype=np.complex128)
-
-    i = np.arange(n_s)
-    k = np.arange(n_r)
+    signal = np.zeros((rows, cfg.n_antennas), dtype=np.complex128)
+    i = np.arange(rows)
+    k = np.arange(cfg.n_antennas)
     for sc in scene:
         if sc.range >= cfg.max_range:
             raise RangeAliasingError(
@@ -165,16 +166,67 @@ def simulate_if_cube(
         tone = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
         steer = np.exp(1j * omega * k)
         signal += amp * tone[:, None] * steer[None, :]
+    return signal
 
-    cube = np.repeat(signal[:, None, :], n_c, axis=1)
+
+def _add_noise(data: np.ndarray, scale: float, seed: int) -> None:
+    """Add circular complex Gaussian noise, ``scale`` per component, in place.
+
+    One draw for the real parts, then one for the imaginary parts; adding
+    them per component allocates no complex temporary of the data's size.
+    """
+    rng = np.random.default_rng(seed)
+    data.real += scale * rng.standard_normal(data.shape)
+    data.imag += scale * rng.standard_normal(data.shape)
+
+
+def simulate_if_cube(
+    scene: list[Scatterer],
+    cfg: RadarConfig,
+    noise_std: float = 0.0,
+    seed: int = 0,
+) -> IFCube:
+    """Forward-simulate the full IF cube of a static point-scatterer scene.
+
+    The signal of :func:`_signal` is repeated over the chirps.  Noise is
+    circularly symmetric complex Gaussian with total standard deviation
+    ``noise_std`` per element.  A heatmap reads only the chirp sum of the
+    first rows, which :func:`simulate_chirp_sum` draws directly; this cube
+    is for writing IFC1 files and for cube-reading tools.
+    """
+    if noise_std < 0:
+        raise ConfigError("noise_std must be >= 0")
+    signal = _signal(scene, cfg, cfg.n_samples)
+    cube = np.repeat(signal[:, None, :], cfg.n_chirps, axis=1)
     if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        scale = noise_std / math.sqrt(2.0)
-        # one draw for the real parts, then one for the imaginary parts; adding
-        # them per component allocates no cube-sized complex temporary
-        cube.real += scale * rng.standard_normal(cube.shape)
-        cube.imag += scale * rng.standard_normal(cube.shape)
+        _add_noise(cube, noise_std / math.sqrt(2.0), seed)
     return IFCube(cube)
+
+
+def simulate_chirp_sum(
+    scene: list[Scatterer],
+    cfg: RadarConfig,
+    rows: int,
+    noise_std: float = 0.0,
+    seed: int = 0,
+) -> np.ndarray:
+    """Coherent chirp sum of the first ``rows`` fast-time samples, (rows, n_antennas).
+
+    This is what a heatmap of ``rows`` range bins reads from the IF cube of
+    :func:`simulate_if_cube`, drawn without building the cube.  The signal
+    adds ``n_chirps`` times.  The noise of n iid chirps, each N(0, s**2)
+    per component, sums to N(0, n * s**2), so one draw per element with
+    ``sqrt(n_chirps)`` times the cube's per-component scale has exactly the
+    distribution of the cube's chirp sum, though not the same draw for the
+    same seed.
+    """
+    if noise_std < 0:
+        raise ConfigError("noise_std must be >= 0")
+    _check_rows(rows, cfg.n_samples)
+    summed = cfg.n_chirps * _signal(scene, cfg, rows)
+    if noise_std > 0:
+        _add_noise(summed, math.sqrt(cfg.n_chirps) * noise_std / math.sqrt(2.0), seed)
+    return summed
 
 
 def sweep_headings(pcfg: PlatformConfig, n_frames: int, seed: int = 0) -> np.ndarray:
@@ -223,11 +275,15 @@ def scene_at_heading(
 
 
 def sweep_schedule(pcfg: PlatformConfig, n_frames: int, seed: int = 0) -> list[tuple[float, int]]:
-    """Per-frame (heading deg, noise seed) of a sweep; both streams derive from ``seed``."""
-    # spawned children keep the parent's entropy, so every seed below is seed % 2**32
-    jitter_seed, noise_seq = np.random.SeedSequence(seed).spawn(2)
-    headings = sweep_headings(pcfg, n_frames, seed=jitter_seed.entropy % (2**32))
-    noise_seeds = [s.entropy % (2**32) for s in noise_seq.spawn(n_frames)]
+    """Per-frame (heading deg, noise seed) of a sweep; both streams derive from ``seed``.
+
+    The heading jitter draws from ``seed % 2**32``.  Each frame's noise seed
+    is the first word of the state of its own child spawned from ``seed``,
+    so every frame carries its own noise, drawn apart from the jitter.
+    """
+    _, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    headings = sweep_headings(pcfg, n_frames, seed=seed % (2**32))
+    noise_seeds = [int(s.generate_state(1)[0]) for s in noise_seq.spawn(n_frames)]
     return [(float(h), s) for h, s in zip(headings, noise_seeds)]
 
 

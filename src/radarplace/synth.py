@@ -17,14 +17,14 @@ import numpy as np
 from . import concat as cc
 from . import encoder as enc
 from .errors import ConfigError
-from .heatmap import Heatmap, generate_heatmap
+from .heatmap import Heatmap, heatmap_from_sum
 from .placedb import PlaceDB, PlaceRecord, max_f1, recall_at_n
 from .radar import (
     PlatformConfig,
     RadarConfig,
     Scatterer,
     scene_at_heading,
-    simulate_if_cube,
+    simulate_chirp_sum,
     sweep_schedule,
 )
 
@@ -104,10 +104,14 @@ def _render_frame(
     scene: list[Scatterer], cfg: RadarConfig, wcfg: WorldConfig,
     heading_deg: float, seed: int,
 ) -> Heatmap:
-    """One heatmap of a world-frame scene: rotate, simulate, FFT."""
+    """One heatmap of a world-frame scene: rotate, simulate, FFT.
+
+    Only the chirp sum of the first ``heatmap_rows`` samples is simulated,
+    since that is all the heatmap reads; no IF cube is built.
+    """
     local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
-    cube = simulate_if_cube(local, cfg, noise_std=wcfg.noise_std, seed=seed)
-    return generate_heatmap(cube, cfg, (wcfg.heatmap_rows, wcfg.heatmap_cols))
+    summed = simulate_chirp_sum(local, cfg, wcfg.heatmap_rows, wcfg.noise_std, seed)
+    return heatmap_from_sum(summed, cfg, wcfg.heatmap_cols)
 
 
 def render_view(
@@ -133,7 +137,7 @@ def render_sweep(
     lateral: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
 ) -> list[Heatmap]:
-    """Rotating-platform heatmap sequence from one pose, one IF cube alive at a time."""
+    """Rotating-platform heatmap sequence from one pose; seeds from :func:`sweep_schedule`."""
     scene = _scene_from(world.places[place_idx], lateral)
     return [
         _render_frame(scene, cfg, world.cfg, body_heading_deg + heading, noise_seed)

@@ -214,6 +214,16 @@ def test_train_reduces_loss_and_is_deterministic():
     assert 0.0 <= res1.history[-1]["val_recall1"] <= 1.0
 
 
+def test_train_history_keeps_the_triplet_skip_count():
+    # a lone record far from every cluster has no positive and is skipped
+    data = _toy_dataset() + [(_toy_dataset(seed=1)[0][0], (500.0, 0.0))]
+    cfg = TrainConfig(max_epochs=2, batch_size=4, n_neg=3, seed=0)
+    history = train(data, cfg, SMALL_ARCH).history
+    for epoch, row in enumerate(history):
+        _, skipped = mine_triplets(data, n_neg=cfg.n_neg, seed=cfg.seed + epoch)
+        assert row["triplets_skipped"] == skipped == 1
+
+
 def test_train_raises_without_triplets():
     data = [(np.ones((16, 24)), (0.0, 0.0)), (np.ones((16, 24)), (10.0, 0.0))]
     with pytest.raises(EmptyResultError):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from radarplace.errors import AngleAmbiguityError, ConfigError, DimensionError
+from radarplace.errors import AngleAmbiguityError, ConfigError, DimensionError, RadarPlaceError
 from radarplace.heatmap import (
     Heatmap,
     angle_axis_for,
     angle_from_phase,
     angle_to_col,
     generate_heatmap,
+    heatmap_from_sum,
     range_from_frequency,
     range_to_row,
 )
@@ -257,3 +258,78 @@ def test_chirp_sum_first_matches_fft_then_sum(window, rows, cols, max_range_m):
     assert np.max(np.abs(hm.values - values)) <= 1e-12 * np.max(values)
     assert hm.range_bin_m == range_bin_m
     assert np.array_equal(hm.angle_axis, axis)
+
+
+def _generate_heatmap_reference(cube, cfg, size=None, max_range_m=None, window="rect"):
+    """The earlier generate_heatmap: checks, chirp sum and cascade in one function."""
+    n_s, _, n_r = cube.dims
+    rows, cols = size or (n_s, n_r)
+    if rows > n_s:
+        raise DimensionError("cannot extend fast-time axis")
+    if rows < 1 or cols < 1:
+        raise DimensionError("heatmap dims must be >= 1")
+    if cols < n_r:
+        raise DimensionError("cannot drop antennas")
+    if max_range_m is not None and not (math.isfinite(max_range_m) and max_range_m > 0):
+        raise ConfigError("max_range_m must be finite and > 0")
+    summed = cube.data[:rows].sum(axis=1)
+    if not np.all(np.isfinite(summed)):
+        raise ConfigError("IF cube contains non-finite values")
+    if window == "hann":
+        summed = summed * np.hanning(rows)[:, None]
+    elif window != "rect":
+        raise ConfigError("unknown window")
+    spec = np.fft.fft(summed, axis=0)
+    spec = np.fft.fft(spec, n=cols, axis=1)
+    values = np.abs(np.fft.fftshift(spec, axes=1))
+    axis, valid = angle_axis_for(cfg, cols)
+    values = values[:, valid]
+    axis = axis[valid]
+    range_bin_m = cfg.sample_rate / rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
+    if max_range_m is not None:
+        keep = int(math.floor(max_range_m / range_bin_m)) + 1
+        values = values[:keep, :]
+    return Heatmap(values, range_bin_m, axis)
+
+
+@pytest.mark.parametrize(
+    "size", [None, (64, 96), (64, 192), (256, 8), (1, 8), (37, 33), (128, 64), (200, 1000)]
+)
+def test_split_cascade_matches_the_one_piece_heatmap(noisy_cubes, size):
+    cfg, cubes = noisy_cubes
+    with pytest.warns(UserWarning):
+        wide = RadarConfig(antenna_spacing=3.0e-3)  # masks ambiguous columns
+    for cube in cubes[:6]:
+        for c in (cfg, wide):
+            for window in ("rect", "hann"):
+                for max_range_m in (None, 20.0, 1e-3, 1e6):
+                    got = generate_heatmap(cube, c, size, max_range_m, window)
+                    want = _generate_heatmap_reference(cube, c, size, max_range_m, window)
+                    assert np.array_equal(got.values, want.values)
+                    assert got.range_bin_m == want.range_bin_m
+                    assert np.array_equal(got.angle_axis, want.angle_axis)
+
+
+@pytest.mark.parametrize("size, max_range_m, window", [
+    ((257, 8), None, "rect"), ((0, 8), None, "rect"), ((-5, 8), None, "rect"),
+    ((64, 0), None, "rect"), ((64, 7), None, "rect"), ((64, 7), math.nan, "flattop"),
+    ((-1, 7), -1.0, "rect"), ((64, 8), math.inf, "rect"), ((64, 8), None, "flattop"),
+])
+def test_split_cascade_raises_what_the_one_piece_heatmap_raised(noisy_cubes, size,
+                                                                 max_range_m, window):
+    cfg, cubes = noisy_cubes
+    with pytest.raises(RadarPlaceError) as want:
+        _generate_heatmap_reference(cubes[0], cfg, size, max_range_m, window)
+    with pytest.raises(type(want.value)):
+        generate_heatmap(cubes[0], cfg, size, max_range_m, window)
+
+
+def test_heatmap_from_sum_rejects_bad_input(small_cfg):
+    summed = np.ones((16, 8), dtype=np.complex128)
+    assert heatmap_from_sum(summed, small_cfg, 8).values.shape == (16, 8)
+    for cols in (0, 7):
+        with pytest.raises(DimensionError):
+            heatmap_from_sum(summed, small_cfg, cols)
+    summed[3, 2] = np.inf
+    with pytest.raises(ConfigError):
+        heatmap_from_sum(summed, small_cfg, 8)

@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from radarplace.errors import ConfigError, RangeAliasingError
+from radarplace.errors import ConfigError, DimensionError, RangeAliasingError
+from radarplace.heatmap import generate_heatmap, heatmap_from_sum
 from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
     Scatterer,
+    _signal,
     scene_at_heading,
+    simulate_chirp_sum,
     simulate_if_cube,
     simulate_platform_sweep,
     sweep_headings,
 )
 
-from conftest import random_scene
+from conftest import chirp_sum_heatmap_bound, random_scene
 
 
 def test_empty_scene_gives_zero_cube(small_cfg):
@@ -168,6 +171,36 @@ def _simulate_reference(scene, cfg, noise_std=0.0, seed=0):
     return cube
 
 
+def _simulate_if_cube_reference(scene, cfg, noise_std=0.0, seed=0):
+    """The earlier simulate_if_cube: its own scatterer loop over all samples, repeated."""
+    if noise_std < 0:
+        raise ConfigError("noise_std must be >= 0")
+    n_s, n_c, n_r = cfg.n_samples, cfg.n_chirps, cfg.n_antennas
+    signal = np.zeros((n_s, n_r), dtype=np.complex128)
+    i = np.arange(n_s)
+    k = np.arange(n_r)
+    for sc in scene:
+        if sc.range >= cfg.max_range:
+            raise RangeAliasingError("aliases")
+        if abs(sc.azimuth) >= math.pi / 2:
+            raise ConfigError("outside sensor half-space")
+        amp = sc.amplitude
+        if cfg.gain_taper_exp > 0:
+            amp *= max(math.cos(sc.azimuth), 0.0) ** cfg.gain_taper_exp
+        f_if = cfg.beat_frequency(sc.range)
+        omega = cfg.phase_step(sc.azimuth)
+        tone = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
+        steer = np.exp(1j * omega * k)
+        signal += amp * tone[:, None] * steer[None, :]
+    cube = np.repeat(signal[:, None, :], n_c, axis=1)
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        scale = noise_std / math.sqrt(2.0)
+        cube.real += scale * rng.standard_normal(cube.shape)
+        cube.imag += scale * rng.standard_normal(cube.shape)
+    return cube
+
+
 def test_signal_built_once_matches_per_chirp_accumulation():
     rng = np.random.default_rng(8)
     configs = [
@@ -181,3 +214,98 @@ def test_signal_built_once_matches_per_chirp_accumulation():
         for noise_std in (0.0, 0.3):
             got = simulate_if_cube(scene, cfg, noise_std=noise_std, seed=case)
             assert np.array_equal(got.data, _simulate_reference(scene, cfg, noise_std, case))
+            want = _simulate_if_cube_reference(scene, cfg, noise_std, case)
+            assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("scene, error", [
+    ([Scatterer(55.0, 0.0)], RangeAliasingError),
+    ([Scatterer(10.0, 0.1), Scatterer(10.0, -math.pi / 2)], ConfigError),
+])
+def test_cube_and_chirp_sum_reject_what_the_earlier_cube_rejected(scene, error):
+    cfg = RadarConfig(n_chirps=4)
+    for simulate in (_simulate_if_cube_reference, simulate_if_cube,
+                     lambda sc, c, *a: simulate_chirp_sum(sc, c, 64, *a)):
+        with pytest.raises(error):
+            simulate(scene, cfg)
+        with pytest.raises(ConfigError):
+            simulate([Scatterer(10.0, 0.1)], cfg, -0.1)
+
+
+def test_chirp_sum_rows_stay_within_the_chirp(small_cfg):
+    scene = [Scatterer(10.0, 0.1)]
+    assert simulate_chirp_sum(scene, small_cfg, 64).shape == (64, 8)
+    assert simulate_chirp_sum(scene, small_cfg, 1).shape == (1, 8)
+    for rows in (65, 0, -3):
+        with pytest.raises(DimensionError):
+            simulate_chirp_sum(scene, small_cfg, rows)
+
+
+CHIRP_SUM_CASES = [
+    # config, heatmap rows, heatmap cols
+    (RadarConfig(), 64, 96),
+    (RadarConfig(), 64, 192),
+    (RadarConfig(), 256, 8),
+    (RadarConfig(n_chirps=4), 64, 96),
+    (RadarConfig(n_samples=128, n_chirps=16, n_antennas=4, gain_taper_exp=2.0), 32, 64),
+]
+
+
+@pytest.mark.parametrize("cfg, rows, cols", CHIRP_SUM_CASES)
+def test_noise_free_chirp_sum_heatmap_matches_the_cube_path(cfg, rows, cols):
+    """Oracle: the bound of ``chirp_sum_heatmap_bound``, derived in its docstring."""
+    n = cfg.n_chirps
+    u = 2.0**-53
+    eps = u + (n - 1) * u / (1 - (n - 1) * u)
+    bound = chirp_sum_heatmap_bound(n, rows, cfg.n_antennas, cols)
+    rng = np.random.default_rng(rows + cols + n)
+    for case in range(30):
+        scene = random_scene(rng, 1 + case % 8, range_lo=1.0, range_hi=45.0,
+                             az_limit_deg=80.0)
+        x = _signal(scene, cfg, rows)
+        # the premise of the bound: both paths see the same chirp-invariant signal
+        assert np.array_equal(x, _signal(scene, cfg, cfg.n_samples)[:rows])
+        summed = simulate_chirp_sum(scene, cfg, rows)
+        cube_sum = simulate_if_cube(scene, cfg).data[:rows].sum(axis=1)
+        s = n * np.abs(x.real), n * np.abs(x.imag)
+        # eps (1 + 4u) covers rounding the right-hand side itself
+        assert np.all(np.abs(summed.real - cube_sum.real) <= eps * (1 + 4 * u) * s[0])
+        assert np.all(np.abs(summed.imag - cube_sum.imag) <= eps * (1 + 4 * u) * s[1])
+        got = heatmap_from_sum(summed, cfg, cols)
+        want = generate_heatmap(simulate_if_cube(scene, cfg), cfg, (rows, cols))
+        assert got.values.shape == want.values.shape
+        assert np.max(np.abs(got.values - want.values)) <= bound * np.max(want.values)
+        assert got.range_bin_m == want.range_bin_m
+        assert np.array_equal(got.angle_axis, want.angle_axis)
+
+
+def test_noise_only_chirp_sums_follow_the_cube_paths_law():
+    """Noise-only chirp sums: per-cell mean and variance against the cube path's.
+
+    K = 2000 fixed seeds per path, one (rows, antennas) = (8, 4) sum each,
+    real and imaginary parts taken as 64 cells.  Both paths should give
+    every cell the law N(0, n_chirps * noise_std**2 / 2).  With that
+    variance v, a two-sample difference of means has standard deviation
+    sqrt(2 v / K), and one of sample variances about v sqrt(2 * 2 / (K - 1)).
+    Every |z| must stay below 5, for each cell and for the 64 cells pooled;
+    under the law, any of the 130 |z| reaches 5 with probability below 1e-4.
+    Dropping ``sqrt(n_chirps)`` or the 1/sqrt(2), or scaling by n_chirps,
+    moves the pooled variance z past 100; sqrt(n_chirps - 1) moves it past 10.
+    """
+    cfg = RadarConfig(n_samples=16, n_chirps=16, n_antennas=4)
+    rows, noise_std, k = 8, 0.3, 2000
+    fast = np.stack([simulate_chirp_sum([], cfg, rows, noise_std, seed) for seed in range(k)])
+    cube = np.stack([
+        simulate_if_cube([], cfg, noise_std, seed=10_000 + seed).data[:rows].sum(axis=1)
+        for seed in range(k)
+    ])
+    fast = np.concatenate([fast.real, fast.imag], axis=2).reshape(k, -1)
+    cube = np.concatenate([cube.real, cube.imag], axis=2).reshape(k, -1)
+    var = cfg.n_chirps * noise_std**2 / 2
+    z_mean = (fast.mean(axis=0) - cube.mean(axis=0)) / math.sqrt(2 * var / k)
+    z_var = (fast.var(axis=0, ddof=1) - cube.var(axis=0, ddof=1)) / (var * math.sqrt(4 / (k - 1)))
+    n = fast.size
+    z_pooled = (fast.var() - cube.var()) / (var * math.sqrt(4 / (n - 1)))
+    z_pooled_mean = (fast.mean() - cube.mean()) / math.sqrt(2 * var / n)
+    assert np.max(np.abs(z_mean)) < 5 and np.max(np.abs(z_var)) < 5
+    assert abs(z_pooled) < 5 and abs(z_pooled_mean) < 5
