@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyResultError
+from .errors import ConfigError, DimensionError, EmptyResultError, FormatError
 from .heatmap import Heatmap
 from .placedb import MATCH_RADIUS_M, PlaceDB, PlaceRecord, recall_at_n
 
@@ -119,13 +119,19 @@ def _as_array(x) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(C, H, W) -> (C*9, H*W) patch matrix for a padded 3x3 convolution."""
+    """(C, H, W) -> (C*9, H*W) patch matrix for a zero-padded 3x3 convolution.
+
+    Each of the nine shifted windows is copied once into its in-bounds part
+    of a zeroed buffer; the uncovered border is the zero padding.
+    """
     c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    cols = np.empty((c, 9, h * w))
+    cols = np.zeros((c, 3, 3, h, w))
     for di in range(3):
+        r0, r1 = max(0, 1 - di), min(h, h + 1 - di)
         for dj in range(3):
-            cols[:, di * 3 + dj, :] = padded[:, di : di + h, dj : dj + w].reshape(c, -1)
+            c0, c1 = max(0, 1 - dj), min(w, w + 1 - dj)
+            cols[:, di, dj, r0:r1, c0:c1] = x[:, r0 + di - 1 : r1 + di - 1,
+                                              c0 + dj - 1 : c1 + dj - 1]
     return cols.reshape(c * 9, h * w)
 
 
@@ -140,32 +146,54 @@ def _col2im(dcols: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     return dpadded[:, 1:-1, 1:-1]
 
 
-def _forward(x: np.ndarray, w: EncoderWeights):
-    """Run the conv stack; returns (flat pre-norm descriptor, cache)."""
+def _max_pool(act: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Non-overlapping (ph, pw) max pool as a running maximum over strided slices."""
+    out = act[:, ::ph, ::pw].copy()
+    for i in range(ph):
+        for j in range(pw):
+            if i or j:
+                np.maximum(out, act[:, i::ph, j::pw], out=out)
+    return out
+
+
+def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
+    """Run the conv stack; returns (flat pre-norm descriptor, cache).
+
+    The backward cache (patch matrices, rectifier masks, pool argmax
+    indices) is built only when ``keep`` is true; otherwise the cache is
+    None and each pool is a running maximum over its strided window
+    slices.  The rectifier maps -0.0 to +0.0, so for finite input equal
+    values in a window have equal bits and both pools give the same
+    descriptor.
+    """
     arch = w.arch
-    cache = []
+    cache = [] if keep else None
     cur = x[None] if x.ndim == 2 else x
     for l in range(arch.n_layers):
+        c_out = arch.channels[l + 1]
+        _, h, wid = cur.shape
         cols = _im2col(cur)
-        k2d = w.kernels[l].reshape(arch.channels[l + 1], -1)
-        pre = (k2d @ cols + w.biases[l][:, None]).reshape(
-            arch.channels[l + 1], cur.shape[1], cur.shape[2]
-        )
-        act = np.maximum(pre, 0.0)
-        entry = {"in_shape": cur.shape, "cols": cols, "mask": pre > 0}
-        cur = act
+        pre = w.kernels[l].reshape(c_out, -1) @ cols
+        pre += w.biases[l][:, None]
+        pre = pre.reshape(c_out, h, wid)
+        if keep:
+            cache.append({"in_shape": cur.shape, "cols": cols, "mask": pre > 0})
+        del cols  # freed before the next layer allocates its own
+        cur = np.maximum(pre, 0.0, out=pre)
         pool = arch.pools[l]
-        if pool is not None:
-            ph, pw = pool
-            c, h, wid = cur.shape
+        if pool is None:
+            continue
+        ph, pw = pool
+        if keep:
             ho, wo = h // ph, wid // pw
-            windows = cur.reshape(c, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4)
-            flat = windows.reshape(c, ho, wo, ph * pw)
+            windows = cur.reshape(c_out, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4)
+            flat = windows.reshape(c_out, ho, wo, ph * pw)
             idx = flat.argmax(axis=3)
             cur = np.take_along_axis(flat, idx[..., None], axis=3)[..., 0]
-            entry["pool_idx"] = idx
-            entry["pool_in_shape"] = (c, h, wid)
-        cache.append(entry)
+            cache[-1]["pool_idx"] = idx
+            cache[-1]["pool_in_shape"] = (c_out, h, wid)
+        else:
+            cur = _max_pool(cur, ph, pw)
     return cur.ravel(), cache
 
 
@@ -200,18 +228,25 @@ def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
 
 
 def _normalize_input(x: np.ndarray) -> np.ndarray:
-    """Zero-mean / unit-variance standardization of the raw heatmap."""
+    """Zero-mean / unit-variance standardization of the raw heatmap.
+
+    ``encode``, ``backward`` and ``train`` all pass through here, so a NaN
+    or infinite cell is rejected before it can turn the descriptor into NaN.
+    """
+    if not np.isfinite(x).all():
+        raise FormatError("heatmap holds a non-finite value")
     mu, sd = x.mean(), x.std()
     return (x - mu) / sd if sd > 0 else x - mu
 
 
-def _describe(x: np.ndarray, w: EncoderWeights):
+def _describe(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     """Standardize, run the stack and unit-normalize: (descriptor, pre-norm norm, cache).
 
-    A pre-norm vector shorter than _DEGENERATE_EPS has no direction; it maps
+    The cache is None unless ``keep`` asks for it (see _forward).  A
+    pre-norm vector shorter than _DEGENERATE_EPS has no direction; it maps
     to the first basis vector, flagged degenerate, and passes no gradient.
     """
-    flat, cache = _forward(_normalize_input(x), w)
+    flat, cache = _forward(_normalize_input(x), w, keep)
     norm = np.linalg.norm(flat)
     if norm < _DEGENERATE_EPS:
         canonical = np.zeros(flat.size)
@@ -307,8 +342,8 @@ def backward(triplets, samples, w: EncoderWeights, margin: float):
     ``triplets`` index into ``samples``.  Each sample is described once,
     its descriptor gradients are summed over the triplets that use it, and
     it is backpropagated once in first-use order by re-running its forward
-    pass: one forward cache is alive at a time.  Returns (grads, losses),
-    grads as [dkernel, dbias] pairs.
+    pass, the only pass that keeps a cache: one cache is alive at a time.
+    Returns (grads, losses), grads as [dkernel, dbias] pairs.
     """
     grads = _zero_grads(w)
     uses = [[t.query_idx, *t.positive_idxs, *t.negative_idxs] for t in triplets]
@@ -327,7 +362,7 @@ def backward(triplets, samples, w: EncoderWeights, margin: float):
             dnorms[i] += g
     for i, (desc, norm) in described.items():
         if np.any(dnorms[i]):
-            cache = _describe(_as_array(samples[i]), w)[2]
+            cache = _describe(_as_array(samples[i]), w, keep=True)[2]
             _backward(_norm_backward(desc, norm, dnorms[i]), cache, w, grads)
     return grads, losses
 

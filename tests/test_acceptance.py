@@ -440,6 +440,7 @@ def _sample_lateral(rng, max_m):
     return (lat_m * math.cos(ang), lat_m * math.sin(ang))
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end():
     t0 = time.monotonic()
     wcfg = synth.WorldConfig(

@@ -1,6 +1,7 @@
 """Encoder forward/backward tests, gradient oracle, and training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from radarplace.encoder import (
     train,
     triplet_loss,
 )
-from radarplace.errors import ConfigError, DimensionError, EmptyResultError
+from radarplace.errors import ConfigError, DimensionError, EmptyResultError, FormatError
 from radarplace.placedb import MATCH_RADIUS_M
 from radarplace.radar import RadarConfig
 
@@ -316,7 +317,7 @@ def _backward_reference(samples, t, w, margin):
     """The earlier per-triplet backward: every reference described and backpropagated."""
     grads = _zeros_like(w)
     idxs = [t.query_idx, *t.positive_idxs, *t.negative_idxs]
-    described = [enc._describe(samples[i], w) for i in idxs]
+    described = [_describe_reference(samples[i], w) for i in idxs]
     descs = [desc.values for desc, _, _ in described]
     n_pos = len(t.positive_idxs)
     loss, gq, gps, gns = _descriptor_grads_reference(
@@ -370,3 +371,157 @@ def test_backward_is_bit_identical_on_distinct_indices():
         assert loss == ref_loss
         for (gk, gb), (rk, rb) in zip(grads, ref_grads):
             assert np.array_equal(gk, rk) and np.array_equal(gb, rb)
+
+
+# -- the earlier forward, kept as the oracle of the lean one ------------------
+
+def _im2col_reference(x):
+    """(C, H, W) -> (C*9, H*W) patch matrix through an np.pad copy (the earlier code)."""
+    c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    cols = np.empty((c, 9, h * w))
+    for di in range(3):
+        for dj in range(3):
+            cols[:, di * 3 + dj, :] = padded[:, di : di + h, dj : dj + w].reshape(c, -1)
+    return cols.reshape(c * 9, h * w)
+
+
+def _forward_reference(x, w):
+    """The earlier forward: builds the whole backward cache on every call."""
+    arch = w.arch
+    cache = []
+    cur = x[None] if x.ndim == 2 else x
+    for l in range(arch.n_layers):
+        cols = _im2col_reference(cur)
+        k2d = w.kernels[l].reshape(arch.channels[l + 1], -1)
+        pre = (k2d @ cols + w.biases[l][:, None]).reshape(
+            arch.channels[l + 1], cur.shape[1], cur.shape[2]
+        )
+        act = np.maximum(pre, 0.0)
+        entry = {"in_shape": cur.shape, "cols": cols, "mask": pre > 0}
+        cur = act
+        pool = arch.pools[l]
+        if pool is not None:
+            ph, pw = pool
+            c, h, wid = cur.shape
+            ho, wo = h // ph, wid // pw
+            windows = cur.reshape(c, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4)
+            flat = windows.reshape(c, ho, wo, ph * pw)
+            idx = flat.argmax(axis=3)
+            cur = np.take_along_axis(flat, idx[..., None], axis=3)[..., 0]
+            entry["pool_idx"] = idx
+            entry["pool_in_shape"] = (c, h, wid)
+        cache.append(entry)
+    return cur.ravel(), cache
+
+
+def _describe_reference(x, w):
+    """The earlier describe: (descriptor, pre-norm norm, cache) from the earlier forward."""
+    flat, cache = _forward_reference(enc._normalize_input(x), w)
+    norm = np.linalg.norm(flat)
+    if norm < enc._DEGENERATE_EPS:
+        canonical = np.zeros(flat.size)
+        canonical[0] = 1.0
+        return enc.Descriptor(canonical, degenerate=True), norm, cache
+    return enc.Descriptor(flat / norm), norm, cache
+
+
+def _random_arch(rng):
+    """A small arch whose pools include non-square, (1, 1) and absent ones."""
+    n_layers = int(rng.integers(1, 4))
+    channels = (1, *(int(c) for c in rng.integers(1, 6, size=n_layers)))
+    choices = [(1, 1), (2, 3), (3, 1), (1, 2), (2, 2), None]
+    pools = tuple(choices[int(i)] for i in rng.integers(0, len(choices), size=n_layers))
+    h, w = (int(v) for v in rng.integers(1, 4, size=2))
+    for pool in pools:
+        if pool is not None:
+            h, w = h * pool[0], w * pool[1]
+    return EncoderArch(input_shape=(h, w), channels=channels, pools=pools)
+
+
+def _oracle_inputs(rng, shape):
+    """Random, quantised (pool-window ties) and block-constant heatmaps."""
+    rows, cols = shape
+    smooth = random_heatmap_values(rng, rows, cols)
+    blocks = np.kron(rng.integers(0, 3, size=(rows // 2 + 1, cols // 2 + 1)), np.ones((2, 2)))
+    return [smooth, np.floor(3.0 * smooth), blocks[:rows, :cols].astype(np.float64)]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(31)
+    archs = [SMALL_ARCH, EncoderArch(input_shape=(64, 96)), EncoderArch(input_shape=(64, 256))]
+    archs += [_random_arch(rng) for _ in range(12)]
+    for i, arch in enumerate(archs):
+        w = init_weights(arch, seed=i)
+        for x in _oracle_inputs(rng, arch.input_shape):
+            yield x, w
+
+
+def test_encode_is_bit_identical_to_reference_forward():
+    pools = set()
+    for x, w in _oracle_cases():
+        pools.update(w.arch.pools)
+        got = encode(x, w)
+        ref = _describe_reference(x, w)[0]
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.degenerate == ref.degenerate
+    assert {(1, 1), (2, 3), (3, 1)} <= pools
+    # dead rectifiers everywhere: both sides give the canonical descriptor
+    w = init_weights(SMALL_ARCH, seed=1)
+    for l in range(len(w.biases)):
+        w.biases[l] = -np.abs(w.biases[l]) - 1.0
+    got, ref = encode(np.zeros((16, 24)), w), _describe_reference(np.zeros((16, 24)), w)[0]
+    assert got.degenerate and ref.degenerate
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_kept_cache_equals_reference_cache():
+    for x, w in _oracle_cases():
+        xn = enc._normalize_input(x)
+        flat, cache = enc._forward(xn, w, keep=True)
+        ref_flat, ref_cache = _forward_reference(xn, w)
+        assert flat.tobytes() == ref_flat.tobytes()
+        assert enc._forward(xn, w)[1] is None
+        assert len(cache) == len(ref_cache)
+        for entry, ref in zip(cache, ref_cache):
+            assert entry.keys() == ref.keys()
+            for key, value in ref.items():
+                if isinstance(value, np.ndarray):
+                    assert entry[key].shape == value.shape and entry[key].dtype == value.dtype
+                    assert entry[key].tobytes() == value.tobytes()
+                else:
+                    assert entry[key] == value
+
+
+def test_training_is_bit_identical_with_reference_forward(monkeypatch):
+    rcfg = RadarConfig(n_chirps=4)
+    world = synth.build_world(synth.WorldConfig(
+        n_places=8, spacing_m=4.0, range_lo=9.0, heatmap_rows=64, heatmap_cols=32, seed=3,
+    ))
+    frames = synth.training_dataset(world, rcfg, max_rot_deg=20.0, max_lat_m=1.5, passes=3,
+                                    seed=3)
+    runs = [(_toy_dataset(), TrainConfig(max_epochs=3, batch_size=4, n_neg=3, seed=0), SMALL_ARCH),
+            (frames, TrainConfig(max_epochs=2, batch_size=8, n_neg=3, seed=1), None)]
+    got = [train(*run) for run in runs]
+    monkeypatch.setattr(enc, "_forward", lambda x, w, keep=False: _forward_reference(x, w))
+    ref = [train(*run) for run in runs]
+    for g, r in zip(got, ref):
+        assert g.weights.checksum() == r.weights.checksum()
+        assert g.history == r.history
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_format_error_without_warnings(bad):
+    x = np.ones((16, 24))
+    x[3, 5] = bad
+    w = init_weights(SMALL_ARCH, seed=0)
+    samples = [x, np.ones((16, 24)), np.zeros((16, 24))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError):
+            encode(x, w)
+        with pytest.raises(FormatError):
+            backward([TripletBatch(0, [1], [2])], samples, w, 1.0)
+        with pytest.raises(FormatError):
+            train([(x, (0.0, 0.0)), (x, (1.0, 0.0)), (x, (30.0, 0.0))],
+                  TrainConfig(max_epochs=1, n_neg=1), SMALL_ARCH)
