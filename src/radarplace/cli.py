@@ -41,8 +41,15 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"--heatmap-size expects RxC, got {text!r}")
 
 
+# every key a subcommand reads; one config file may serve several subcommands
+_CONFIG_KEYS = fileio.CONFIG_KEYS | {"n_frames", "epochs", "queries_per_cell"}
+
+
 def _load_configs(path):
     keyvals = fileio.load_keyvals(path) if path else {}
+    unknown = sorted(keyvals.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     return keyvals, fileio.radar_config_from(keyvals), fileio.platform_config_from(keyvals)
 
 

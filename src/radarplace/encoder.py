@@ -21,6 +21,16 @@ from .placedb import MATCH_RADIUS_M, PlaceDB, PlaceRecord, recall_at_n
 _DEGENERATE_EPS = 1e-12
 HOLDOUT_STRIDE = 5
 
+# Training constants of the reproduction preset.
+BATCH_SIZE = 16
+LR = 0.01
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.001
+LR_DECAY = 0.5        # learning-rate factor applied every LR_DECAY_EVERY epochs
+LR_DECAY_EVERY = 5
+N_NEG = 10            # negatives per mined triplet
+NEG_RADIUS_M = 18.0   # negatives lie at least this far from the query
+
 
 @dataclass(frozen=True)
 class EncoderArch:
@@ -146,25 +156,31 @@ def _col2im(dcols: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     return dpadded[:, 1:-1, 1:-1]
 
 
-def _max_pool(act: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Non-overlapping (ph, pw) max pool as a running maximum over strided slices."""
+def _max_pool(act: np.ndarray, ph: int, pw: int, keep: bool = False):
+    """Non-overlapping (ph, pw) max pool as a running maximum over strided slices.
+
+    Returns (pooled, idx).  With ``keep``, idx holds each window's flat
+    in-window index i*pw + j of its first maximum (the one argmax picks):
+    a strict ``>`` in row-major window order moves it only past ties.
+    Without ``keep``, idx is None.
+    """
     out = act[:, ::ph, ::pw].copy()
+    idx = np.zeros(out.shape, dtype=np.intp) if keep else None
     for i in range(ph):
         for j in range(pw):
             if i or j:
-                np.maximum(out, act[:, i::ph, j::pw], out=out)
-    return out
+                win = act[:, i::ph, j::pw]
+                if keep:
+                    np.copyto(idx, i * pw + j, where=win > out)
+                np.maximum(out, win, out=out)
+    return out, idx
 
 
 def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     """Run the conv stack; returns (flat pre-norm descriptor, cache).
 
     The backward cache (patch matrices, rectifier masks, pool argmax
-    indices) is built only when ``keep`` is true; otherwise the cache is
-    None and each pool is a running maximum over its strided window
-    slices.  The rectifier maps -0.0 to +0.0, so for finite input equal
-    values in a window have equal bits and both pools give the same
-    descriptor.
+    indices) is built only when ``keep`` is true; otherwise it is None.
     """
     arch = w.arch
     cache = [] if keep else None
@@ -183,17 +199,10 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
         pool = arch.pools[l]
         if pool is None:
             continue
-        ph, pw = pool
+        cur, idx = _max_pool(cur, *pool, keep)
         if keep:
-            ho, wo = h // ph, wid // pw
-            windows = cur.reshape(c_out, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4)
-            flat = windows.reshape(c_out, ho, wo, ph * pw)
-            idx = flat.argmax(axis=3)
-            cur = np.take_along_axis(flat, idx[..., None], axis=3)[..., 0]
             cache[-1]["pool_idx"] = idx
             cache[-1]["pool_in_shape"] = (c_out, h, wid)
-        else:
-            cur = _max_pool(cur, ph, pw)
     return cur.ravel(), cache
 
 
@@ -206,13 +215,12 @@ def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
         pool = arch.pools[l]
         if pool is not None:
             ph, pw = pool
-            c, h, wid = entry["pool_in_shape"]
-            ho, wo = h // ph, wid // pw
-            dflat4 = np.zeros((c, ho, wo, ph * pw))
-            np.put_along_axis(
-                dflat4, entry["pool_idx"][..., None], dcur.reshape(c, ho, wo, 1), axis=3
-            )
-            dcur = dflat4.reshape(c, ho, wo, ph, pw).transpose(0, 1, 3, 2, 4).reshape(c, h, wid)
+            idx = entry["pool_idx"]
+            dout = dcur.reshape(idx.shape)
+            dcur = np.empty(entry["pool_in_shape"])
+            for i in range(ph):
+                for j in range(pw):
+                    dcur[:, i::ph, j::pw] = np.where(idx == i * pw + j, dout, 0.0)
         else:
             c_in, h, wid = entry["in_shape"]
             dcur = dcur.reshape(arch.channels[l + 1], h, wid)
@@ -270,8 +278,8 @@ def triplet_loss(dq, dps, dns, alpha: float) -> float:
 
     sum_j max(min_i ||q - p_i|| - ||q - n_j|| + alpha, 0)
     """
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     q = _as_array(dq)
     ps = [_as_array(p) for p in dps]
     ns = [_as_array(n) for n in dns]
@@ -353,10 +361,8 @@ def backward(triplets, samples, w: EncoderWeights, margin: float):
     losses = []
     for t, idxs in zip(triplets, uses):
         descs = [described[i][0].values for i in idxs]
-        n_pos = len(t.positive_idxs)
-        loss, dgrads = _loss_and_descriptor_grads(
-            descs[0], descs[1 : 1 + n_pos], descs[1 + n_pos :], margin
-        )
+        end = 1 + len(t.positive_idxs)
+        loss, dgrads = _loss_and_descriptor_grads(descs[0], descs[1:end], descs[end:], margin)
         losses.append(loss)
         for i, g in zip(idxs, dgrads):
             dnorms[i] += g
@@ -367,22 +373,14 @@ def backward(triplets, samples, w: EncoderWeights, margin: float):
     return grads, losses
 
 
-def mine_triplets(
-    records,
-    r_pos: float = MATCH_RADIUS_M,
-    r_neg: float = 18.0,
-    n_pos: int = 1,
-    n_neg: int = 10,
-    seed: int = 0,
-) -> tuple[list[TripletBatch], int]:
+def mine_triplets(records, seed: int = 0) -> tuple[list[TripletBatch], int]:
     """Sample one triplet per eligible query by the distance rule.
 
     ``records`` is a sequence of (item, position) pairs with 2-D positions.
-    Queries lacking enough positives within r_pos or negatives beyond r_neg
-    are skipped; the skip count is returned alongside the batches.
+    A query needs a positive within MATCH_RADIUS_M and N_NEG negatives at
+    NEG_RADIUS_M or more; the others are skipped, and the skip count is
+    returned alongside the batches.
     """
-    if r_pos >= r_neg:
-        raise ConfigError("r_pos must be < r_neg")
     positions = np.array([pos for _, pos in records], dtype=np.float64)
     n = len(positions)
     rng = np.random.default_rng(seed)
@@ -392,43 +390,35 @@ def mine_triplets(
         return batches, skipped
     dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     for qi in range(n):
-        pos_cand = np.flatnonzero((dists[qi] <= r_pos) & (np.arange(n) != qi))
-        neg_cand = np.flatnonzero(dists[qi] >= r_neg)
-        if pos_cand.size < n_pos or neg_cand.size < n_neg:
+        pos_cand = np.flatnonzero((dists[qi] <= MATCH_RADIUS_M) & (np.arange(n) != qi))
+        neg_cand = np.flatnonzero(dists[qi] >= NEG_RADIUS_M)
+        if not pos_cand.size or neg_cand.size < N_NEG:
             skipped += 1
             continue
-        ps = rng.choice(pos_cand, size=n_pos, replace=False)
-        nss = rng.choice(neg_cand, size=n_neg, replace=False)
-        batches.append(
-            TripletBatch(qi, sorted(int(i) for i in ps), sorted(int(i) for i in nss))
-        )
+        ps = rng.choice(pos_cand, size=1, replace=False)
+        nss = rng.choice(neg_cand, size=N_NEG, replace=False)
+        batches.append(TripletBatch(qi, [int(ps[0])], sorted(int(i) for i in nss)))
     return batches, skipped
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer hyperparameters for the reproduction preset."""
+    """The training values a caller chooses; the rest are module constants."""
 
-    batch_size: int = 16
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.001
-    lr_decay: float = 0.5
-    lr_decay_every: int = 5
     max_epochs: int = 50
     margin: float = 0.5
-    n_neg: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "lr", "momentum", "weight_decay", "lr_decay",
-                     "lr_decay_every", "max_epochs"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if not self.max_epochs >= 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ConfigError(f"margin must be finite and >= 0, got {self.margin}")
 
-    def lr_at(self, epoch: int) -> float:
-        """Learning rate for a zero-based epoch index."""
-        return self.lr * self.lr_decay ** (epoch // self.lr_decay_every)
+
+def lr_at(epoch: int) -> float:
+    """Learning rate for a zero-based epoch index."""
+    return LR * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 @dataclass
@@ -466,6 +456,8 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     recall scores at; the returned weights are the ones with the best
     leave-out recall@1.  Fully deterministic for a fixed (dataset, cfg, arch).
     """
+    if not dataset:
+        raise EmptyResultError("no training samples")
     if arch is None:
         shape = _as_array(dataset[0][0]).shape
         arch = EncoderArch(input_shape=shape)
@@ -478,8 +470,8 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     history = []
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.max_epochs):
-        lr = cfg.lr_at(epoch)
-        batches, skipped = mine_triplets(dataset, n_neg=cfg.n_neg, seed=cfg.seed + epoch)
+        rate = lr_at(epoch)
+        batches, skipped = mine_triplets(dataset, seed=cfg.seed + epoch)
         # eligibility depends on positions only: epoch 0 decides for all
         if not batches:
             raise EmptyResultError(
@@ -487,21 +479,21 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
             )
         order = rng.permutation(len(batches))
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [batches[i] for i in order[start : start + cfg.batch_size]]
+        for start in range(0, len(order), BATCH_SIZE):
+            chunk = [batches[i] for i in order[start : start + BATCH_SIZE]]
             grads, chunk_losses = backward(chunk, heatmaps, weights, cfg.margin)
             losses.extend(chunk_losses)
             inv = 1.0 / len(chunk)
             for l, (gk, gb) in enumerate(grads):
-                gk = gk * inv + cfg.weight_decay * weights.kernels[l]
-                gb = gb * inv + cfg.weight_decay * weights.biases[l]
-                velocity[l][0] = cfg.momentum * velocity[l][0] - lr * gk
-                velocity[l][1] = cfg.momentum * velocity[l][1] - lr * gb
+                gk = gk * inv + WEIGHT_DECAY * weights.kernels[l]
+                gb = gb * inv + WEIGHT_DECAY * weights.biases[l]
+                velocity[l][0] = MOMENTUM * velocity[l][0] - rate * gk
+                velocity[l][1] = MOMENTUM * velocity[l][1] - rate * gb
                 weights.kernels[l] += velocity[l][0]
                 weights.biases[l] += velocity[l][1]
         recall = _val_recall1(dataset, weights)
         mean_loss = float(np.mean(losses))
-        history.append({"epoch": epoch, "mean_loss": mean_loss, "lr": lr,
+        history.append({"epoch": epoch, "mean_loss": mean_loss, "lr": rate,
                         "val_recall1": recall, "triplets_skipped": skipped})
         if recall > best_recall:
             best_recall = recall

@@ -277,6 +277,7 @@ _WORLD_KEYS = {
     "n_places", "spacing_m", "scatterers_per_place", "noise_std",
     "heatmap_rows", "heatmap_cols", "mosaic_cols",
 }
+CONFIG_KEYS = _RADAR_KEYS | _PLATFORM_KEYS | _WORLD_KEYS
 
 
 def _config_from(cls, keys, keyvals, **fixed):

@@ -226,7 +226,8 @@ def test_train_without_triplets_exits_2(tmp_path, scene_file, cfg_file):
     assert rc == 2
 
 
-def test_train_build_db_query_flow(tmp_path, scene_file, cfg_file, capsys):
+def _clustered_maps(tmp_path, scene_file, cfg_file):
+    """18 heatmaps in three clusters of six, with their poses.csv."""
     cubes, maps = tmp_path / "cubes", tmp_path / "maps"
     assert main([
         "simulate", "--scene", str(scene_file), "--config", str(cfg_file),
@@ -236,8 +237,8 @@ def test_train_build_db_query_flow(tmp_path, scene_file, cfg_file, capsys):
         "heatmap", "--in", str(cubes), "--config", str(cfg_file),
         "--out", str(maps), "--heatmap-size", "64x32",
     ]) == 0
-    # three clusters of six frames: every query sees 5 positives within the
-    # 3 m radius and 12 negatives beyond 18 m, enough for the default miner
+    # every query sees 5 positives within the 3 m radius and 12 negatives
+    # beyond 18 m, enough for the miner
     poses = []
     for f in range(18):
         poses.append({
@@ -247,6 +248,11 @@ def test_train_build_db_query_flow(tmp_path, scene_file, cfg_file, capsys):
             "heading_deg": 0.0,
         })
     save_poses_csv(maps / "poses.csv", poses)
+    return maps
+
+
+def test_train_build_db_query_flow(tmp_path, scene_file, cfg_file, capsys):
+    maps = _clustered_maps(tmp_path, scene_file, cfg_file)
     weights = tmp_path / "enc.mmw"
     assert main([
         "train", "--heatmaps", str(maps), "--poses", str(maps / "poses.csv"),
@@ -270,6 +276,34 @@ def test_train_build_db_query_flow(tmp_path, scene_file, cfg_file, capsys):
     assert len(rows) == 4
     # the probe is itself in the database, so rank 1 is an exact hit
     assert rows[1][2] == "0" and float(rows[1][3]) == 0.0
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--margin", "nan", "margin"), ("--margin", "inf", "margin"), ("--margin", "-1", "margin"),
+    ("--epochs", "0", "max_epochs"),
+])
+def test_train_bad_margin_or_epochs_exits_1(tmp_path, scene_file, cfg_file, capsys,
+                                            flag, value, name):
+    maps = _clustered_maps(tmp_path, scene_file, cfg_file)
+    capsys.readouterr()
+    weights = tmp_path / "enc.mmw"
+    assert main([
+        "train", "--heatmaps", str(maps), "--poses", str(maps / "poses.csv"),
+        "--out", str(weights), "--epochs", "1", flag, value,
+    ]) == 1
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not weights.exists()
+
+
+def test_train_on_an_empty_dataset_exits_2(tmp_path, capsys):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    save_poses_csv(maps / "poses.csv", [])
+    assert main([
+        "train", "--heatmaps", str(maps), "--poses", str(maps / "poses.csv"),
+        "--out", str(tmp_path / "w.mmw"),
+    ]) == 2
+    assert "no training samples" in capsys.readouterr().err
 
 
 def test_build_db_pose_count_mismatch_exits_1(tmp_path, scene_file, cfg_file):
@@ -366,3 +400,35 @@ def test_concat_window_and_step_below_1_exit_1(tmp_path, scene_file, cfg_file, c
     assert main(["concat", "--in", str(maps), "--out", str(tmp_path / "mo"),
                  "--mode", "fixed", flag, value]) == 1
     assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_1(tmp_path, scene_file, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n_chirps = 4\nslop = 1e12\n")
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "cubes")]) == 1
+    assert "unknown config key(s): slop" in capsys.readouterr().err
+
+
+# README "Recognized keys", each at a value every subcommand accepts
+_EVERY_CONFIG_KEY = {
+    "slope": 3.0e13, "wavelength": 0.0039, "antenna_spacing": 0.00195, "sample_rate": 1e7,
+    "n_samples": 64, "n_chirps": 4, "n_antennas": 8, "fov_deg": 120, "gain_taper_exp": 1,
+    "angular_speed": 150, "frame_rate": 10, "sweep_extent": 180, "jitter_std": 0,
+    "n_frames": 3, "noise_std": 0.02, "heatmap_rows": 64, "heatmap_cols": 32,
+    "n_places": 8, "spacing_m": 20, "scatterers_per_place": 8, "mosaic_cols": 64,
+    "epochs": 1, "queries_per_cell": 1,
+}
+
+
+def test_one_config_with_every_recognized_key_serves_each_subcommand(tmp_path, scene_file):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in _EVERY_CONFIG_KEY.items()))
+    cubes, maps = tmp_path / "cubes", tmp_path / "maps"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(cubes)]) == 0
+    assert len(list(cubes.glob("*.ifc"))) == 3
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg), "--out", str(maps)]) == 0
+    assert load_heatmap(sorted(maps.glob("*.rah"))[0]).values.shape == (64, 32)
+    assert main(["concat", "--in", str(maps), "--config", str(cfg),
+                 "--out", str(tmp_path / "mo")]) == 0

@@ -396,6 +396,7 @@ def _frame(draw, rows, cols):
     return values
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/huge input on purpose
 @given(data=st.data())
 def test_estimate_offset_property_matches_reference(data):
     draw = data.draw

@@ -9,6 +9,8 @@ import pytest
 from radarplace import encoder as enc
 from radarplace import synth
 from radarplace.encoder import (
+    N_NEG,
+    NEG_RADIUS_M,
     EncoderArch,
     TrainConfig,
     TripletBatch,
@@ -16,6 +18,7 @@ from radarplace.encoder import (
     backward,
     encode,
     init_weights,
+    lr_at,
     mine_triplets,
     train,
     triplet_loss,
@@ -150,22 +153,23 @@ def test_analytic_gradient_matches_finite_differences():
 
 def test_mine_triplets_respects_radii():
     rng = np.random.default_rng(6)
-    records = [(None, (float(x), 0.0)) for x in rng.uniform(0.0, 100.0, size=12)]
-    batches, skipped = mine_triplets(records, r_pos=10.0, r_neg=30.0, n_pos=1, n_neg=2)
+    records = [(None, (float(x), 0.0)) for x in rng.uniform(0.0, 60.0, size=20)]
+    batches, skipped = mine_triplets(records)
     positions = np.array([p for _, p in records])
     assert batches, "some queries should be eligible"
+    assert skipped, "some queries should lack positives or negatives"
     for b in batches:
         q = positions[b.query_idx]
         for pi in b.positive_idxs:
             assert pi != b.query_idx
-            assert np.linalg.norm(positions[pi] - q) <= 10.0
+            assert np.linalg.norm(positions[pi] - q) <= MATCH_RADIUS_M
         for ni in b.negative_idxs:
-            assert np.linalg.norm(positions[ni] - q) >= 30.0
+            assert np.linalg.norm(positions[ni] - q) >= NEG_RADIUS_M
     # queries without both positive and negative candidates are skipped
     for qi in range(len(records)):
         d = np.linalg.norm(positions - positions[qi], axis=1)
-        ok_pos = np.sum((d <= 10.0) & (np.arange(12) != qi)) >= 1
-        ok_neg = np.sum(d >= 30.0) >= 2
+        ok_pos = np.sum((d <= MATCH_RADIUS_M) & (np.arange(len(records)) != qi)) >= 1
+        ok_neg = np.sum(d >= NEG_RADIUS_M) >= N_NEG
         mined = any(b.query_idx == qi for b in batches)
         assert mined == (ok_pos and ok_neg)
     assert skipped == len(records) - len(batches)
@@ -176,19 +180,32 @@ def test_mine_triplets_dead_zone_and_validation():
     records = [(None, (0.0, 0.0)), (None, (10.0, 0.0))]
     batches, skipped = mine_triplets(records)
     assert batches == [] and skipped == 2
-    with pytest.raises(ConfigError):
-        mine_triplets(records, r_pos=5.0, r_neg=5.0)
     assert mine_triplets([]) == ([], 0)
 
 
 def test_lr_schedule():
-    cfg = TrainConfig()
-    assert cfg.lr_at(0) == 0.01
-    assert cfg.lr_at(4) == 0.01
-    assert cfg.lr_at(5) == 0.005
-    assert cfg.lr_at(12) == pytest.approx(0.0025)
+    assert lr_at(0) == 0.01
+    assert lr_at(4) == 0.01
+    assert lr_at(5) == 0.005
+    assert lr_at(12) == pytest.approx(0.0025)
     with pytest.raises(ConfigError):
-        TrainConfig(lr=-1.0)
+        TrainConfig(margin=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_margin_must_be_finite_and_non_negative(bad):
+    q, p, n = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    with pytest.raises(ConfigError):
+        triplet_loss(q, [p], [n], bad)
+    with pytest.raises(ConfigError):
+        TrainConfig(margin=bad)
+    assert TrainConfig(margin=0.0).margin == 0.0
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_max_epochs_must_be_at_least_one(epochs):
+    with pytest.raises(ConfigError):
+        TrainConfig(max_epochs=epochs)
 
 
 def _toy_dataset(seed=0, n_clusters=4, per_cluster=4):
@@ -206,7 +223,7 @@ def _toy_dataset(seed=0, n_clusters=4, per_cluster=4):
 
 def test_train_reduces_loss_and_is_deterministic():
     data = _toy_dataset()
-    cfg = TrainConfig(max_epochs=4, batch_size=4, n_neg=3, seed=0)
+    cfg = TrainConfig(max_epochs=4, seed=0)
     res1 = train(data, cfg, SMALL_ARCH)
     res2 = train(data, cfg, SMALL_ARCH)
     assert res1.weights.checksum() == res2.weights.checksum()
@@ -218,10 +235,10 @@ def test_train_reduces_loss_and_is_deterministic():
 def test_train_history_keeps_the_triplet_skip_count():
     # a lone record far from every cluster has no positive and is skipped
     data = _toy_dataset() + [(_toy_dataset(seed=1)[0][0], (500.0, 0.0))]
-    cfg = TrainConfig(max_epochs=2, batch_size=4, n_neg=3, seed=0)
+    cfg = TrainConfig(max_epochs=2, seed=0)
     history = train(data, cfg, SMALL_ARCH).history
     for epoch, row in enumerate(history):
-        _, skipped = mine_triplets(data, n_neg=cfg.n_neg, seed=cfg.seed + epoch)
+        _, skipped = mine_triplets(data, seed=cfg.seed + epoch)
         assert row["triplets_skipped"] == skipped == 1
 
 
@@ -229,6 +246,8 @@ def test_train_raises_without_triplets():
     data = [(np.ones((16, 24)), (0.0, 0.0)), (np.ones((16, 24)), (10.0, 0.0))]
     with pytest.raises(EmptyResultError):
         train(data, TrainConfig(max_epochs=1), SMALL_ARCH)
+    with pytest.raises(EmptyResultError):
+        train([], TrainConfig(max_epochs=1))
 
 
 def test_descriptor_is_translation_sensitive():
@@ -496,12 +515,12 @@ def test_kept_cache_equals_reference_cache():
 def test_training_is_bit_identical_with_reference_forward(monkeypatch):
     rcfg = RadarConfig(n_chirps=4)
     world = synth.build_world(synth.WorldConfig(
-        n_places=8, spacing_m=4.0, range_lo=9.0, heatmap_rows=64, heatmap_cols=32, seed=3,
+        n_places=10, spacing_m=4.0, range_lo=9.0, heatmap_rows=64, heatmap_cols=32, seed=3,
     ))
     frames = synth.training_dataset(world, rcfg, max_rot_deg=20.0, max_lat_m=1.5, passes=3,
                                     seed=3)
-    runs = [(_toy_dataset(), TrainConfig(max_epochs=3, batch_size=4, n_neg=3, seed=0), SMALL_ARCH),
-            (frames, TrainConfig(max_epochs=2, batch_size=8, n_neg=3, seed=1), None)]
+    runs = [(_toy_dataset(), TrainConfig(max_epochs=3, seed=0), SMALL_ARCH),
+            (frames, TrainConfig(max_epochs=2, seed=1), None)]
     got = [train(*run) for run in runs]
     monkeypatch.setattr(enc, "_forward", lambda x, w, keep=False: _forward_reference(x, w))
     ref = [train(*run) for run in runs]
@@ -522,6 +541,8 @@ def test_non_finite_input_raises_format_error_without_warnings(bad):
             encode(x, w)
         with pytest.raises(FormatError):
             backward([TripletBatch(0, [1], [2])], samples, w, 1.0)
+        # the first query has one positive and N_NEG negatives, so training mines
+        far = [(x, (30.0 + i, 0.0)) for i in range(N_NEG)]
         with pytest.raises(FormatError):
-            train([(x, (0.0, 0.0)), (x, (1.0, 0.0)), (x, (30.0, 0.0))],
-                  TrainConfig(max_epochs=1, n_neg=1), SMALL_ARCH)
+            train([(x, (0.0, 0.0)), (x, (1.0, 0.0)), *far], TrainConfig(max_epochs=1),
+                  SMALL_ARCH)

@@ -372,6 +372,7 @@ def test_all_equal_rows_rerank_everything():
     _same(res, _query_reference(db, [3.0, 1.0], 3))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/huge input on purpose
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
 def test_non_finite_or_huge_values_rerank_everything(bad):
     descs = np.eye(4, dtype=np.float32)
