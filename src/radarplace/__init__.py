@@ -26,6 +26,7 @@ from .concat import (
     concat_relative_pose,
     detect_cycles,
     estimate_offset,
+    mosaic_cycles,
     register_sequence,
 )
 from .encoder import (

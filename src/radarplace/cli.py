@@ -24,7 +24,7 @@ from . import fileio, synth
 from .errors import ConfigError, EmptyResultError, RadarPlaceError
 from .heatmap import generate_heatmap, range_to_row, angle_to_col
 from .placedb import PlaceDB, PlaceRecord
-from .radar import simulate_if_cube, simulate_platform_sweep
+from .radar import simulate_platform_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,11 +80,7 @@ def cmd_simulate(args) -> int:
         return EXIT_EMPTY
     n_frames = args.frames or int(keyvals.get("n_frames", 1))
     noise_std = float(keyvals.get("noise_std", 0.0))
-
-    if n_frames == 1:
-        cubes = [(simulate_if_cube(scene, rcfg, noise_std, args.seed), 0.0)]
-    else:
-        cubes = simulate_platform_sweep(scene, rcfg, pcfg, n_frames, noise_std, args.seed)
+    cubes = simulate_platform_sweep(scene, rcfg, pcfg, n_frames, noise_std, args.seed)
     poses = []
     for f, (cube, heading) in enumerate(cubes):
         fileio.save_cube(out / f"frame_{f:04d}.ifc", cube)
@@ -139,22 +135,14 @@ def cmd_concat(args) -> int:
         print("warning: need at least two heatmaps to concatenate", file=sys.stderr)
         return EXIT_EMPTY
     frames = [fileio.load_heatmap(f) for f in files]
-    n_cols = frames[0].n_cols
-    a_window = cc.default_a_window(n_cols) if args.a_window is None else args.a_window
-    offsets = cc.register_sequence(frames, args.r_window, a_window)
+    offsets, mosaics = cc.mosaic_cycles(frames, pcfg, args.mode, args.r_window,
+                                        args.a_window, args.step_bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.save_offsets_csv(out / "offsets.csv", offsets)
-    segments = cc.detect_cycles(offsets)
-    for s, seg in enumerate(segments):
-        if args.mode == "relpose":
-            mosaic = cc.concat_relative_pose(frames, seg, offsets)
-        else:
-            step = (cc.step_bins(pcfg.nominal_step, n_cols) if args.step_bins is None
-                    else args.step_bins)
-            mosaic = cc.concat_fixed_step(frames, seg, step)
+    for s, mosaic in enumerate(mosaics):
         fileio.save_heatmap(out / f"mosaic_{s:02d}.rah", mosaic)
-    print(f"wrote offsets and {len(segments)} mosaic(s) to {out}")
+    print(f"wrote offsets and {len(mosaics)} mosaic(s) to {out}")
     return EXIT_OK
 
 
@@ -235,15 +223,12 @@ def cmd_eval(args) -> int:
         weights = fileio.load_weights(args.weights)
     else:
         if args.concat != "none":
+            # a base pass and a 5-degree revisit, seeded apart from evaluate's views
             dataset = [
-                (synth.mosaic_view(world, i, rcfg, pcfg, mode=args.concat, seed=200 + i),
-                 world.places[i].position)
-                for i in range(len(world.places))
-            ]
-            dataset += [
                 (synth.mosaic_view(world, i, rcfg, pcfg, mode=args.concat,
-                                   body_heading_deg=5.0, seed=900 + i),
+                                   body_heading_deg=heading, seed=args.seed + offset + i),
                  world.places[i].position)
+                for heading, offset in ((0.0, 50), (5.0, 1050))
                 for i in range(len(world.places))
             ]
         else:
@@ -316,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-bins", type=int,
                    help="fixed-mode step; default: the platform's nominal step")
     p.add_argument("--r-window", type=int, default=4)
-    p.add_argument("--a-window", type=int, help="default: 20 degrees at boresight")
+    p.add_argument("--a-window", type=int, help="default: the nominal step + 8 deg at boresight")
 
     p = subcommand("train", cmd_train, "train the spatial encoder", ("--seed",))
     p.add_argument("--heatmaps", required=True)

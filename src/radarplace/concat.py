@@ -8,7 +8,7 @@ the few candidates within a proven rounding bound of the best are then
 re-scored with the direct formula, so the result is that of an exhaustive
 direct search.  Rotation cycles are detected from the sign of the angle
 offsets, and each cycle's frames are united onto a wide-FOV canvas at their
-cumulative offsets.
+cumulative offsets.  :func:`mosaic_cycles` is the one recipe chaining them.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, DimensionError, NoRotationError
 from .heatmap import Heatmap
+from .radar import PlatformConfig
 
 DEFAULT_MIN_OVERLAP = 0.25
 MAX_CANVAS_COLS = 8192
+A_WINDOW_MARGIN_DEG = 8.0  # angle search beyond the platform's nominal step, deg
 
 
 @dataclass(frozen=True)
@@ -302,11 +304,13 @@ def _concat_at_offsets(
     frames: list[Heatmap],
     per_pair: list[tuple[int, int]],
 ) -> Heatmap:
-    """Union frames on a canvas at cumulative (range, angle) placements.
+    """Union frames on frame 0's range grid at cumulative (range, angle) placements.
 
     ``per_pair`` holds content displacements of frame t relative to frame
     t-1; undoing a displacement places the frame at the negated cumulative
-    sum in frame-0 coordinates.
+    sum in frame-0 coordinates.  The canvas keeps frame 0's rows, so each
+    frame adds only the rows that its range placement leaves inside them;
+    it grows in columns only.
     """
     base = frames[0]
     rows, cols = base.values.shape
@@ -314,30 +318,26 @@ def _concat_at_offsets(
     for dr, da in per_pair:
         cum.append((cum[-1][0] - dr, cum[-1][1] - da))
 
-    rs = [c[0] for c in cum]
-    as_ = [c[1] for c in cum]
-    r_min, r_max = min(rs), max(rs)
-    a_min, a_max = min(as_), max(as_)
-    canvas_rows = rows + (r_max - r_min)
+    # frame 0 sits at placement 0, so a_min <= 0 <= a_max
+    a_min, a_max = min(a for _, a in cum), max(a for _, a in cum)
     canvas_cols = cols + (a_max - a_min)
     if canvas_cols > MAX_CANVAS_COLS:
         raise ConfigError(
             f"cumulative offsets span {canvas_cols} columns, above the "
             f"canvas limit {MAX_CANVAS_COLS}"
         )
-    canvas = np.zeros((canvas_rows, canvas_cols))
+    canvas = np.zeros((rows, canvas_cols))
     for frame, (cr, ca) in zip(frames, cum):
         if frame.values.shape != (rows, cols):
             raise DimensionError("all frames in a segment must share dims")
-        r0 = cr - r_min
-        c0 = ca - a_min
-        region = canvas[r0 : r0 + rows, c0 : c0 + cols]
-        np.maximum(region, frame.values, out=region)
+        sl = _overlap_slices((rows, cols), cr, 0)
+        if sl is None:
+            continue
+        (ref_rows, _), (mov_rows, _) = sl
+        region = canvas[ref_rows, ca - a_min : ca - a_min + cols]
+        np.maximum(region, frame.values[mov_rows], out=region)
 
-    # canvas columns extend the first frame's axis on both sides
-    left = -a_min if a_min < 0 else 0
-    right = a_max if a_max > 0 else 0
-    axis = _extend_angle_axis(base.angle_axis, left, right)
+    axis = _extend_angle_axis(base.angle_axis, -a_min, a_max)
     return Heatmap(canvas, base.range_bin_m, axis)
 
 
@@ -369,12 +369,8 @@ def concat_fixed_step(
     """Mosaic one rotation cycle at a fixed nominal angle step (baseline)."""
     if step_bins <= 0:
         raise ConfigError("step_bins must be > 0")
-    lo, hi = segment.start_idx, segment.end_idx
-    if lo < 0 or hi >= len(frames):
-        raise ConfigError("segment indices out of range")
-    seg_frames = frames[lo : hi + 1]
-    per_pair = [(0, segment.direction * step_bins) for _ in range(len(seg_frames) - 1)]
-    return _concat_at_offsets(seg_frames, per_pair)
+    step = PoseOffset(0, segment.direction * step_bins, 1.0)
+    return concat_relative_pose(frames, segment, [step] * len(frames))
 
 
 def default_a_window(n_cols: int, span_deg: float = 20.0) -> int:
@@ -390,3 +386,31 @@ def default_a_window(n_cols: int, span_deg: float = 20.0) -> int:
 def step_bins(step_deg: float, n_cols: int) -> int:
     """Nearest whole number of angle bins for a heading step of step_deg at boresight."""
     return int(round(math.radians(step_deg) * n_cols / 2.0))
+
+
+def mosaic_cycles(frames: list[Heatmap], pcfg: PlatformConfig, mode: str, r_window: int,
+                  a_window: int | None = None, step: int | None = None,
+                  ) -> tuple[list[PoseOffset], list[Heatmap]]:
+    """Register a rotating-platform sequence and mosaic each of its rotation cycles.
+
+    ``mode`` is "relpose" (estimated offsets) or "fixed" (``step`` bins per
+    frame).  By default the angle search spans the platform's nominal step
+    plus A_WINDOW_MARGIN_DEG at boresight, and ``step`` is the nominal step
+    in bins.  Returns the per-frame offsets of :func:`register_sequence` and
+    one mosaic per cycle of :func:`detect_cycles`, each on the range grid of
+    its first frame.
+    """
+    if mode not in ("relpose", "fixed"):
+        raise ConfigError(f"unknown mosaic mode {mode!r}")
+    if not frames:
+        raise ConfigError("frames must be nonempty")
+    cols = frames[0].n_cols
+    if a_window is None:
+        a_window = default_a_window(cols, pcfg.nominal_step + A_WINDOW_MARGIN_DEG)
+    if step is None:
+        step = step_bins(pcfg.nominal_step, cols)
+    offsets = register_sequence(frames, r_window, a_window)
+    segments = detect_cycles(offsets)
+    if mode == "relpose":
+        return offsets, [concat_relative_pose(frames, seg, offsets) for seg in segments]
+    return offsets, [concat_fixed_step(frames, seg, step) for seg in segments]

@@ -263,14 +263,17 @@ def _describe(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     return Descriptor(flat / norm), norm, cache
 
 
+def _checked_input(h, arch: EncoderArch) -> np.ndarray:
+    """The heatmap as an array, or DimensionError if it is not the architecture's input shape."""
+    x = _as_array(h)
+    if x.shape != arch.input_shape:
+        raise DimensionError(f"input {x.shape} does not match encoder input {arch.input_shape}")
+    return x
+
+
 def encode(h, w: EncoderWeights) -> Descriptor:
     """Map a heatmap to its unit-norm place descriptor."""
-    x = _as_array(h)
-    if x.shape != w.arch.input_shape:
-        raise DimensionError(
-            f"input {x.shape} does not match encoder input {w.arch.input_shape}"
-        )
-    return _describe(x, w)[0]
+    return _describe(_checked_input(h, w.arch), w)[0]
 
 
 def triplet_loss(dq, dps, dns, alpha: float) -> float:
@@ -386,12 +389,11 @@ def mine_triplets(records, seed: int = 0) -> tuple[list[TripletBatch], int]:
     rng = np.random.default_rng(seed)
     batches: list[TripletBatch] = []
     skipped = 0
-    if n == 0:
-        return batches, skipped
-    dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     for qi in range(n):
-        pos_cand = np.flatnonzero((dists[qi] <= MATCH_RADIUS_M) & (np.arange(n) != qi))
-        neg_cand = np.flatnonzero(dists[qi] >= NEG_RADIUS_M)
+        # one row at a time: the full distance matrix grows as n^2
+        dists = np.linalg.norm(positions - positions[qi], axis=1)
+        pos_cand = np.flatnonzero((dists <= MATCH_RADIUS_M) & (np.arange(n) != qi))
+        neg_cand = np.flatnonzero(dists >= NEG_RADIUS_M)
         if not pos_cand.size or neg_cand.size < N_NEG:
             skipped += 1
             continue
@@ -450,7 +452,9 @@ def _val_recall1(dataset, weights):
 def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainResult:
     """Triplet-margin SGD training of the spatial encoder.
 
-    ``dataset`` is a list of (heatmap, position) pairs.  Triplets are
+    ``dataset`` is a list of (heatmap, position) pairs; a heatmap whose
+    shape differs from the architecture's input (by default the first
+    heatmap's) raises DimensionError before the first epoch.  Triplets are
     re-mined every epoch from the run seed by ``mine_triplets``'s distance
     rule, so positives lie within MATCH_RADIUS_M, the radius leave-out
     recall scores at; the returned weights are the ones with the best
@@ -459,9 +463,8 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     if not dataset:
         raise EmptyResultError("no training samples")
     if arch is None:
-        shape = _as_array(dataset[0][0]).shape
-        arch = EncoderArch(input_shape=shape)
-    heatmaps = [_as_array(h) for h, _ in dataset]
+        arch = EncoderArch(input_shape=_as_array(dataset[0][0]).shape)
+    heatmaps = [_checked_input(h, arch) for h, _ in dataset]
     weights = init_weights(arch, cfg.seed)
     velocity = _zero_grads(weights)
 

@@ -171,28 +171,13 @@ def mosaic_view(
     lateral: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
 ) -> Heatmap:
-    """One-cycle mosaic (fixed rows, standardized columns) from one pose."""
-    wcfg = world.cfg
+    """First-cycle mosaic (frame 0's rows, standardized columns) from one pose."""
     n_frames = int(round(pcfg.sweep_extent / pcfg.nominal_step)) + 1
-    frames = render_sweep(
-        world, place_idx, cfg, pcfg, n_frames, body_heading_deg, lateral, seed
-    )
-    a_window = cc.default_a_window(wcfg.heatmap_cols, span_deg=pcfg.nominal_step + 8)
-    offsets = cc.register_sequence(frames, MOSAIC_R_WINDOW, a_window)
+    frames = render_sweep(world, place_idx, cfg, pcfg, n_frames, body_heading_deg, lateral, seed)
     # jitter can reflect off the sweep limit a frame early; keep the first
     # constant-sign run only
-    segment = cc.detect_cycles(offsets)[0]
-    if mode == "relpose":
-        mosaic = cc.concat_relative_pose(frames, segment, offsets)
-    elif mode == "fixed":
-        step = cc.step_bins(pcfg.nominal_step, wcfg.heatmap_cols)
-        mosaic = cc.concat_fixed_step(frames, segment, step)
-    else:
-        raise ConfigError(f"unknown mosaic mode {mode!r}")
-    # rows can grow when range offsets are nonzero; crop back to frame rows
-    mosaic_vals = mosaic.values[: wcfg.heatmap_rows, :]
-    mosaic = Heatmap(mosaic_vals, mosaic.range_bin_m, mosaic.angle_axis)
-    return standardize_mosaic(mosaic, wcfg.mosaic_cols)
+    _, mosaics = cc.mosaic_cycles(frames, pcfg, mode, MOSAIC_R_WINDOW)
+    return standardize_mosaic(mosaics[0], world.cfg.mosaic_cols)
 
 
 def training_dataset(

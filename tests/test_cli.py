@@ -9,9 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
+from radarplace import fileio, synth
 from radarplace.cli import main
 from radarplace.concat import detect_cycles
-from radarplace.encoder import EncoderArch, init_weights
+from radarplace.encoder import EncoderArch, TrainResult, init_weights
 from radarplace.fileio import (
     load_heatmap,
     load_offsets_csv,
@@ -22,7 +23,7 @@ from radarplace.fileio import (
     save_weights,
 )
 from radarplace.heatmap import Heatmap
-from radarplace.radar import Scatterer
+from radarplace.radar import PlatformConfig, RadarConfig, Scatterer
 
 
 def _hash_dir(path, pattern):
@@ -161,6 +162,26 @@ def test_simulate_same_seed_is_bitwise_reproducible(tmp_path, scene_file, cfg_fi
     assert _hash_dir(a, "*.ifc") != _hash_dir(c, "*.ifc")
 
 
+def test_simulate_frame_0_does_not_depend_on_the_frame_count(tmp_path, scene_file, cfg_file):
+    # the scene's reflector at 80 deg lies outside the 120 deg field of view
+    frame_0 = []
+    for n in ("1", "3"):
+        out = tmp_path / f"cubes_{n}"
+        assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                     "--out", str(out), "--frames", n, "--seed", "4"]) == 0
+        frame_0.append((out / "frame_0000.ifc").read_bytes())
+    assert frame_0[0] == frame_0[1]
+
+
+def test_simulate_one_frame_clips_a_reflector_behind_the_sensor(tmp_path, cfg_file):
+    scene = tmp_path / "scene.txt"
+    save_scene(scene, [Scatterer(12.0, math.radians(100.0)), Scatterer(15.0, 0.2)])
+    out = tmp_path / "cubes"
+    assert main(["simulate", "--scene", str(scene), "--config", str(cfg_file),
+                 "--out", str(out), "--frames", "1"]) == 0
+    assert len(list(out.glob("*.ifc"))) == 1
+
+
 def test_pipeline_heatmap_concat_render(tmp_path, scene_file, cfg_file):
     cubes = tmp_path / "cubes"
     maps = tmp_path / "maps"
@@ -224,6 +245,24 @@ def test_train_without_triplets_exits_2(tmp_path, scene_file, cfg_file):
         "--out", str(tmp_path / "w.mmw"), "--epochs", "1",
     ])
     assert rc == 2
+
+
+def test_train_on_mixed_heatmap_sizes_exits_3(tmp_path, capsys):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    rng = np.random.default_rng(3)
+    poses = []
+    for f in range(31):
+        cols = 40 if f == 30 else 32
+        save_heatmap(maps / f"frame_{f:04d}.rah",
+                     Heatmap(rng.random((64, cols)), 0.1, np.linspace(-1.0, 1.0, cols)))
+        poses.append({"frame_idx": f, "x_m": 30.0 * (f // 6) + 0.2 * (f % 6), "y_m": 0.0,
+                      "heading_deg": 0.0})
+    save_poses_csv(tmp_path / "poses.csv", poses)
+    capsys.readouterr()
+    assert main(["train", "--heatmaps", str(maps), "--poses", str(tmp_path / "poses.csv"),
+                 "--out", str(tmp_path / "w.mmw"), "--epochs", "1"]) == 3
+    assert "(64, 40) does not match encoder input (64, 32)" in capsys.readouterr().err
 
 
 def _clustered_maps(tmp_path, scene_file, cfg_file):
@@ -337,6 +376,29 @@ def test_bad_eval_config_exits_1(tmp_path):
                  "--out", str(tmp_path / "b")]) == 1
 
 
+def test_eval_concat_training_mosaics_follow_the_seed(tmp_path, monkeypatch):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_places = 6\nheatmap_cols = 32\nmosaic_cols = 64\n"
+                   "epochs = 1\nqueries_per_cell = 1\n")
+    trained_on = []
+
+    def capture(dataset, tcfg):
+        trained_on.extend(hm for hm, _ in dataset)
+        return TrainResult(init_weights(EncoderArch(input_shape=(64, 64)), 0), [])
+
+    monkeypatch.setattr("radarplace.encoder.train", capture)
+    assert main(["eval", "--config", str(cfg), "--seed", "200", "--concat", "relpose",
+                 "--out", str(tmp_path / "report")]) == 0
+    assert len(trained_on) == 12
+    world = synth.build_world(fileio.world_config_from(
+        {"n_places": 6, "heatmap_cols": 32, "mosaic_cols": 64}, 200))
+    pcfg = PlatformConfig()
+    for i in range(6):
+        # the reference-map view of place i that evaluate builds at this seed
+        ref = synth._view(world, i, RadarConfig(), pcfg, "relpose", seed=200 + i)
+        assert not any(np.array_equal(hm.values, ref.values) for hm in trained_on)
+
+
 def test_eval_checks_queries_per_cell_before_training(tmp_path, monkeypatch):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("n_places = 3\nqueries_per_cell = 0\nepochs = 1\n")
@@ -384,6 +446,30 @@ def test_concat_fixed_default_step_is_the_nominal_step(tmp_path, scene_file, cfg
         for s, seg in enumerate(segments):
             mosaic = load_heatmap(out / f"mosaic_{s:02d}.rah")
             assert mosaic.n_cols == 32 + (len(seg) - 1) * step
+
+
+def test_concat_default_window_follows_the_platform_step(tmp_path):
+    # 30 deg per frame: a fixed 20 deg window would pin every offset at its edge
+    rng = np.random.default_rng(5)
+    scene = tmp_path / "scene.txt"
+    save_scene(scene, [Scatterer(float(rng.uniform(8.0, 28.0)), math.radians(az))
+                       for az in range(-60, 241, 15)])
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("n_samples = 64\nn_chirps = 4\nn_antennas = 8\nnoise_std = 0.02\n"
+                   "angular_speed = 300\n")
+    cubes, maps, out = tmp_path / "cubes", tmp_path / "maps", tmp_path / "mo"
+    assert main(["simulate", "--scene", str(scene), "--config", str(cfg),
+                 "--out", str(cubes), "--frames", "8", "--seed", "1"]) == 0
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg),
+                 "--out", str(maps), "--heatmap-size", "64x96"]) == 0
+    assert main(["concat", "--in", str(maps), "--config", str(cfg),
+                 "--out", str(out), "--r-window", "2"]) == 0
+    offsets = load_offsets_csv(out / "offsets.csv")
+    first = detect_cycles(offsets)[0]
+    steps = [abs(o.a_offset) for o in offsets[first.start_idx + 1 : first.end_idx + 1]]
+    truth = round(48 * math.sin(math.radians(30.0)))
+    assert len(steps) == 6
+    assert all(abs(step - truth) <= 1 for step in steps), steps
 
 
 @pytest.mark.parametrize("flag", ["--a-window", "--step-bins"])

@@ -18,6 +18,7 @@ from radarplace.concat import (
     default_a_window,
     detect_cycles,
     estimate_offset,
+    mosaic_cycles,
     register_sequence,
     signs_consistent,
     translate,
@@ -231,6 +232,87 @@ def test_default_a_window_values():
     assert default_a_window(256, span_deg=10.0) == math.ceil(
         math.radians(10.0) * 128
     )
+
+
+# -- mosaics on frame 0's rows against the growing canvas they replace --------
+
+def _concat_at_offsets_reference(frames, per_pair):
+    """The canvas that grew by every range placement, r_min at its row 0."""
+    base = frames[0]
+    rows, cols = base.values.shape
+    cum = [(0, 0)]
+    for dr, da in per_pair:
+        cum.append((cum[-1][0] - dr, cum[-1][1] - da))
+    rs = [c[0] for c in cum]
+    as_ = [c[1] for c in cum]
+    r_min, r_max = min(rs), max(rs)
+    a_min, a_max = min(as_), max(as_)
+    canvas = np.zeros((rows + (r_max - r_min), cols + (a_max - a_min)))
+    for frame, (cr, ca) in zip(frames, cum):
+        region = canvas[cr - r_min : cr - r_min + rows, ca - a_min : ca - a_min + cols]
+        np.maximum(region, frame.values, out=region)
+    left = -a_min if a_min < 0 else 0
+    right = a_max if a_max > 0 else 0
+    axis = concat._extend_angle_axis(base.angle_axis, left, right)
+    return Heatmap(canvas, base.range_bin_m, axis), r_min
+
+
+def test_mosaic_is_the_reference_canvas_on_frame_0_rows():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        rows, cols, n = int(rng.integers(4, 12)), int(rng.integers(4, 20)), int(rng.integers(1, 7))
+        frames = [_hm(random_heatmap_values(rng, rows, cols)) for _ in range(n)]
+        per_pair = [(int(rng.integers(-3, 4)), int(rng.integers(-cols, cols + 1)))
+                    for _ in range(n - 1)]
+        want, r_min = _concat_at_offsets_reference(frames, per_pair)
+        got = concat._concat_at_offsets(frames, per_pair)
+        assert np.array_equal(got.values, want.values[-r_min : -r_min + rows])
+        assert np.array_equal(got.angle_axis, want.angle_axis)
+        assert got.range_bin_m == want.range_bin_m
+        # with no range placement the canvas is the reference outright
+        flat = [(0, da) for _, da in per_pair]
+        want_flat, _ = _concat_at_offsets_reference(frames, flat)
+        got_flat = concat._concat_at_offsets(frames, flat)
+        assert np.array_equal(got_flat.values, want_flat.values)
+        assert np.array_equal(got_flat.angle_axis, want_flat.angle_axis)
+
+
+def test_frame_placed_above_frame_0_keeps_frame_0_rows():
+    rng = np.random.default_rng(22)
+    rows = 16
+    base = random_heatmap_values(rng, rows + 2, 200)
+    # frame 1 looks 2 rows nearer and 10 columns further left than frame 0
+    frames = [_hm(base[2 : 2 + rows, 60:180]), _hm(base[0:rows, 50:170])]
+    offsets = register_sequence(frames, 3, 15)
+    assert (offsets[1].r_offset, offsets[1].a_offset) == (2, 10)
+    mosaic = concat_relative_pose(frames, CycleSegment(0, 1, 1), offsets)
+    assert mosaic.values.shape == (rows, 130)
+    # frame 0 is at row 0; frame 1's two nearest rows fall outside its grid
+    want = base[2 : 2 + rows, 50:180].copy()
+    want[rows - 2 :, :10] = 0.0
+    assert np.array_equal(mosaic.values, want)
+
+
+def test_mosaic_cycles_runs_the_recipe_once_per_cycle():
+    frames = _sweep(0, 0, 1)
+    pcfg = PlatformConfig(jitter_std=1.0)
+    a_window = default_a_window(96, pcfg.nominal_step + concat.A_WINDOW_MARGIN_DEG)
+    offsets = register_sequence(frames, 2, a_window)
+    segments = detect_cycles(offsets)
+    got_offsets, relpose = mosaic_cycles(frames, pcfg, "relpose", 2)
+    assert got_offsets == offsets
+    assert len(relpose) == len(segments)
+    for seg, mosaic in zip(segments, relpose):
+        assert np.array_equal(mosaic.values,
+                              concat_relative_pose(frames, seg, offsets).values)
+    _, fixed = mosaic_cycles(frames, pcfg, "fixed", 2, a_window=a_window, step=7)
+    for seg, mosaic in zip(segments, fixed):
+        assert np.array_equal(mosaic.values, concat_fixed_step(frames, seg, 7).values)
+    for mode in ("none", "RELPOSE"):
+        with pytest.raises(ConfigError):
+            mosaic_cycles(frames, pcfg, mode, 2)
+    with pytest.raises(ConfigError):
+        mosaic_cycles([], pcfg, "relpose", 2)
 
 
 def _offsets_reference(frames, r_window, a_window):

@@ -183,6 +183,43 @@ def test_mine_triplets_dead_zone_and_validation():
     assert mine_triplets([]) == ([], 0)
 
 
+def _mine_triplets_dense(records, seed=0):
+    """The miner over the full n x n distance matrix that mine_triplets replaces."""
+    positions = np.array([pos for _, pos in records], dtype=np.float64)
+    n = len(positions)
+    rng = np.random.default_rng(seed)
+    batches, skipped = [], 0
+    if n == 0:
+        return batches, skipped
+    dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+    for qi in range(n):
+        pos_cand = np.flatnonzero((dists[qi] <= MATCH_RADIUS_M) & (np.arange(n) != qi))
+        neg_cand = np.flatnonzero(dists[qi] >= NEG_RADIUS_M)
+        if not pos_cand.size or neg_cand.size < N_NEG:
+            skipped += 1
+            continue
+        ps = rng.choice(pos_cand, size=1, replace=False)
+        nss = rng.choice(neg_cand, size=N_NEG, replace=False)
+        batches.append(TripletBatch(qi, [int(ps[0])], sorted(int(i) for i in nss)))
+    return batches, skipped
+
+
+def test_mine_triplets_matches_the_dense_miner():
+    rng = np.random.default_rng(14)
+    mined = skipped = 0
+    for trial in range(20):
+        if trial % 2:
+            # a 3 m grid puts pairs exactly on the positive and negative radii
+            positions = 3.0 * rng.integers(0, 12, size=(300, 2))
+        else:
+            positions = rng.uniform(0.0, 90.0, size=(300, 2))
+        records = [(None, (float(x), float(y))) for x, y in positions]
+        batches, n_skipped = mine_triplets(records, seed=trial)
+        assert (batches, n_skipped) == _mine_triplets_dense(records, seed=trial)
+        mined, skipped = mined + len(batches), skipped + n_skipped
+    assert mined and skipped  # both outcomes were compared
+
+
 def test_lr_schedule():
     assert lr_at(0) == 0.01
     assert lr_at(4) == 0.01
@@ -248,6 +285,18 @@ def test_train_raises_without_triplets():
         train(data, TrainConfig(max_epochs=1), SMALL_ARCH)
     with pytest.raises(EmptyResultError):
         train([], TrainConfig(max_epochs=1))
+
+
+def test_train_rejects_a_sample_of_another_shape_before_training(monkeypatch):
+    data = _toy_dataset()
+    data.insert(5, (np.ones((16, 30)), data[5][1]))
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("train started an epoch before checking its samples")
+
+    monkeypatch.setattr(enc, "backward", no_epoch)
+    with pytest.raises(DimensionError, match=r"\(16, 30\) does not match"):
+        train(data, TrainConfig(max_epochs=1), SMALL_ARCH)
 
 
 def test_descriptor_is_translation_sensitive():
