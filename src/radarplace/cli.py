@@ -53,15 +53,6 @@ def _load_configs(path):
     return keyvals, fileio.radar_config_from(keyvals), fileio.platform_config_from(keyvals)
 
 
-def _apply_preset(args, keyvals):
-    if args.preset is None:
-        return
-    if args.preset != "paper-defaults":
-        raise ConfigError(f"unknown preset {args.preset!r}")
-    keyvals.setdefault("heatmap_rows", 64)
-    keyvals.setdefault("heatmap_cols", 768)
-
-
 def _heatmap_files(path: Path) -> list[Path]:
     if path.is_dir():
         return sorted(path.glob("*.rah"))
@@ -72,13 +63,15 @@ def _heatmap_files(path: Path) -> list[Path]:
 
 def cmd_simulate(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
+    n_frames = int(keyvals.get("n_frames", 1)) if args.frames is None else args.frames
+    if n_frames < 1:
+        raise ConfigError(f"the frame count must be >= 1, got {n_frames}")
     scene = fileio.load_scene(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not scene:
         print("warning: empty scene, no cubes written", file=sys.stderr)
         return EXIT_EMPTY
-    n_frames = args.frames or int(keyvals.get("n_frames", 1))
     noise_std = float(keyvals.get("noise_std", 0.0))
     cubes = simulate_platform_sweep(scene, rcfg, pcfg, n_frames, noise_std, args.seed)
     poses = []
@@ -102,7 +95,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_heatmap(args) -> int:
     keyvals, rcfg, _ = _load_configs(args.config)
-    _apply_preset(args, keyvals)
     size = _parse_size(args.heatmap_size) if args.heatmap_size else None
     if size is None and keyvals.keys() & {"heatmap_rows", "heatmap_cols"}:
         if not keyvals.keys() >= {"heatmap_rows", "heatmap_cols"}:
@@ -126,17 +118,13 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_concat(args) -> int:
-    for flag, value in (("--a-window", args.a_window), ("--step-bins", args.step_bins)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
     _, _, pcfg = _load_configs(args.config)
     files = _heatmap_files(Path(args.input))
     if len(files) < 2:
         print("warning: need at least two heatmaps to concatenate", file=sys.stderr)
         return EXIT_EMPTY
     frames = [fileio.load_heatmap(f) for f in files]
-    offsets, mosaics = cc.mosaic_cycles(frames, pcfg, args.mode, args.r_window,
-                                        args.a_window, args.step_bins)
+    offsets, mosaics = cc.mosaic_cycles(frames, pcfg, args.mode, args.r_window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.save_offsets_csv(out / "offsets.csv", offsets)
@@ -213,7 +201,6 @@ def cmd_render(args) -> int:
 
 def cmd_eval(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
-    _apply_preset(args, keyvals)
     world = synth.build_world(fileio.world_config_from(keyvals, args.seed))
     queries_per_cell = int(keyvals.get("queries_per_cell", 4))
     if queries_per_cell < 1:  # before training, which can take minutes or fail first
@@ -263,7 +250,6 @@ class _Parser(argparse.ArgumentParser):
 _SHARED_FLAGS = {
     "--config": {"help": "key-value config file"},
     "--seed": {"type": int, "default": 0},
-    "--preset": {"choices": ["paper-defaults"], "default": None},
 }
 
 
@@ -283,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
                    ("--config", "--seed"))
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--frames", type=int, default=0, help="override n_frames")
+    p.add_argument("--frames", type=int, help="override n_frames")
 
     p = subcommand("heatmap", cmd_heatmap, "convert IF cubes to heatmaps",
-                   ("--config", "--preset"))
+                   ("--config",))
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap-size",
@@ -298,10 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["fixed", "relpose"], default="relpose")
-    p.add_argument("--step-bins", type=int,
-                   help="fixed-mode step; default: the platform's nominal step")
-    p.add_argument("--r-window", type=int, default=4)
-    p.add_argument("--a-window", type=int, help="default: the nominal step + 8 deg at boresight")
+    p.add_argument("--r-window", type=int, default=0,
+                   help="range rows to search each way; default 0 (angle only): a "
+                        "platform turning about the sensor keeps every range")
 
     p = subcommand("train", cmd_train, "train the spatial encoder", ("--seed",))
     p.add_argument("--heatmaps", required=True)
@@ -328,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="log-compress magnitudes")
 
     p = subcommand("eval", cmd_eval, "end-to-end synthetic retrieval evaluation",
-                   ("--config", "--seed", "--preset"))
+                   ("--config", "--seed"))
     p.add_argument("--out", required=True)
     p.add_argument("--concat", choices=["none", "fixed", "relpose"], default="none")
     p.add_argument("--weights", help="reuse trained weights instead of training")

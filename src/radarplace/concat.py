@@ -388,29 +388,27 @@ def step_bins(step_deg: float, n_cols: int) -> int:
     return int(round(math.radians(step_deg) * n_cols / 2.0))
 
 
-def mosaic_cycles(frames: list[Heatmap], pcfg: PlatformConfig, mode: str, r_window: int,
-                  a_window: int | None = None, step: int | None = None,
+def mosaic_cycles(frames: list[Heatmap], pcfg: PlatformConfig, mode: str, r_window: int = 0,
                   ) -> tuple[list[PoseOffset], list[Heatmap]]:
     """Register a rotating-platform sequence and mosaic each of its rotation cycles.
 
-    ``mode`` is "relpose" (estimated offsets) or "fixed" (``step`` bins per
-    frame).  By default the angle search spans the platform's nominal step
-    plus A_WINDOW_MARGIN_DEG at boresight, and ``step`` is the nominal step
-    in bins.  Returns the per-frame offsets of :func:`register_sequence` and
-    one mosaic per cycle of :func:`detect_cycles`, each on the range grid of
-    its first frame.
+    ``mode`` is "relpose" (estimated offsets) or "fixed" (the platform's
+    nominal step in bins per frame).  The angle search spans the nominal
+    step plus A_WINDOW_MARGIN_DEG at boresight.  Registration is angle-only
+    unless ``r_window`` asks for range shifts: a platform that turns about
+    the sensor keeps every reflector's range.  Returns the per-frame offsets
+    of :func:`register_sequence` and one mosaic per cycle of
+    :func:`detect_cycles`, each on the range grid of its first frame.
     """
     if mode not in ("relpose", "fixed"):
         raise ConfigError(f"unknown mosaic mode {mode!r}")
     if not frames:
         raise ConfigError("frames must be nonempty")
     cols = frames[0].n_cols
-    if a_window is None:
-        a_window = default_a_window(cols, pcfg.nominal_step + A_WINDOW_MARGIN_DEG)
-    if step is None:
-        step = step_bins(pcfg.nominal_step, cols)
+    a_window = default_a_window(cols, pcfg.nominal_step + A_WINDOW_MARGIN_DEG)
     offsets = register_sequence(frames, r_window, a_window)
     segments = detect_cycles(offsets)
     if mode == "relpose":
         return offsets, [concat_relative_pose(frames, seg, offsets) for seg in segments]
+    step = step_bins(pcfg.nominal_step, cols)
     return offsets, [concat_fixed_step(frames, seg, step) for seg in segments]

@@ -167,6 +167,8 @@ def load_weights(path) -> EncoderWeights:
             off += c_out * 4
         if off != len(payload):
             raise FormatError(f"{path}: trailing bytes in weights payload")
+        if not all(np.isfinite(a).all() for a in kernels + biases):
+            raise FormatError(f"{path}: non-finite encoder weight")
         return EncoderWeights(arch, kernels, biases, seed)
 
 
@@ -206,6 +208,10 @@ def load_db(path) -> PlaceDB:
         table = np.empty(count, _mpdb_record(dim))
         if fh.readinto(table) != table.nbytes:
             raise FormatError(f"{path}: truncated payload")
+    # a NaN heading stands for none
+    if (not all(np.isfinite(table[name]).all() for name in ("x", "y", "descriptor"))
+            or np.isinf(table["heading"]).any()):
+        raise FormatError(f"{path}: non-finite value in a record")
     columns = (table[name].tolist() for name in ("id", "x", "y", "heading"))
     for rid, x, y, heading, desc in zip(*columns, table["descriptor"]):
         db.add(PlaceRecord(rid, desc, (x, y), None if math.isnan(heading) else heading))

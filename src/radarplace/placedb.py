@@ -57,6 +57,8 @@ class PlaceDB:
     changed after it is added: ``query`` keeps arrays that mirror
     ``records`` (float32 descriptors, float64 squared norms, ids,
     positions) and copies only the records added since the last query.
+    That copy rejects a descriptor holding NaN or inf, so the first query
+    after such an ``add`` raises ConfigError.
     """
 
     def __init__(self):
@@ -102,8 +104,13 @@ class PlaceDB:
             self._ids = _grown(self._ids, n, (cap,))
             self._pos = _grown(self._pos, n, (cap, 2))
         rows = np.stack([r.descriptor for r in new], out=self._desc[n:need])
-        # products of float32 values are exact in float64
+        # products of float32 values are exact in float64, so a squared norm is
+        # finite exactly when its row is
         self._sqnorm[n:need] = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+        finite = np.isfinite(self._sqnorm[n:need])
+        if not finite.all():
+            bad = new[int(finite.argmin())].id
+            raise ConfigError(f"record id {bad}: descriptor holds a non-finite value")
         ids = [r.id for r in new]
         try:
             self._ids[n:need] = ids

@@ -30,7 +30,6 @@ from .radar import (
 
 ROTATION_BUCKETS = ((0.0, 5.0), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0))
 LATERAL_BUCKETS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0))
-MOSAIC_R_WINDOW = 2  # range search window (rows) when registering sweep frames
 RANGE_HI_M = 40.0  # farthest reflector of a place, m
 AMP_LO, AMP_HI = 0.5, 2.0  # reflector amplitude range
 
@@ -176,7 +175,7 @@ def mosaic_view(
     frames = render_sweep(world, place_idx, cfg, pcfg, n_frames, body_heading_deg, lateral, seed)
     # jitter can reflect off the sweep limit a frame early; keep the first
     # constant-sign run only
-    _, mosaics = cc.mosaic_cycles(frames, pcfg, mode, MOSAIC_R_WINDOW)
+    _, mosaics = cc.mosaic_cycles(frames, pcfg, mode)
     return standardize_mosaic(mosaics[0], world.cfg.mosaic_cols)
 
 

@@ -472,20 +472,54 @@ def test_concat_default_window_follows_the_platform_step(tmp_path):
     assert all(abs(step - truth) <= 1 for step in steps), steps
 
 
-@pytest.mark.parametrize("flag", ["--a-window", "--step-bins"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_concat_window_and_step_below_1_exit_1(tmp_path, scene_file, cfg_file, capsys,
-                                               flag, value):
-    # an explicit 0 must not silently become the derived default
-    cubes, maps = tmp_path / "cubes", tmp_path / "maps"
+def test_concat_registers_a_static_sweep_by_angle_only(tmp_path, scene_file, cfg_file):
+    # the platform turns about the sensor, so no frame's content moves in range;
+    # a range search would invent shifts and split this one-way sweep into cycles
+    cubes, maps, out = tmp_path / "cubes", tmp_path / "maps", tmp_path / "mo"
     assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
-                 "--out", str(cubes), "--frames", "4", "--seed", "1"]) == 0
+                 "--out", str(cubes), "--frames", "8", "--seed", "1"]) == 0
     assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
-                 "--out", str(maps), "--heatmap-size", "64x32"]) == 0
+                 "--out", str(maps), "--heatmap-size", "64x96"]) == 0
+    assert main(["concat", "--in", str(maps), "--out", str(out)]) == 0
+    offsets = load_offsets_csv(out / "offsets.csv")
+    assert [o.r_offset for o in offsets] == [0] * 8
+    assert len(list(out.glob("mosaic_*.rah"))) == 1
+
+
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_simulate_frames_below_1_exit_1(tmp_path, scene_file, capsys, frames):
+    # an explicit 0 must not silently become the config's frame count
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text("n_chirps = 4\nn_frames = 3\n")
+    out = tmp_path / "cubes"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(out), "--frames", frames]) == 1
+    assert f"frame count must be >= 1, got {frames}" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("n_chirps = 4\nn_frames = 0\n")
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(out)]) == 1
+
+
+def test_build_db_with_non_finite_weights_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for f in range(2):
+        save_heatmap(maps / f"frame_{f:04d}.rah",
+                     Heatmap(rng.random((64, 32)), 0.1, np.linspace(-1.0, 1.0, 32)))
+    save_poses_csv(maps / "poses.csv", [
+        {"frame_idx": f, "x_m": 10.0 * f, "y_m": 0.0, "heading_deg": 0.0} for f in range(2)
+    ])
+    weights = init_weights(EncoderArch(input_shape=(64, 32)), 0)
+    weights.kernels[0][0, 0, 1, 1] = np.nan
+    save_weights(tmp_path / "nan.mmw", weights)  # with a valid checksum
+    db = tmp_path / "places.mpdb"
     capsys.readouterr()
-    assert main(["concat", "--in", str(maps), "--out", str(tmp_path / "mo"),
-                 "--mode", "fixed", flag, value]) == 1
-    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert main(["build-db", "--heatmaps", str(maps), "--poses", str(maps / "poses.csv"),
+                 "--weights", str(tmp_path / "nan.mmw"), "--out", str(db)]) == 3
+    assert "non-finite encoder weight" in capsys.readouterr().err
+    assert not db.exists()
 
 
 def test_unknown_config_key_exits_1(tmp_path, scene_file, capsys):

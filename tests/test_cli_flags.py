@@ -2,11 +2,13 @@
 
 The check reads ``cli.py``'s syntax tree: each destination a subparser
 declares must appear as ``args.<dest>`` in its ``cmd_*`` function or in a
-module function that the ``cmd_*`` passes ``args`` to.
+module function that the ``cmd_*`` passes ``args`` to.  The flag table in
+``README.md`` lists exactly the options each subparser declares.
 """
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -79,8 +81,11 @@ def _base_args(tmp_path) -> dict[str, list[str]]:
 REMOVED_FLAGS = [
     ("simulate", "--preset", "paper-defaults"),
     ("heatmap", "--seed", "5"),
+    ("heatmap", "--preset", "paper-defaults"),
     ("concat", "--seed", "5"),
     ("concat", "--preset", "paper-defaults"),
+    ("concat", "--a-window", "20"),
+    ("concat", "--step-bins", "4"),
     ("train", "--config", "x.cfg"),
     ("train", "--preset", "paper-defaults"),
     ("build-db", "--config", "x.cfg"),
@@ -102,3 +107,25 @@ def test_flag_the_subcommand_does_not_read_exits_1(tmp_path, capsys, name, flag,
     capsys.readouterr()
     assert main([*base, flag, value]) == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _readme_flag_table() -> dict[str, set[str]]:
+    """Subcommand -> the ``--`` options that README.md's flag table lists for it."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| Subcommand | Flags |") + 2  # skip the header rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = set(re.findall(r"--[\w-]+", flags))
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    declared = {
+        name: {opt for a in sub._actions if not isinstance(a, argparse._HelpAction)
+               for opt in a.option_strings}
+        for name, sub in _subparsers().items()
+    }
+    assert _readme_flag_table() == declared

@@ -21,6 +21,7 @@ from radarplace.concat import (
     mosaic_cycles,
     register_sequence,
     signs_consistent,
+    step_bins,
     translate,
 )
 from radarplace import synth
@@ -305,9 +306,12 @@ def test_mosaic_cycles_runs_the_recipe_once_per_cycle():
     for seg, mosaic in zip(segments, relpose):
         assert np.array_equal(mosaic.values,
                               concat_relative_pose(frames, seg, offsets).values)
-    _, fixed = mosaic_cycles(frames, pcfg, "fixed", 2, a_window=a_window, step=7)
+    _, fixed = mosaic_cycles(frames, pcfg, "fixed", 2)
     for seg, mosaic in zip(segments, fixed):
-        assert np.array_equal(mosaic.values, concat_fixed_step(frames, seg, 7).values)
+        assert np.array_equal(mosaic.values, concat_fixed_step(
+            frames, seg, step_bins(pcfg.nominal_step, 96)).values)
+    # angle-only by default
+    assert mosaic_cycles(frames, pcfg, "relpose")[0] == register_sequence(frames, 0, a_window)
     for mode in ("none", "RELPOSE"):
         with pytest.raises(ConfigError):
             mosaic_cycles(frames, pcfg, mode, 2)

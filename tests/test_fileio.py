@@ -228,6 +228,30 @@ def test_db_size_must_match_header(tmp_path):
         load_db(tmp_path / "huge.mpdb")
 
 
+def test_non_finite_weights_are_a_format_error(tmp_path):
+    arch = EncoderArch(input_shape=(16, 24), channels=(1, 4, 6), pools=((2, 2), None))
+    p = tmp_path / "enc.mmw"
+    for layer, part, bad in ((1, "kernels", np.nan), (0, "biases", np.inf)):
+        w = init_weights(arch, seed=1)
+        getattr(w, part)[layer].flat[2] = bad
+        save_weights(p, w)  # the checksum is valid
+        with pytest.raises(FormatError, match="non-finite encoder weight"):
+            load_weights(p)
+
+
+@pytest.mark.parametrize("bad", ["descriptor", "position", "heading"])
+def test_db_non_finite_value_is_a_format_error(tmp_path, bad):
+    db = PlaceDB()
+    db.add(PlaceRecord(1, np.ones(4), (0.0, 0.0), heading=None))  # NaN on disk: no heading
+    db.add(PlaceRecord(2, np.full(4, np.nan) if bad == "descriptor" else np.ones(4),
+                       (np.inf, 0.0) if bad == "position" else (1.0, 0.0),
+                       heading=-np.inf if bad == "heading" else 10.0))
+    p = tmp_path / "places.mpdb"
+    save_db(p, db)
+    with pytest.raises(FormatError, match="non-finite value"):
+        load_db(p)
+
+
 @pytest.mark.parametrize("bad_id", [-1, 2**64, 1.5])
 def test_db_save_rejects_ids_outside_u64(tmp_path, bad_id):
     # MPDB stores ids as <Q; an id it cannot hold is a struct.error, as from struct.pack

@@ -238,7 +238,14 @@ def test_db_codec_matches_struct_reference(workdir, data):
     save_db(fast, db)
     _save_db_reference(ref, db)
     assert fast.read_bytes() == ref.read_bytes()
-    got, want = load_db(fast), _load_db_reference(ref)
+    want = _load_db_reference(ref)
+    # NaN codes a missing heading; any other non-finite value is a malformed file
+    if any(not np.isfinite([*r.position, *r.descriptor]).all()
+           or r.heading is not None and np.isinf(r.heading) for r in want.records):
+        with pytest.raises(FormatError, match="non-finite value"):
+            load_db(fast)
+        return
+    got = load_db(fast)
     assert len(got) == len(want)
     for a, b in zip(got.records, want.records, strict=True):
         assert repr((a.id, a.position, a.heading)) == repr((b.id, b.position, b.heading))

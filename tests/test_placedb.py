@@ -376,10 +376,30 @@ def test_all_equal_rows_rerank_everything():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30])
 def test_non_finite_or_huge_values_rerank_everything(bad):
     descs = np.eye(4, dtype=np.float32)
+    db = _db_from(descs)
+    q = [0.0, bad, 0.0, 0.0]
+    _same(db.query(q, 4), _query_reference(db, q, 4))
+    # a huge stored value is still ranked exactly; a non-finite one is refused
     descs[2, 1] = bad
     db = _db_from(descs)
     for q in ([1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]):
-        _same(db.query(q, 4), _query_reference(db, q, 4))
+        if np.isfinite(bad):
+            _same(db.query(q, 4), _query_reference(db, q, 4))
+        else:
+            with pytest.raises(ConfigError, match="record id 2"):
+                db.query(q, 4)
+
+
+def test_query_refuses_a_stored_non_finite_descriptor():
+    # the record is refused on the first query after its add, however many came before
+    db = _db_from([[1.0, 0.0, 0.0, 0.0], [np.nan] * 4])
+    with pytest.raises(ConfigError, match="record id 1: descriptor holds a non-finite"):
+        db.query(np.ones(4), 2)
+    db = _db_from([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    assert db.query(np.ones(4), 2).ids == [0, 1]
+    db.add(PlaceRecord(7, [0.0, 0.0, np.inf, 0.0], (0.0, 0.0)))
+    with pytest.raises(ConfigError, match="record id 7"):
+        db.query(np.ones(4), 2)
 
 
 def test_query_returns_ids_beyond_int64_exactly():
