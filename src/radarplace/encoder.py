@@ -10,6 +10,7 @@ central finite differences.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +129,16 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
+def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(C, H, W) -> (C*9, H*W) patch matrix for a zero-padded 3x3 convolution.
 
-    Each of the nine shifted windows is copied once into its in-bounds part
-    of a zeroed buffer; the uncovered border is the zero padding.
+    Each of the nine shifted windows is copied into its in-bounds part of a
+    zeroed (C, 3, 3, H, W) buffer, ``out`` if given; the uncovered border is
+    the zero padding.  The copied parts depend only on the shape, so a
+    buffer reused for one shape keeps its zero border.
     """
     c, h, w = x.shape
-    cols = np.zeros((c, 3, 3, h, w))
+    cols = np.zeros((c, 3, 3, h, w)) if out is None else out
     for di in range(3):
         r0, r1 = max(0, 1 - di), min(h, h + 1 - di)
         for dj in range(3):
@@ -143,6 +146,28 @@ def _im2col(x: np.ndarray) -> np.ndarray:
             cols[:, di, dj, r0:r1, c0:c1] = x[:, r0 + di - 1 : r1 + di - 1,
                                               c0 + dj - 1 : c1 + dj - 1]
     return cols.reshape(c * 9, h * w)
+
+
+_workspaces = threading.local()
+
+
+def _workspace(layer: int, shape: tuple[int, int, int], c_out: int):
+    """This thread's (patch buffer, matmul output) for one layer and input shape.
+
+    The lean forward reuses them on every call: fresh arrays of this size
+    would be freshly mapped, zero-filled pages each time.  Every call
+    overwrites all they hold but the patch buffer's zero border, so what
+    an earlier call left in them never reaches a result.  They live as
+    long as the thread, one pair per (layer, shape) it has encoded.
+    """
+    bufs = getattr(_workspaces, "bufs", None)
+    if bufs is None:
+        bufs = _workspaces.bufs = {}
+    key = (layer, shape, c_out)
+    if key not in bufs:
+        c, h, w = shape
+        bufs[key] = (np.zeros((c, 3, 3, h, w)), np.empty((c_out, h * w)))
+    return bufs[key]
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
@@ -180,7 +205,10 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     """Run the conv stack; returns (flat pre-norm descriptor, cache).
 
     The backward cache (patch matrices, rectifier masks, pool argmax
-    indices) is built only when ``keep`` is true; otherwise it is None.
+    indices) is built only when ``keep`` is true, in fresh arrays that
+    outlive the call; otherwise the cache is None and each layer's patch
+    matrix and matmul output go to its reused ``_workspace``.  No returned
+    array shares memory with a workspace.
     """
     arch = w.arch
     cache = [] if keep else None
@@ -188,13 +216,13 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     for l in range(arch.n_layers):
         c_out = arch.channels[l + 1]
         _, h, wid = cur.shape
-        cols = _im2col(cur)
-        pre = w.kernels[l].reshape(c_out, -1) @ cols
+        cols_buf, pre = (None, None) if keep else _workspace(l, cur.shape, c_out)
+        cols = _im2col(cur, cols_buf)
+        pre = np.matmul(w.kernels[l].reshape(c_out, -1), cols, out=pre)
         pre += w.biases[l][:, None]
         pre = pre.reshape(c_out, h, wid)
         if keep:
             cache.append({"in_shape": cur.shape, "cols": cols, "mask": pre > 0})
-        del cols  # freed before the next layer allocates its own
         cur = np.maximum(pre, 0.0, out=pre)
         pool = arch.pools[l]
         if pool is None:
@@ -203,6 +231,8 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
         if keep:
             cache[-1]["pool_idx"] = idx
             cache[-1]["pool_in_shape"] = (c_out, h, wid)
+    if not keep and arch.pools[-1] is None:
+        cur = cur.copy()  # the last layer's output is its workspace
     return cur.ravel(), cache
 
 

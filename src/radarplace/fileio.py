@@ -20,7 +20,7 @@ from .concat import PoseOffset
 from .encoder import EncoderArch, EncoderWeights
 from .errors import ConfigError, DimensionError, FormatError
 from .heatmap import Heatmap
-from .placedb import PlaceDB, PlaceRecord
+from .placedb import PlaceDB
 from .radar import IFCube, PlatformConfig, RadarConfig, Scatterer
 from .synth import WorldConfig
 
@@ -212,10 +212,11 @@ def load_db(path) -> PlaceDB:
     if (not all(np.isfinite(table[name]).all() for name in ("x", "y", "descriptor"))
             or np.isinf(table["heading"]).any()):
         raise FormatError(f"{path}: non-finite value in a record")
-    columns = (table[name].tolist() for name in ("id", "x", "y", "heading"))
-    for rid, x, y, heading, desc in zip(*columns, table["descriptor"]):
-        db.add(PlaceRecord(rid, desc, (x, y), None if math.isnan(heading) else heading))
-    return db
+    ids, xs, ys, headings = (table[name].tolist() for name in ("id", "x", "y", "heading"))
+    return PlaceDB._from_columns(
+        ids, np.asarray(table["descriptor"], dtype=np.float32), list(zip(xs, ys)),
+        [None if math.isnan(h) else h for h in headings],
+    )
 
 
 # -- text inputs --------------------------------------------------------------

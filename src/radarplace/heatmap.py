@@ -6,7 +6,9 @@ and a final magnitude.  Both FFTs are linear, so integrating the chirps
 first gives the same map as transforming every chirp and summing after.
 :func:`generate_heatmap` sums the chirps of an IF cube;
 :func:`heatmap_from_sum` runs the rest of the cascade on a chirp sum, such
-as one drawn directly by ``radar.simulate_chirp_sum``.
+as one drawn directly by ``radar.simulate_chirp_sum``, and
+:func:`heatmaps_from_sums` on a stack of them, one per heading of a sweep,
+with one range FFT for the whole stack.
 The heatmap size sets the FFT lengths: the range FFT runs over the first
 ``rows`` fast-time samples, and the angle FFT has length ``cols``, which
 zero-pads the antennas and interpolates the angle spectrum without moving
@@ -59,9 +61,12 @@ class Heatmap:
             raise DimensionError(f"heatmap must be 2-D, got {self.values.shape}")
         if self.angle_axis.shape != (self.values.shape[1],):
             raise DimensionError("angle_axis length must equal column count")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        # min and max carry a NaN through, and fail both comparisons with it
+        v = self.values
+        if v.size and not (v.min() >= 0 and v.max() < math.inf):
             raise ConfigError("heatmap values must be finite and >= 0")
-        if self.angle_axis.size > 1 and not np.all(np.diff(self.angle_axis) > 0):
+        a = self.angle_axis
+        if not (a[1:] > a[:-1]).all():
             raise ConfigError("angle_axis must be strictly increasing")
 
     @property
@@ -132,7 +137,21 @@ def heatmap_from_sum(
     fast time.  Rows beyond ``max_range_m``, a finite positive range, are
     discarded when given.
     """
-    rows, n_r = summed.shape
+    return heatmaps_from_sums(summed[None], cfg, cols, max_range_m, window)[0]
+
+
+def heatmaps_from_sums(
+    summed: np.ndarray, cfg: RadarConfig, cols: int,
+    max_range_m: float | None = None, window: str = "rect",
+) -> list[Heatmap]:
+    """One heatmap per frame of a (frames, rows, n_antennas) stack of chirp sums.
+
+    Each frame is :func:`heatmap_from_sum` of that frame, bit for bit.  The
+    range FFT runs once over the stack; the angle FFT runs per frame, since
+    a (frames, rows, cols) complex stack would be freshly mapped memory on
+    every call.  The angle axis, its mask and the shift order are built once.
+    """
+    _, rows, n_r = summed.shape
     if cols < 1:
         raise DimensionError("heatmap dims must be >= 1")
     if cols < n_r:
@@ -146,17 +165,17 @@ def heatmap_from_sum(
     elif window != "rect":
         raise ConfigError(f"unknown window {window!r}")
 
-    spec = np.fft.fft(summed, axis=0)            # fast time -> range
-    spec = np.fft.fft(spec, n=cols, axis=1)      # antennas -> angle
-    values = np.abs(np.fft.fftshift(spec, axes=1))  # ascending wrapped phase
-
+    spec = np.fft.fft(summed, axis=1)  # fast time -> range
     axis, valid = angle_axis_for(cfg, cols)
-    values = values[:, valid]
-    axis = axis[valid]
+    order = np.fft.fftshift(np.arange(cols))[valid]  # ascending wrapped phase
 
     # range bins are spaced by the cropped fast-time length
     range_bin_m = cfg.sample_rate / rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
+    keep = rows
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
-        values = values[:keep, :]
-    return Heatmap(values, range_bin_m, axis)
+    return [
+        Heatmap(np.abs(np.fft.fft(frame[:keep], n=cols, axis=1)[:, order]),  # antennas -> angle
+                range_bin_m, axis[valid])
+        for frame in spec
+    ]

@@ -53,8 +53,9 @@ class PlaceDB:
     Descriptors are held as float32, matching the on-disk format, so a
     save/load round trip reproduces query results bit for bit.
 
-    ``records`` grows only through ``add``, and a stored descriptor is never
-    changed after it is added: ``query`` keeps arrays that mirror
+    ``records`` grows only through ``add`` (or, for a new database,
+    ``_from_columns``), and a stored descriptor is never changed after it
+    is added: ``query`` keeps arrays that mirror
     ``records`` (float32 descriptors, float64 squared norms, ids,
     positions) and copies only the records added since the last query.
     That copy rejects a descriptor holding NaN or inf, so the first query
@@ -90,6 +91,33 @@ class PlaceDB:
 
     def get(self, record_id: int) -> PlaceRecord:
         return self.records[self._row_of[record_id]]
+
+    @classmethod
+    def _from_columns(cls, ids: list[int], descriptors: np.ndarray,
+                      positions: list[tuple[float, float]],
+                      headings: list[float | None]) -> "PlaceDB":
+        """A database of one record per descriptor row, built in one step, not one ``add`` each.
+
+        ``descriptors`` is a (count, dim) float32 array and positions are
+        float pairs, so the records take them as they are, without
+        ``PlaceRecord``'s conversions.  Rows of one array share their dim;
+        ``add``'s duplicate-id check applies, with its error.
+        """
+        db = cls()
+        db._row_of = dict(zip(ids, range(len(ids))))
+        if len(db._row_of) < len(ids):
+            seen: set[int] = set()
+            for rid in ids:
+                if rid in seen:
+                    raise DuplicateIdError(f"record id {rid} already present")
+                seen.add(rid)
+        new = object.__new__
+        for rid, desc, pos, heading in zip(ids, descriptors, positions, headings):
+            rec = new(PlaceRecord)
+            rec.__dict__ = {"id": rid, "descriptor": desc, "position": pos,
+                            "heading": heading, "source": ""}
+            db.records.append(rec)
+        return db
 
     def _sync(self) -> int:
         """Copy the records added since the last query into the mirror; return its size."""

@@ -5,7 +5,10 @@ truth, so every downstream stage can be checked against arithmetic on the
 scene instead of recorded data.  One scatterer loop (:func:`_signal`) feeds
 both outputs: the full (sample, chirp, antenna) IF cube that IFC1 files
 hold, and the coherent chirp sum of the first ``rows`` samples, which is
-all a range-azimuth heatmap reads.
+all a range-azimuth heatmap reads.  Given a world-frame scene and a list of
+headings, the same loop renders every heading in one pass: each frame sees
+the scene rotated and cut to the field of view, and each scatterer's
+fast-time tone, which does not depend on heading, is computed once.
 """
 
 from __future__ import annotations
@@ -136,7 +139,16 @@ def _check_rows(rows: int, n_samples: int) -> None:
         raise DimensionError("heatmap dims must be >= 1")
 
 
-def _signal(scene: list[Scatterer], cfg: RadarConfig, rows: int) -> np.ndarray:
+def _sensor_azimuth(azimuth: float, heading_rad: float, half_fov: float) -> float | None:
+    """A world azimuth in the sensor frame at ``heading_rad``, or None outside the FOV."""
+    az = (azimuth - heading_rad + math.pi) % (2 * math.pi) - math.pi
+    return az if abs(az) < half_fov else None
+
+
+def _signal(
+    scene: list[Scatterer], cfg: RadarConfig, rows: int,
+    headings: list[float] | None = None,
+) -> np.ndarray:
     """Chirp-invariant (rows, n_antennas) signal of the first ``rows`` fast-time samples.
 
     Each scatterer contributes a fast-time tone at its beat frequency and a
@@ -144,29 +156,44 @@ def _signal(scene: list[Scatterer], cfg: RadarConfig, rows: int) -> np.ndarray:
     off-boresight reflectors by cos(azimuth)**gain_taper_exp.  Chirps are
     identical (static scene, zero Doppler), so this one matrix is every
     chirp's signal.
+
+    With ``headings`` (deg), ``scene`` is world-frame and the result is a
+    (len(headings), rows, n_antennas) stack: frame f is the signal of
+    ``scene_at_heading(scene, headings[f], cfg.fov_deg)``.  Range does not
+    change with heading, so each scatterer's tone is computed once.
     """
-    signal = np.zeros((rows, cfg.n_antennas), dtype=np.complex128)
+    frames = [None] if headings is None else [math.radians(h) for h in headings]
+    signal = np.zeros((len(frames), rows, cfg.n_antennas), dtype=np.complex128)
     i = np.arange(rows)
     k = np.arange(cfg.n_antennas)
-    for sc in scene:
-        if sc.range >= cfg.max_range:
-            raise RangeAliasingError(
-                f"scatterer at {sc.range:.2f} m aliases: unambiguous range is "
-                f"{cfg.max_range:.2f} m"
-            )
-        if abs(sc.azimuth) >= math.pi / 2:
-            raise ConfigError(
-                f"scatterer azimuth {sc.azimuth:.3f} rad outside sensor half-space"
-            )
-        amp = sc.amplitude
-        if cfg.gain_taper_exp > 0:
-            amp *= max(math.cos(sc.azimuth), 0.0) ** cfg.gain_taper_exp
-        f_if = cfg.beat_frequency(sc.range)
-        omega = cfg.phase_step(sc.azimuth)
-        tone = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
-        steer = np.exp(1j * omega * k)
-        signal += amp * tone[:, None] * steer[None, :]
-    return signal
+    half_fov = math.radians(cfg.fov_deg) / 2.0
+    tones: dict[int, np.ndarray] = {}
+    for out, heading in zip(signal, frames):
+        for s, sc in enumerate(scene):
+            az = sc.azimuth
+            if heading is not None:
+                az = _sensor_azimuth(az, heading, half_fov)
+                if az is None:
+                    continue
+            if sc.range >= cfg.max_range:
+                raise RangeAliasingError(
+                    f"scatterer at {sc.range:.2f} m aliases: unambiguous range is "
+                    f"{cfg.max_range:.2f} m"
+                )
+            if abs(az) >= math.pi / 2:
+                raise ConfigError(
+                    f"scatterer azimuth {az:.3f} rad outside sensor half-space"
+                )
+            amp = sc.amplitude
+            if cfg.gain_taper_exp > 0:
+                amp *= max(math.cos(az), 0.0) ** cfg.gain_taper_exp
+            tone = tones.get(s)
+            if tone is None:
+                f_if = cfg.beat_frequency(sc.range)
+                tone = tones[s] = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
+            steer = np.exp(1j * cfg.phase_step(az) * k)
+            out += amp * tone[:, None] * steer[None, :]
+    return signal if headings is not None else signal[0]
 
 
 def _add_noise(data: np.ndarray, scale: float, seed: int) -> None:
@@ -208,7 +235,8 @@ def simulate_chirp_sum(
     cfg: RadarConfig,
     rows: int,
     noise_std: float = 0.0,
-    seed: int = 0,
+    seed: int | list[int] = 0,
+    headings: list[float] | None = None,
 ) -> np.ndarray:
     """Coherent chirp sum of the first ``rows`` fast-time samples, (rows, n_antennas).
 
@@ -219,13 +247,25 @@ def simulate_chirp_sum(
     ``sqrt(n_chirps)`` times the cube's per-component scale has exactly the
     distribution of the cube's chirp sum, though not the same draw for the
     same seed.
+
+    With ``headings`` (deg), ``scene`` is world-frame, ``seed`` holds one
+    noise seed per heading, and the result is a (len(headings), rows,
+    n_antennas) stack: frame f is, bit for bit, the chirp sum of
+    ``scene_at_heading(scene, headings[f], cfg.fov_deg)`` drawn with
+    ``seed[f]``.
     """
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
     _check_rows(rows, cfg.n_samples)
-    summed = cfg.n_chirps * _signal(scene, cfg, rows)
+    summed = _signal(scene, cfg, rows, headings)
+    summed *= cfg.n_chirps
     if noise_std > 0:
-        _add_noise(summed, math.sqrt(cfg.n_chirps) * noise_std / math.sqrt(2.0), seed)
+        scale = math.sqrt(cfg.n_chirps) * noise_std / math.sqrt(2.0)
+        if headings is None:
+            _add_noise(summed, scale, seed)
+        else:
+            for frame, frame_seed in zip(summed, seed, strict=True):
+                _add_noise(frame, scale, frame_seed)
     return summed
 
 
@@ -268,8 +308,8 @@ def scene_at_heading(
     half_fov = math.radians(fov_deg) / 2.0
     h = math.radians(heading_deg)
     for sc in scene:
-        az = (sc.azimuth - h + math.pi) % (2 * math.pi) - math.pi
-        if abs(az) < half_fov:
+        az = _sensor_azimuth(sc.azimuth, h, half_fov)
+        if az is not None:
             out.append(Scatterer(sc.range, az, sc.amplitude))
     return out
 

@@ -1,10 +1,13 @@
 """Synthetic multi-place world and the end-to-end evaluation pipeline.
 
 Places are laid out with known ground-truth positions and random point
-reflectors, so retrieval metrics can be computed against exact truth.  The
-evaluation mirrors the structural studies of the pipeline: recall under
-small variation, degradation across rotation/lateral buckets, and the
-fixed-step versus relative-pose mosaicking comparison.
+reflectors, so retrieval metrics can be computed against exact truth.
+Single views and rotating-platform sweeps go through one renderer, which
+takes a scene, its headings and one noise seed per heading, and simulates
+and transforms all headings in one pass.  The evaluation mirrors the
+structural studies of the pipeline: recall under small variation,
+degradation across rotation/lateral buckets, and the fixed-step versus
+relative-pose mosaicking comparison.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ import numpy as np
 from . import concat as cc
 from . import encoder as enc
 from .errors import ConfigError
-from .heatmap import Heatmap, heatmap_from_sum
+from .heatmap import Heatmap, heatmaps_from_sums
 from .placedb import PlaceDB, PlaceRecord, max_f1, recall_at_n
 from .radar import (
     PlatformConfig,
     RadarConfig,
     Scatterer,
-    scene_at_heading,
     simulate_chirp_sum,
     sweep_schedule,
 )
@@ -99,18 +101,19 @@ def _scene_from(place: Place, lateral: tuple[float, float]) -> list[Scatterer]:
     return out
 
 
-def _render_frame(
+def _render(
     scene: list[Scatterer], cfg: RadarConfig, wcfg: WorldConfig,
-    heading_deg: float, seed: int,
-) -> Heatmap:
-    """One heatmap of a world-frame scene: rotate, simulate, FFT.
+    headings_deg: list[float], seeds: list[int],
+) -> list[Heatmap]:
+    """Heatmaps of a world-frame scene at each heading, frame f drawn with ``seeds[f]``.
 
-    Only the chirp sum of the first ``heatmap_rows`` samples is simulated,
-    since that is all the heatmap reads; no IF cube is built.
+    One pass for all headings: only the chirp sums of the first
+    ``heatmap_rows`` samples are simulated, since that is all a heatmap
+    reads, and no IF cube is built.
     """
-    local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
-    summed = simulate_chirp_sum(local, cfg, wcfg.heatmap_rows, wcfg.noise_std, seed)
-    return heatmap_from_sum(summed, cfg, wcfg.heatmap_cols)
+    summed = simulate_chirp_sum(scene, cfg, wcfg.heatmap_rows, wcfg.noise_std, seeds,
+                                headings_deg)
+    return heatmaps_from_sums(summed, cfg, wcfg.heatmap_cols)
 
 
 def render_view(
@@ -123,7 +126,7 @@ def render_view(
 ) -> Heatmap:
     """Single-frame heatmap of one place from a perturbed pose."""
     scene = _scene_from(world.places[place_idx], lateral)
-    return _render_frame(scene, cfg, world.cfg, heading_deg, seed)
+    return _render(scene, cfg, world.cfg, [heading_deg], [seed])[0]
 
 
 def render_sweep(
@@ -138,10 +141,9 @@ def render_sweep(
 ) -> list[Heatmap]:
     """Rotating-platform heatmap sequence from one pose; seeds from :func:`sweep_schedule`."""
     scene = _scene_from(world.places[place_idx], lateral)
-    return [
-        _render_frame(scene, cfg, world.cfg, body_heading_deg + heading, noise_seed)
-        for heading, noise_seed in sweep_schedule(pcfg, n_frames, seed)
-    ]
+    schedule = sweep_schedule(pcfg, n_frames, seed)
+    return _render(scene, cfg, world.cfg, [body_heading_deg + h for h, _ in schedule],
+                   [s for _, s in schedule])
 
 
 def standardize_mosaic(mosaic: Heatmap, target_cols: int) -> Heatmap:

@@ -595,3 +595,69 @@ def test_non_finite_input_raises_format_error_without_warnings(bad):
         with pytest.raises(FormatError):
             train([(x, (0.0, 0.0)), (x, (1.0, 0.0)), *far], TrainConfig(max_epochs=1),
                   SMALL_ARCH)
+
+
+# -- the lean forward's reused workspaces -------------------------------------
+
+def test_a_descriptor_survives_later_encodes():
+    rng = np.random.default_rng(41)
+    for shape in ((64, 96), (16, 24)):
+        arch = EncoderArch(input_shape=shape) if shape != (16, 24) else SMALL_ARCH
+        w = init_weights(arch, seed=2)
+        first = encode(random_heatmap_values(rng, *shape), w)
+        kept = first.values.copy()
+        for _ in range(3):
+            encode(random_heatmap_values(rng, *shape), w)
+        assert first.values.tobytes() == kept.tobytes()
+
+
+def test_interleaved_sizes_match_the_reference_forward():
+    rng = np.random.default_rng(42)
+    ws = [init_weights(EncoderArch(input_shape=(64, 96)), 3),
+          init_weights(EncoderArch(input_shape=(64, 256)), 4)]
+    for i in range(6):
+        w = ws[i % 2]
+        for x in _oracle_inputs(rng, w.arch.input_shape):
+            got = encode(x, w)
+            ref = _describe_reference(x, w)[0]
+            assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_a_kept_cache_survives_a_lean_encode():
+    rng = np.random.default_rng(43)
+    w = init_weights(EncoderArch(input_shape=(64, 96)), 5)
+    xn = enc._normalize_input(random_heatmap_values(rng, 64, 96))
+    flat, cache = enc._forward(xn, w, keep=True)
+    snapshot = [{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in entry.items()}
+                for entry in cache]
+    flat_copy = flat.copy()
+    encode(random_heatmap_values(rng, 64, 96), w)
+    assert flat.tobytes() == flat_copy.tobytes()
+    for entry, snap in zip(cache, snapshot):
+        for key, value in snap.items():
+            if isinstance(value, np.ndarray):
+                assert entry[key].tobytes() == value.tobytes()
+
+
+def test_lean_outputs_do_not_alias_a_workspace():
+    rng = np.random.default_rng(44)
+    # the default arch ends without a pool, SMALL_ARCH with one
+    for arch in (EncoderArch(input_shape=(64, 96)), SMALL_ARCH):
+        w = init_weights(arch, seed=6)
+        x = enc._normalize_input(random_heatmap_values(rng, *arch.input_shape))
+        flat, _ = enc._forward(x, w)
+        bufs = [b for pair in enc._workspaces.bufs.values() for b in pair]
+        assert bufs and not any(np.shares_memory(flat, b) for b in bufs)
+
+
+def test_a_warm_encode_takes_few_page_faults():
+    resource = pytest.importorskip("resource")
+    w = init_weights(EncoderArch(input_shape=(64, 256)), 7)
+    x = random_heatmap_values(np.random.default_rng(45), 64, 256)
+    for _ in range(3):
+        encode(x, w)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        encode(x, w)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 50 < 50

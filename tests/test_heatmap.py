@@ -13,6 +13,7 @@ from radarplace.heatmap import (
     angle_to_col,
     generate_heatmap,
     heatmap_from_sum,
+    heatmaps_from_sums,
     range_from_frequency,
     range_to_row,
 )
@@ -167,6 +168,15 @@ def test_heatmap_invariant_validation():
         Heatmap(-np.ones((2, 2)), 1.0, np.array([0.0, 1.0]))
     with pytest.raises(ConfigError):
         Heatmap(np.ones((2, 2)), 1.0, np.array([1.0, 0.0]))
+    for bad in (math.nan, math.inf, -math.inf, -1e-300):
+        values = np.ones((3, 4))
+        values[2, 1] = bad
+        with pytest.raises(ConfigError):
+            Heatmap(values, 1.0, np.arange(4.0))
+    with pytest.raises(ConfigError):
+        Heatmap(np.ones((2, 3)), 1.0, np.array([0.0, 1.0, 1.0]))
+    assert Heatmap(np.zeros((0, 3)), 1.0, np.arange(3.0)).n_rows == 0
+    assert Heatmap(np.zeros((2, 1)), 1.0, np.zeros(1)).n_cols == 1
 
 
 def test_random_single_scatterer_peaks_match_prediction():
@@ -333,3 +343,26 @@ def test_heatmap_from_sum_rejects_bad_input(small_cfg):
     summed[3, 2] = np.inf
     with pytest.raises(ConfigError):
         heatmap_from_sum(summed, small_cfg, 8)
+
+
+def test_a_stack_of_sums_gives_each_frame_s_heatmap(noisy_cubes):
+    cfg, cubes = noisy_cubes
+    with pytest.warns(UserWarning):
+        wide = RadarConfig(antenna_spacing=3.0e-3)  # masks ambiguous columns
+    for rows, cols in ((64, 96), (37, 33), (1, 8)):
+        stack = np.stack([cube.data[:rows].sum(axis=1) for cube in cubes[:7]])
+        for c in (cfg, wide):
+            for window in ("rect", "hann"):
+                for max_range_m in (None, 20.0, 1e-3, 1e6):
+                    got = heatmaps_from_sums(stack, c, cols, max_range_m, window)
+                    assert len(got) == len(stack)
+                    for g, summed in zip(got, stack):
+                        want = heatmap_from_sum(summed, c, cols, max_range_m, window)
+                        assert g.values.tobytes() == want.values.tobytes()
+                        assert g.values.shape == want.values.shape
+                        assert g.range_bin_m == want.range_bin_m
+                        assert g.angle_axis.tobytes() == want.angle_axis.tobytes()
+    # every frame owns its arrays
+    a, b = heatmaps_from_sums(stack[:2], cfg, 8)
+    assert not np.shares_memory(a.angle_axis, b.angle_axis)
+    assert not np.shares_memory(a.values, b.values)

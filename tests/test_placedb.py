@@ -431,3 +431,43 @@ def test_max_f1_property_matches_reference(data):
     got = max_f1(results)
     assert got == want
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_a_loaded_database_is_the_one_adds_build(tmp_path):
+    rng = np.random.default_rng(17)
+    db = PlaceDB()
+    for rid in rng.permutation(300)[:120]:
+        db.add(PlaceRecord(int(rid), rng.standard_normal(24), tuple(rng.uniform(0, 60, 2)),
+                           None if rid % 3 else float(rid)))
+    save_db(tmp_path / "db.mpdb", db)
+    loaded = load_db(tmp_path / "db.mpdb")
+    assert [r.id for r in loaded.records] == [r.id for r in db.records]
+    for rid in (db.records[0].id, db.records[-1].id):
+        assert loaded.get(rid).position == db.get(rid).position
+    with pytest.raises(DuplicateIdError):
+        loaded.add(PlaceRecord(db.records[5].id, np.ones(24), (0.0, 0.0)))
+    with pytest.raises(DimensionError):
+        loaded.add(PlaceRecord(10_000, np.ones(23), (0.0, 0.0)))
+    # queries agree before and after adds that grow the loaded mirror
+    for step in range(3):
+        q = rng.standard_normal(24)
+        pos = tuple(rng.uniform(0, 60, 2))
+        a, b = db.query(q, 7, pos), loaded.query(q, 7, pos)
+        assert (a.ids, a.distances, a.flags, a.has_match) == (b.ids, b.distances, b.flags,
+                                                               b.has_match)
+        for target in (db, loaded):
+            target.add(PlaceRecord(1000 + step, q, pos))
+
+
+def test_loading_a_duplicate_id_raises_what_add_raises(tmp_path):
+    path = tmp_path / "dup.mpdb"
+    db = PlaceDB()
+    for rid in (4, 9, 2):
+        db.add(PlaceRecord(rid, [1.0, 0.0], (0.0, 0.0)))
+    save_db(path, db)
+    raw = bytearray(path.read_bytes())
+    record = 32 + 2 * 4
+    raw[12 + 2 * record : 12 + 2 * record + 8] = (9).to_bytes(8, "little")  # id 2 -> 9
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DuplicateIdError, match="record id 9 already present"):
+        load_db(path)

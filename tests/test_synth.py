@@ -8,12 +8,13 @@ import pytest
 from radarplace import encoder as enc
 from radarplace import synth
 from radarplace.errors import ConfigError, DimensionError, RangeAliasingError
-from radarplace.heatmap import generate_heatmap, heatmap_from_sum
+from radarplace.heatmap import angle_axis_for, generate_heatmap, heatmap_from_sum
 from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
     scene_at_heading,
     simulate_chirp_sum,
+    simulate_if_cube,
     simulate_platform_sweep,
     sweep_headings,
     sweep_schedule,
@@ -47,6 +48,23 @@ def _render_sweep_reference(world, place_idx, cfg, pcfg, n_frames,
     return frames
 
 
+def _heatmap_from_sum_reference(summed, cfg, cols):
+    """The earlier cascade: range FFT, angle FFT, fftshift, magnitude, column mask."""
+    spec = np.fft.fft(np.fft.fft(summed, axis=0), n=cols, axis=1)
+    values = np.abs(np.fft.fftshift(spec, axes=1))
+    axis, valid = angle_axis_for(cfg, cols)
+    return values[:, valid], axis[valid]
+
+
+def _render_view_reference(world, place_idx, cfg, heading_deg, lateral, seed):
+    """render_view as the earlier per-frame path: rotate the scene, then simulate."""
+    wcfg = world.cfg
+    scene = synth._scene_from(world.places[place_idx], lateral)
+    local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
+    summed = simulate_chirp_sum(local, cfg, wcfg.heatmap_rows, wcfg.noise_std, seed)
+    return _heatmap_from_sum_reference(summed, cfg, wcfg.heatmap_cols)
+
+
 CASES = [
     # world seed, place, platform, body heading, lateral, sweep seed
     (0, 0, PlatformConfig(), 0.0, (0.0, 0.0), 0),
@@ -65,6 +83,33 @@ def test_render_sweep_matches_own_seeding_loop(world_seed, place, pcfg, heading,
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.angle_axis, w.angle_axis)
         assert g.range_bin_m == w.range_bin_m
+
+
+VIEW_CONFIGS = [
+    RadarConfig(n_chirps=4),
+    RadarConfig(gain_taper_exp=0.0),
+    RadarConfig(gain_taper_exp=2.5, fov_deg=90.0, n_antennas=4),
+]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_render_view_matches_the_per_frame_path(case):
+    rng = np.random.default_rng(700 + case)
+    cfg = VIEW_CONFIGS[case % len(VIEW_CONFIGS)]
+    world = synth.build_world(synth.WorldConfig(
+        n_places=3, range_lo=float(rng.uniform(1.0, 9.0)), scatterers_per_place=12,
+        heatmap_rows=int(rng.choice([16, 64])), heatmap_cols=int(rng.choice([8, 33, 96])),
+        noise_std=float(rng.choice([0.0, 0.05, 0.3])), seed=case,
+    ))
+    for _ in range(25):
+        place = int(rng.integers(3))
+        heading = float(rng.uniform(-400.0, 400.0))
+        lateral = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+        seed = int(rng.integers(2**63))
+        got = synth.render_view(world, place, cfg, heading, lateral, seed)
+        values, axis = _render_view_reference(world, place, cfg, heading, lateral, seed)
+        assert got.values.tobytes() == values.tobytes()
+        assert got.angle_axis.tobytes() == axis.tobytes()
 
 
 @pytest.mark.parametrize("world_seed, place, pcfg, _, lateral, seed", CASES)
@@ -110,19 +155,39 @@ def test_every_frame_of_a_sweep_carries_its_own_noise(seed):
         assert not np.array_equal(cubes[0][0].data, cubes[f][0].data)
 
 
+def _assert_render_paths_raise(world, cfg, error):
+    """render_view, render_sweep and the rotated cube path all raise ``error``."""
+    with pytest.raises(error):
+        synth.render_view(world, 0, cfg)
+    with pytest.raises(error):
+        synth.render_sweep(world, 0, cfg, PlatformConfig(), 3)
+    scene = synth._scene_from(world.places[0], (0.0, 0.0))
+    with pytest.raises(error):
+        cube = simulate_if_cube(scene_at_heading(scene, 0.0, cfg.fov_deg), cfg,
+                                world.cfg.noise_std)
+        generate_heatmap(cube, cfg, (world.cfg.heatmap_rows, world.cfg.heatmap_cols))
+
+
 @pytest.mark.parametrize("world, error", [
     (_one_point_world(10.0, heatmap_rows=257), DimensionError),
     (_one_point_world(10.0, heatmap_cols=7), DimensionError),
     (_one_point_world(55.0), RangeAliasingError),
     (_one_point_world(10.0, noise_std=-0.1), ConfigError),
+    (_one_point_world(10.0, noise_std=np.inf), ConfigError),
 ])
 def test_render_path_raises_what_the_cube_path_raised(world, error):
     cfg = RadarConfig(n_chirps=4)
     assert synth.render_view(_one_point_world(10.0), 0, cfg).values.shape == (64, 96)
-    with pytest.raises(error):
-        synth.render_view(world, 0, cfg)
-    with pytest.raises(error):
-        synth.render_sweep(world, 0, cfg, PlatformConfig(), 3)
+    _assert_render_paths_raise(world, cfg, error)
+
+
+@pytest.mark.parametrize("cfg, error", [
+    (RadarConfig(n_chirps=4, n_samples=32), DimensionError),
+    (RadarConfig(n_chirps=4, n_antennas=128), DimensionError),
+    (RadarConfig(n_chirps=4, sample_rate=1.0e6), RangeAliasingError),
+])
+def test_render_paths_raise_alike_for_a_bad_radar_config(cfg, error):
+    _assert_render_paths_raise(_one_point_world(10.0), cfg, error)
 
 
 def test_reference_db_mode_selects_frame_or_mosaic():
