@@ -2,11 +2,14 @@
 
 Neighbouring frames from the rotating platform are registered by the
 integer translation that maximizes the cosine similarity of the overlap.
-Every candidate shift is scored in one vectorised pass (one Gram matrix per
-range shift for the numerators, running sums of squares for the norms);
-the few candidates within a proven rounding bound of the best are then
-re-scored with the direct formula, so the result is that of an exhaustive
-direct search.  Rotation cycles are detected from the sign of the angle
+A whole sweep is scored in one vectorised pass: each frame's column sums of
+squares are taken once per range shift and shared by the two pairs the
+frame belongs to (running sums of them give the norms), and each pair's
+Gram matrix per range shift, whose diagonals give the numerators, is
+written into one buffer kept for the whole sweep.  The few candidates
+within a proven rounding bound of their pair's best are then re-scored with
+the direct formula, so the result is that of an exhaustive direct search
+on every pair.  Rotation cycles are detected from the sign of the angle
 offsets, and each cycle's frames are united onto a wide-FOV canvas at their
 cumulative offsets.  :func:`mosaic_cycles` is the one recipe chaining them.
 """
@@ -96,40 +99,65 @@ def estimate_offset(
     best-scoring displacement wins.  Ties break towards smaller |a|, then
     smaller |r|, then lexicographic (r, a).  Candidates whose overlap is
     below DEFAULT_MIN_OVERLAP of the frame area, or has zero norm, are
-    skipped.
-
-    All candidates are scored at once by ``_fast_scores`` (Lewis, "Fast
-    Normalized Cross-Correlation", 1995, with the overlap masks of
-    Padfield, IEEE TIP 2012).  Those scores differ from the direct formula
-    only by rounding, by at most ``_rescore_margin``; every candidate within
-    twice that margin of the best fast score is re-scored with the direct
-    formula, and the tie-break above picks among them.  The result is
-    bit-identical to scoring every candidate directly.  Windows beyond the
-    frame are clamped, since such shifts leave no overlap.
+    skipped.  This is :func:`register_sequence` on the two frames.
     """
-    if h_prev.values.shape != h_cur.values.shape:
+    return register_sequence([h_prev, h_cur], r_window, a_window)[1]
+
+
+def register_sequence(frames: list[Heatmap], r_window: int, a_window: int) -> list[PoseOffset]:
+    """Per-frame offsets, identity first: ``offsets[t]`` registers frame t on t-1.
+
+    Each offset is that of :func:`estimate_offset` on frames t-1 and t, and
+    a failing pair raises what that pair raises, the first failing pair
+    first.  The whole sequence is scored in one pass by ``_fast_scores``
+    (Lewis, "Fast Normalized Cross-Correlation", 1995, with the overlap
+    masks of Padfield, IEEE TIP 2012): each frame's column sums of squares
+    are taken once per range shift and shared by the two pairs the frame
+    belongs to, and each pair's Gram matrix per range shift is written
+    into one buffer kept for the whole sequence.  Those scores differ from
+    the direct formula only by rounding, by at most ``_rescore_margin``;
+    every candidate within twice that margin of its pair's best fast score
+    is re-scored with the direct formula, and the tie-break picks among
+    them.  The result is bit-identical to scoring every candidate of every
+    pair directly.  Windows beyond the frame are clamped, since such shifts
+    leave no overlap.
+    """
+    if not frames:
+        raise ConfigError("frames must be nonempty")
+    offsets = [PoseOffset(0, 0, 1.0)]
+    if len(frames) == 1:
+        return offsets
+    shape = frames[0].values.shape
+    n = next((t for t, f in enumerate(frames) if f.values.shape != shape), len(frames))
+    if n == 1:
         raise DimensionError("frames must have equal dims for registration")
     if r_window < 0 or a_window < 0:
         raise ConfigError("search windows must be >= 0")
-    A = h_prev.values
-    B = h_cur.values
-    rows, cols = A.shape
+    values = [f.values for f in frames[:n]]
+    rows, cols = shape
     R, W = min(int(r_window), rows - 1), min(int(a_window), cols - 1)
-    num, nx, ny = _fast_scores(A, B, R, W)
+    num, nx, ny = _fast_scores(values, R, W)
     cells = np.outer(rows - np.abs(np.arange(-R, R + 1)), cols - np.abs(np.arange(-W, W + 1)))
-    valid = ~(cells < DEFAULT_MIN_OVERLAP * A.size) & (nx > 0.0) & (ny > 0.0)
-    if not valid.any():
-        raise AlignmentError(
-            f"no candidate shift reaches {DEFAULT_MIN_OVERLAP:.0%} overlap "
-            f"(windows r={r_window}, a={a_window})"
-        )
+    valid = ~(cells < DEFAULT_MIN_OVERLAP * rows * cols) & (nx > 0.0) & (ny > 0.0)
     with np.errstate(all="ignore"):  # the margin is infinite on any non-finite score
-        fast = num[valid] / np.sqrt(nx[valid] * ny[valid])
-        delta = _rescore_margin(A.size, nx[valid], ny[valid], fast)
+        fast = num / np.sqrt(nx * ny)
+        delta = _rescore_margin(rows * cols, nx, ny, fast, valid)
+        best = np.where(valid, fast, -np.inf).max(axis=(1, 2))
         # "not below" keeps every candidate when the margin is infinite or a score is NaN
-        keep = ~(fast < fast.max() - 2.0 * delta)
-    best = min(_direct_key(A, B, int(i) - R, int(j) - W) for i, j in np.argwhere(valid)[keep])
-    return PoseOffset(r_offset=best[3], a_offset=best[4], score=-best[0])
+        keep = valid & ~(fast < (best - 2.0 * delta)[:, None, None])
+    for p in range(n - 1):
+        if not valid[p].any():
+            raise AlignmentError(
+                f"no candidate shift reaches {DEFAULT_MIN_OVERLAP:.0%} overlap "
+                f"(windows r={r_window}, a={a_window})"
+            )
+        i, j = np.nonzero(keep[p])
+        key = min(_direct_key(values[p], values[p + 1], r - R, a - W)
+                  for r, a in zip(i.tolist(), j.tolist()))
+        offsets.append(PoseOffset(r_offset=key[3], a_offset=key[4], score=-key[0]))
+    if n < len(frames):
+        raise DimensionError("frames must have equal dims for registration")
+    return offsets
 
 
 def _direct_key(A: np.ndarray, B: np.ndarray, r: int, a: int) -> tuple:
@@ -142,56 +170,72 @@ def _direct_key(A: np.ndarray, B: np.ndarray, r: int, a: int) -> tuple:
     return (-score, abs(a), abs(r), r, a)
 
 
-def _fast_scores(A: np.ndarray, B: np.ndarray, R: int, W: int):
-    """Numerator and the two squared norms of every shift in [-R, R] x [-W, W].
+def _fast_scores(frames: list[np.ndarray], R: int, W: int):
+    """Numerator and the two squared norms of every shift of every frame pair.
 
-    Each is a (2R + 1, 2W + 1) array indexed by (r + R, a + W).  For a range
-    shift r the overlap rows give one Gram matrix G = A[mov].T @ B[ref];
-    the numerator of shift (r, a) is the sum of its diagonal a,
-    sum_c G[c - a, c].  The overlap columns of the moving map are a prefix
-    of A for a >= 0 and a suffix for a < 0, and the reverse for B, so each
-    norm is a left or a right running sum of per-column sums of squares,
-    never a difference of sums: every sum here adds non-negative terms.
+    Each is a (pairs, 2R + 1, 2W + 1) array indexed by (p, r + R, a + W),
+    pair p registering frame p + 1 (B) on frame p (A).  For a range shift r
+    the overlap rows give one Gram matrix G = A[mov].T @ B[ref]; the
+    numerator of shift (r, a) is the sum of its diagonal a,
+    sum_c G[c - a, c].  The moving rows of shift r are the reference rows
+    of shift -r, so one table of per-column sums of squares, per frame and
+    reference rows, serves a frame both as B of one pair and as A of the
+    next.  The overlap columns of the moving map are a prefix of A for
+    a >= 0 and a suffix for a < 0, and the reverse for B, so each norm is a
+    left or a right running sum of those column sums, never a difference of
+    sums: every sum here adds non-negative terms.  Only the column sums and
+    the results grow with the sweep; every pair writes its Gram matrices
+    into the same padded buffer, so a sweep of small frames needs no
+    allocation large enough to map fresh pages.
     """
-    rows, cols = A.shape
-    shifts = 2 * R + 1
-    sq_a, sq_b = A * A, B * B
-    num = np.empty((shifts, 2 * W + 1))
-    sq_x = np.empty((shifts, cols))
-    sq_y = np.empty((shifts, cols))
+    rows, cols = frames[0].shape
+    shifts = range(-R, R + 1)
+    # sq[f, r + R, c] sums frame f's squares in column c over the reference rows of shift r
+    sq = np.empty((len(frames), len(shifts), cols))
+    for f, x in enumerate(frames):
+        for i, r in enumerate(shifts):
+            ref = x[max(0, r) : rows + min(0, r)]
+            np.einsum("ij,ij->j", ref, ref, out=sq[f, i])
+    num = np.empty((len(frames) - 1, len(shifts), 2 * W + 1))
     # pad[c, c + a + W] = G[c, c + a], and 0 where c + a leaves the frame
     pad = np.zeros((cols, cols + 2 * W))
+    gram = pad[:, W : W + cols]
     st = pad.strides
     diagonals = np.lib.stride_tricks.as_strided(pad, (cols, 2 * W + 1), (st[0] + st[1], st[1]))
-    for i, r in enumerate(range(-R, R + 1)):
-        mov = slice(max(0, -r), rows - max(0, r))
-        ref = slice(max(0, r), rows + min(0, r))
-        pad[:, W : W + cols] = A[mov].T @ B[ref]
-        num[i] = diagonals.sum(axis=0)
-        sq_x[i] = sq_a[mov].sum(axis=0)
-        sq_y[i] = sq_b[ref].sum(axis=0)
-    left_x, right_x = _running_sums(sq_x)
-    left_y, right_y = _running_sums(sq_y)
+    for p, (A, B) in enumerate(zip(frames, frames[1:])):
+        for i, r in enumerate(shifts):
+            np.matmul(A[max(0, -r) : rows - max(0, r)].T, B[max(0, r) : rows + min(0, r)], out=gram)
+            diagonals.sum(axis=0, out=num[p, i])
+    left, right = _running_sums(sq)
     pos = np.arange(W + 1)  # a = 0 .. W
     neg = np.arange(W, 0, -1)  # -a for a = -W .. -1
-    nx = np.concatenate([right_x[:, neg], left_x[:, cols - pos]], axis=1)
-    ny = np.concatenate([left_y[:, cols - neg], right_y[:, pos]], axis=1)
+    # pair p reads frame p at shift -r as A and frame p + 1 at shift r as B
+    left_x, right_x = left[:-1, ::-1], right[:-1, ::-1]
+    left_y, right_y = left[1:], right[1:]
+    nx = np.concatenate([right_x[..., neg], left_x[..., cols - pos]], axis=-1)
+    ny = np.concatenate([left_y[..., cols - neg], right_y[..., pos]], axis=-1)
     return num, nx, ny
 
 
 def _running_sums(s: np.ndarray):
-    """``left[:, k]`` sums ``s[:, :k]`` and ``right[:, k]`` sums ``s[:, k:]``, k = 0 .. cols."""
-    zero = np.zeros((s.shape[0], 1))
-    left = np.concatenate([zero, np.cumsum(s, axis=1)], axis=1)
-    right = np.concatenate([np.cumsum(s[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+    """``left[..., k]`` sums ``s[..., :k]`` and ``right[..., k]`` sums ``s[..., k:]``, k = 0 .. cols."""
+    shape = s.shape[:-1] + (s.shape[-1] + 1,)
+    left, right = np.zeros(shape), np.zeros(shape)
+    np.cumsum(s, axis=-1, out=left[..., 1:])
+    np.cumsum(s[..., ::-1], axis=-1, out=right[..., -2::-1])
     return left, right
 
 
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _rescore_margin(area: int, nx: np.ndarray, ny: np.ndarray, fast: np.ndarray) -> float:
-    """A bound delta >= |fast score - direct score| over the scored candidates.
+def _rescore_margin(area: int, nx: np.ndarray, ny: np.ndarray, fast: np.ndarray,
+                    valid: np.ndarray) -> np.ndarray:
+    """Per pair, a bound delta >= |fast score - direct score| over its scored candidates.
+
+    The arrays are indexed (pair, r + R, a + W) as in ``_fast_scores``, and
+    ``valid`` marks the scored candidates; each pair's bound depends on its
+    own scored candidates only.
 
     Notation: the frames hold m = ``area`` finite values >= 0; for one
     shift, c, X, Y are the exact numerator and squared norms and
@@ -232,25 +276,18 @@ def _rescore_margin(area: int, nx: np.ndarray, ny: np.ndarray, fast: np.ndarray)
     tie.  The margin is infinite, so every candidate is re-scored, when a
     requirement fails.
     """
+    if (area + 1) * _U > 2.0**-21:
+        return np.full(len(valid), math.inf)
+    lo = np.where(valid, np.minimum(nx, ny), math.inf).min(axis=(1, 2))  # NaN if a norm is NaN
+    hi = np.where(valid, np.maximum(nx, ny), 0.0).max(axis=(1, 2))
+    finite = (np.isfinite(fast) | ~valid).all(axis=(1, 2))
     e = (area + 1) * _U / (1.0 - (area + 1) * _U)
-    norms = np.concatenate([nx, ny])
-    if not ((area + 1) * _U <= 2.0**-21 and norms.min() >= 2.0**-500
-            and norms.max() <= 2.0**500 and np.isfinite(fast).all()):
-        return math.inf
     ev = e + (area + 1) * 2.0**-573
     big_u = 2.0 * ev + 3.0 * _U
     p = big_u / (1.0 - big_u)
     d1 = p + ev * (1.0 + p) + 2.0**-1075
-    return (2.0 * d1 + _U) * (1.0 + 2.0**-20)
-
-
-def register_sequence(frames: list[Heatmap], r_window: int, a_window: int) -> list[PoseOffset]:
-    """Per-frame offsets, identity first: ``offsets[t]`` registers frame t on t-1."""
-    if not frames:
-        raise ConfigError("frames must be nonempty")
-    return [PoseOffset(0, 0, 1.0)] + [
-        estimate_offset(prev, cur, r_window, a_window) for prev, cur in zip(frames, frames[1:])
-    ]
+    ok = (lo >= 2.0**-500) & (hi <= 2.0**500) & finite
+    return np.where(ok, (2.0 * d1 + _U) * (1.0 + 2.0**-20), math.inf)
 
 
 def detect_cycles(offsets: list[PoseOffset]) -> list[CycleSegment]:

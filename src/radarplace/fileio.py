@@ -236,6 +236,8 @@ def load_scene(path) -> list[Scatterer]:
                 rng, az_deg, amp = (float(p) for p in parts)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, (rng, az_deg, amp))):
+                raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
             scene.append(Scatterer(rng, np.radians(az_deg), amp))
     return scene
 

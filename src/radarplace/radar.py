@@ -82,6 +82,8 @@ class Scatterer:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.range, self.azimuth, self.amplitude))):
+            raise ConfigError(f"scatterer values must be finite, got {self}")
         if self.range < 0:
             raise ConfigError(f"scatterer range must be >= 0, got {self.range}")
         if self.amplitude <= 0:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -484,6 +485,20 @@ def test_concat_registers_a_static_sweep_by_angle_only(tmp_path, scene_file, cfg
     offsets = load_offsets_csv(out / "offsets.csv")
     assert [o.r_offset for o in offsets] == [0] * 8
     assert len(list(out.glob("mosaic_*.rah"))) == 1
+
+
+@pytest.mark.parametrize("line", ["10.0 nan 1.0", "10.0 0.0 inf"])
+def test_simulate_non_finite_scene_value_exits_3(tmp_path, capsys, line):
+    # a NaN azimuth used to drop the reflector silently, an infinite
+    # amplitude to warn and then fail inside the signal model
+    scene = tmp_path / "scene.txt"
+    scene.write_text(f"12.0 5.0 1.0\n{line}\n")
+    out = tmp_path / "cubes"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 3
+    assert "scene.txt:2: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("frames", ["0", "-1"])

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,18 +348,14 @@ def test_register_sequence_rejects_no_frames():
         register_sequence([], 2, 3)
 
 
-def test_register_sequence_calls_estimate_offset_once_per_pair(monkeypatch):
-    # the benchmark's per-layer registration rows wrap the module attribute
+def test_estimate_offset_is_the_two_frame_sequence():
     frames = _sweep(0, 0, 1)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return estimate_offset(*args)
-
-    monkeypatch.setattr(concat, "estimate_offset", counting)
-    assert len(register_sequence(frames, 2, 3)) == 13
-    assert len(calls) == 12
+    a = _hm(random_heatmap_values(np.random.default_rng(16), 64, 96))
+    for prev, cur in [(frames[0], frames[1]), (frames[5], frames[4]), (a, frames[2]), (a, a)]:
+        for r_window, a_window in ((0, 3), (2, default_a_window(96, 23.0)), (70, 200)):
+            got = estimate_offset(prev, cur, r_window, a_window)
+            want = register_sequence([prev, cur], r_window, a_window)[1]
+            assert got == want and repr(got) == repr(want)
 
 
 # -- the vectorised search against the direct loop it replaces ----------------
@@ -492,6 +489,101 @@ def test_estimate_offset_property_matches_reference(data):
     _same_offset(h_prev, h_cur, draw(st.integers(0, rows + 2)), draw(st.integers(0, cols + 2)))
 
 
+def test_register_sequence_raises_at_the_first_failing_pair():
+    rng = np.random.default_rng(18)
+    ok = [_hm(random_heatmap_values(rng, 6, 8)) for _ in range(2)]
+    zero, wide = _hm(np.zeros((6, 8))), _hm(random_heatmap_values(rng, 6, 9))
+    for frames, error in (([ok[0], zero, ok[1], wide], AlignmentError),
+                          ([ok[0], ok[1], wide, zero], DimensionError),
+                          ([wide, ok[0], zero], DimensionError)):
+        with pytest.raises(error):
+            register_sequence(frames, 1, 2)
+    with pytest.raises(DimensionError):  # the dims are checked before the windows
+        register_sequence([ok[0], wide], -1, 2)
+    with pytest.raises(ConfigError):
+        register_sequence(ok + [wide], 1, -1)
+    assert register_sequence([zero], -1, -1) == [PoseOffset(0, 0, 1.0)]
+
+
+def _rescore_margin_reference(area, nx, ny, fast):
+    """The scalar margin of one pair's scored candidates that the per-pair margin replaces."""
+    u = 2.0**-53
+    e = (area + 1) * u / (1.0 - (area + 1) * u)
+    norms = np.concatenate([nx, ny])
+    if not ((area + 1) * u <= 2.0**-21 and norms.min() >= 2.0**-500
+            and norms.max() <= 2.0**500 and np.isfinite(fast).all()):
+        return math.inf
+    ev = e + (area + 1) * 2.0**-573
+    big_u = 2.0 * ev + 3.0 * u
+    p = big_u / (1.0 - big_u)
+    d1 = p + ev * (1.0 + p) + 2.0**-1075
+    return (2.0 * d1 + u) * (1.0 + 2.0**-20)
+
+
+def test_rescore_margin_per_pair_reads_only_its_scored_candidates():
+    rng = np.random.default_rng(19)
+    special = [2.0**-520, 2.0**-480, 2.0**520, 2.0**480, math.inf, math.nan]
+    for _ in range(300):
+        pairs, shifts, cands = (int(k) for k in rng.integers(1, 5, size=3))
+        nx, ny = rng.uniform(0.1, 10.0, size=(2, pairs, shifts, cands))
+        fast = rng.uniform(-1.0, 1.0, size=(pairs, shifts, cands))
+        for arr in (nx, ny, fast):
+            hit = rng.random(arr.shape) < 0.1
+            arr[hit] = rng.choice(special, size=hit.sum())
+        valid = rng.random((pairs, shifts, cands)) < 0.7
+        area = int(rng.choice([6, 2**31 - 1, 2**40]))
+        got = concat._rescore_margin(area, nx, ny, fast, valid)
+        for p in range(pairs):
+            v = valid[p]
+            want = (_rescore_margin_reference(area, nx[p][v], ny[p][v], fast[p][v]) if v.any()
+                    else got[p])  # a pair with no scored candidate raises before its margin is read
+            assert got[p] == want
+
+
+def _sequence_reference(frames, r_window, a_window):
+    """The pairwise direct loop: offsets up to the first failing pair, and its error type."""
+    offsets = [PoseOffset(0, 0, 1.0)]
+    for prev, cur in zip(frames, frames[1:]):
+        try:
+            if prev.values.shape != cur.values.shape:
+                raise DimensionError("frames must have equal dims for registration")
+            if r_window < 0 or a_window < 0:
+                raise ConfigError("search windows must be >= 0")
+            offsets.append(_estimate_offset_reference(prev, cur, r_window, a_window))
+        except (AlignmentError, DimensionError, ConfigError) as exc:
+            return offsets, type(exc)
+    return offsets, None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/huge input on purpose
+@given(data=st.data())
+def test_register_sequence_property_matches_reference(data):
+    draw = data.draw
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    frames = []
+    for _ in range(draw(st.integers(2, 5))):
+        if frames and draw(st.booleans()):
+            frames.append(frames[-1])
+            continue
+        # now and then a frame of another shape, for the dims check
+        shape = (rows, cols) if draw(st.integers(0, 7)) else (draw(st.integers(1, 7)),
+                                                              draw(st.integers(1, 9)))
+        frames.append(_hm(_frame(draw, *shape)))
+    r_window, a_window = draw(st.integers(-1, rows + 2)), draw(st.integers(-1, cols + 2))
+    want, error = _sequence_reference(frames, r_window, a_window)
+    if error is not None:
+        # the pairs before the first failing one register as the loop does, and
+        # that pair raises what the loop raised, with or without the frames after it
+        for tail in (frames[len(want) + 1 :], []):
+            with pytest.raises(error) as info:
+                register_sequence(frames[: len(want) + 1] + tail, r_window, a_window)
+            assert type(info.value) is error
+        frames = frames[: len(want)]
+    got = register_sequence(frames, r_window, a_window)
+    assert got == want and repr(got) == repr(want)
+    assert all(type(o.r_offset) is int and type(o.a_offset) is int for o in got)
+
+
 @pytest.mark.parametrize("zero_prev, zero_cur", [(True, True), (True, False), (False, True)])
 def test_all_zero_map_raises_alignment_error(zero_prev, zero_cur):
     # the (0, 0) shift always overlaps fully, so only an all-zero map leaves
@@ -527,3 +619,48 @@ def test_rescore_margin_is_needed_on_a_near_tie(monkeypatch):
     _same_offset(h, h, 0, 3)
     monkeypatch.setattr(concat, "_rescore_margin", lambda *args: 0.0)
     assert estimate_offset(h, h, 0, 3) == PoseOffset(0, -2, 1.0)
+
+
+def test_a_wide_pair_holds_one_padded_gram_at_a_time():
+    rng = np.random.default_rng(17)
+    a = _hm(random_heatmap_values(rng, 128, 2048))
+    b = _hm(translate(a.values, 0, 37))
+    a_window = default_a_window(2048, 23.0)
+    tracemalloc.start()
+    try:
+        got = estimate_offset(a, b, 2, a_window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.r_offset, got.a_offset) == (0, 37)
+    # the padded Gram buffer, the size of two frames and some slack; a separate
+    # (cols, cols) Gram temporary would add 33.5 MB
+    pad = 2048 * (2048 + 2 * a_window) * 8
+    assert peak < pad + 2 * a.values.nbytes + 4e6
+
+
+def test_a_warm_sweep_registration_takes_few_page_faults():
+    # one padded Gram buffer serves every pair, so a warm call reuses freed
+    # memory instead of faulting in fresh pages
+    resource = pytest.importorskip("resource")
+    frames = _sweep(0, 0, 1)
+    a_window = default_a_window(96, 23.0)
+    register_sequence(frames, 0, a_window)
+    tracemalloc.start()
+    try:
+        register_sequence(frames, 0, a_window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the buffer, and less than its size again for the column sums and the
+    # (pairs, 1, 2W + 1) scores; a buffer per pair would hold 12 of them
+    pad = 96 * (96 + 2 * a_window) * 8
+    assert peak < 2 * pad
+    for r_window in (0, 2):
+        for _ in range(3):
+            register_sequence(frames, r_window, a_window)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            register_sequence(frames, r_window, a_window)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 50 < 20

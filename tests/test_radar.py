@@ -100,6 +100,10 @@ def test_config_validation():
         Scatterer(-1.0, 0.0)
     with pytest.raises(ConfigError):
         Scatterer(1.0, 0.0, amplitude=0.0)
+    for fields in ((math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (10.0, math.nan, 1.0),
+                   (10.0, -math.inf, 1.0), (10.0, 0.0, math.nan), (10.0, 0.0, math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            Scatterer(*fields)
 
 
 def test_gain_taper_attenuates_off_boresight(small_cfg):
