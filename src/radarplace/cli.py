@@ -24,7 +24,7 @@ from . import fileio, synth
 from .errors import ConfigError, EmptyResultError, RadarPlaceError
 from .heatmap import generate_heatmap, range_to_row, angle_to_col
 from .placedb import PlaceDB, PlaceRecord
-from .radar import simulate_platform_sweep
+from .radar import scene_at_heading, simulate_platform_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,11 +84,11 @@ def cmd_simulate(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["scatterer_idx", "range_m", "azimuth_deg", "row", "col"])
         for i, sc in enumerate(scene):
-            writer.writerow([
-                i, f"{sc.range:.6f}", f"{np.degrees(sc.azimuth):.6f}",
-                range_to_row(sc.range, rcfg, rcfg.n_samples),
-                angle_to_col(sc.azimuth, rcfg, rcfg.n_antennas),
-            ])
+            # the reflector's cell in frame 0, empty when frame 0 cannot see it
+            seen = scene_at_heading([sc], 0.0, rcfg.fov_deg)
+            cell = ([range_to_row(sc.range, rcfg, rcfg.n_samples),
+                     angle_to_col(seen[0].azimuth, rcfg, rcfg.n_antennas)] if seen else ["", ""])
+            writer.writerow([i, f"{sc.range:.6f}", f"{np.degrees(sc.azimuth):.6f}", *cell])
     print(f"wrote {len(cubes)} cube(s) to {out}")
     return EXIT_OK
 

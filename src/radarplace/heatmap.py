@@ -4,11 +4,11 @@ An IF signal is reduced to a real power matrix by a coherent sum over
 chirps, an FFT over fast time (range), an FFT over the antenna axis (angle)
 and a final magnitude.  Both FFTs are linear, so integrating the chirps
 first gives the same map as transforming every chirp and summing after.
-:func:`generate_heatmap` sums the chirps of an IF cube;
-:func:`heatmap_from_sum` runs the rest of the cascade on a chirp sum, such
-as one drawn directly by ``radar.simulate_chirp_sum``, and
-:func:`heatmaps_from_sums` on a stack of them, one per heading of a sweep,
-with one range FFT for the whole stack.
+:func:`heatmaps_from_sums` runs the cascade on a (frames, rows, antennas)
+stack of chirp sums, such as one drawn directly by
+``radar.simulate_chirp_sum`` for the headings of a sweep, with one range
+FFT for the whole stack; :func:`generate_heatmap` sums the chirps of an IF
+cube and passes it on as a one-frame stack.
 The heatmap size sets the FFT lengths: the range FFT runs over the first
 ``rows`` fast-time samples, and the angle FFT has length ``cols``, which
 zero-pads the antennas and interpolates the angle spectrum without moving
@@ -117,26 +117,13 @@ def generate_heatmap(
 
     ``size`` is the (rows, cols) of the transform, by default the cube's
     (samples, antennas).  The chirps of the first ``rows`` fast-time samples
-    are summed (coherent integration) and :func:`heatmap_from_sum` turns
+    are summed (coherent integration) and :func:`heatmaps_from_sums` turns
     that sum into the heatmap; see there for ``max_range_m`` and ``window``.
     """
     n_s, _, n_r = cube.dims
     rows, cols = size or (n_s, n_r)
     _check_rows(rows, n_s)
-    return heatmap_from_sum(cube.data[:rows].sum(axis=1), cfg, cols, max_range_m, window)
-
-
-def heatmap_from_sum(
-    summed: np.ndarray, cfg: RadarConfig, cols: int,
-    max_range_m: float | None = None, window: str = "rect",
-) -> Heatmap:
-    """Range-azimuth heatmap of a (rows, n_antennas) coherent chirp sum.
-
-    FFT over fast time, FFT over antennas zero-padded to ``cols``,
-    magnitude.  ``window`` may be "rect" (default) or "hann" applied over
-    fast time.  Rows beyond ``max_range_m``, a finite positive range, are
-    discarded when given.
-    """
+    summed = cube.data[:rows].sum(axis=1)
     return heatmaps_from_sums(summed[None], cfg, cols, max_range_m, window)[0]
 
 
@@ -146,10 +133,13 @@ def heatmaps_from_sums(
 ) -> list[Heatmap]:
     """One heatmap per frame of a (frames, rows, n_antennas) stack of chirp sums.
 
-    Each frame is :func:`heatmap_from_sum` of that frame, bit for bit.  The
-    range FFT runs once over the stack; the angle FFT runs per frame, since
-    a (frames, rows, cols) complex stack would be freshly mapped memory on
-    every call.  The angle axis, its mask and the shift order are built once.
+    FFT over fast time, FFT over antennas zero-padded to ``cols``,
+    magnitude.  ``window`` may be "rect" (default) or "hann" applied over
+    fast time.  Rows beyond ``max_range_m``, a finite positive range, are
+    discarded when given.  The range FFT runs once over the stack; the
+    angle FFT runs per frame, since a (frames, rows, cols) complex stack
+    would be freshly mapped memory on every call.  The angle axis, its mask
+    and the shift order are built once.
     """
     _, rows, n_r = summed.shape
     if cols < 1:
@@ -170,7 +160,7 @@ def heatmaps_from_sums(
     order = np.fft.fftshift(np.arange(cols))[valid]  # ascending wrapped phase
 
     # range bins are spaced by the cropped fast-time length
-    range_bin_m = cfg.sample_rate / rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
+    range_bin_m = range_from_frequency(cfg.sample_rate / rows, cfg)
     keep = rows
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1

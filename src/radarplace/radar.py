@@ -5,10 +5,9 @@ truth, so every downstream stage can be checked against arithmetic on the
 scene instead of recorded data.  One scatterer loop (:func:`_signal`) feeds
 both outputs: the full (sample, chirp, antenna) IF cube that IFC1 files
 hold, and the coherent chirp sum of the first ``rows`` samples, which is
-all a range-azimuth heatmap reads.  Given a world-frame scene and a list of
-headings, the same loop renders every heading in one pass: each frame sees
-the scene rotated and cut to the field of view, and each scatterer's
-fast-time tone, which does not depend on heading, is computed once.
+all a range-azimuth heatmap reads.  The loop takes one sensor-frame scene
+per frame; :func:`scene_at_heading` is the one map from a world-frame scene
+to the sensor frame at a heading.
 """
 
 from __future__ import annotations
@@ -118,6 +117,9 @@ class PlatformConfig:
     jitter_std: float = 0.0       # deg, per-frame step perturbation
 
     def __post_init__(self):
+        fields = (self.angular_speed, self.frame_rate, self.sweep_extent, self.jitter_std)
+        if not all(map(math.isfinite, fields)):
+            raise ConfigError(f"platform values must be finite, got {self}")
         if self.angular_speed <= 0:
             raise ConfigError("angular_speed must be > 0")
         if self.frame_rate <= 0:
@@ -126,6 +128,10 @@ class PlatformConfig:
             raise ConfigError("sweep_extent must be > 0")
         if self.jitter_std < 0:
             raise ConfigError("jitter_std must be >= 0")
+        if not 0 < self.nominal_step < math.inf:
+            raise ConfigError(
+                f"angular_speed / frame_rate must be finite and > 0, got {self.nominal_step}"
+            )
 
     @property
     def nominal_step(self) -> float:
@@ -141,61 +147,41 @@ def _check_rows(rows: int, n_samples: int) -> None:
         raise DimensionError("heatmap dims must be >= 1")
 
 
-def _sensor_azimuth(azimuth: float, heading_rad: float, half_fov: float) -> float | None:
-    """A world azimuth in the sensor frame at ``heading_rad``, or None outside the FOV."""
-    az = (azimuth - heading_rad + math.pi) % (2 * math.pi) - math.pi
-    return az if abs(az) < half_fov else None
+def _signal(scenes: list[list[Scatterer]], cfg: RadarConfig, rows: int) -> np.ndarray:
+    """Chirp-invariant (frames, rows, n_antennas) signal of the first ``rows`` fast-time samples.
 
-
-def _signal(
-    scene: list[Scatterer], cfg: RadarConfig, rows: int,
-    headings: list[float] | None = None,
-) -> np.ndarray:
-    """Chirp-invariant (rows, n_antennas) signal of the first ``rows`` fast-time samples.
-
-    Each scatterer contributes a fast-time tone at its beat frequency and a
+    Frame f is the signal of the sensor-frame scene ``scenes[f]``.  Each
+    scatterer contributes a fast-time tone at its beat frequency and a
     linear phase progression across antennas.  The antenna taper attenuates
     off-boresight reflectors by cos(azimuth)**gain_taper_exp.  Chirps are
-    identical (static scene, zero Doppler), so this one matrix is every
-    chirp's signal.
-
-    With ``headings`` (deg), ``scene`` is world-frame and the result is a
-    (len(headings), rows, n_antennas) stack: frame f is the signal of
-    ``scene_at_heading(scene, headings[f], cfg.fov_deg)``.  Range does not
-    change with heading, so each scatterer's tone is computed once.
+    identical (static scene, zero Doppler), so one matrix is every chirp's
+    signal.  A tone depends on range only, so frames share it.
     """
-    frames = [None] if headings is None else [math.radians(h) for h in headings]
-    signal = np.zeros((len(frames), rows, cfg.n_antennas), dtype=np.complex128)
+    signal = np.zeros((len(scenes), rows, cfg.n_antennas), dtype=np.complex128)
     i = np.arange(rows)
     k = np.arange(cfg.n_antennas)
-    half_fov = math.radians(cfg.fov_deg) / 2.0
-    tones: dict[int, np.ndarray] = {}
-    for out, heading in zip(signal, frames):
-        for s, sc in enumerate(scene):
-            az = sc.azimuth
-            if heading is not None:
-                az = _sensor_azimuth(az, heading, half_fov)
-                if az is None:
-                    continue
+    tones: dict[float, np.ndarray] = {}
+    for out, scene in zip(signal, scenes):
+        for sc in scene:
             if sc.range >= cfg.max_range:
                 raise RangeAliasingError(
                     f"scatterer at {sc.range:.2f} m aliases: unambiguous range is "
                     f"{cfg.max_range:.2f} m"
                 )
-            if abs(az) >= math.pi / 2:
+            if abs(sc.azimuth) >= math.pi / 2:
                 raise ConfigError(
-                    f"scatterer azimuth {az:.3f} rad outside sensor half-space"
+                    f"scatterer azimuth {sc.azimuth:.3f} rad outside sensor half-space"
                 )
             amp = sc.amplitude
             if cfg.gain_taper_exp > 0:
-                amp *= max(math.cos(az), 0.0) ** cfg.gain_taper_exp
-            tone = tones.get(s)
+                amp *= max(math.cos(sc.azimuth), 0.0) ** cfg.gain_taper_exp
+            tone = tones.get(sc.range)
             if tone is None:
                 f_if = cfg.beat_frequency(sc.range)
-                tone = tones[s] = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
-            steer = np.exp(1j * cfg.phase_step(az) * k)
+                tone = tones[sc.range] = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
+            steer = np.exp(1j * cfg.phase_step(sc.azimuth) * k)
             out += amp * tone[:, None] * steer[None, :]
-    return signal if headings is not None else signal[0]
+    return signal
 
 
 def _add_noise(data: np.ndarray, scale: float, seed: int) -> None:
@@ -215,7 +201,7 @@ def simulate_if_cube(
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> IFCube:
-    """Forward-simulate the full IF cube of a static point-scatterer scene.
+    """Forward-simulate the full IF cube of a static sensor-frame scene.
 
     The signal of :func:`_signal` is repeated over the chirps.  Noise is
     circularly symmetric complex Gaussian with total standard deviation
@@ -225,7 +211,7 @@ def simulate_if_cube(
     """
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
-    signal = _signal(scene, cfg, cfg.n_samples)
+    signal = _signal([scene], cfg, cfg.n_samples)[0]
     cube = np.repeat(signal[:, None, :], cfg.n_chirps, axis=1)
     if noise_std > 0:
         _add_noise(cube, noise_std / math.sqrt(2.0), seed)
@@ -233,41 +219,31 @@ def simulate_if_cube(
 
 
 def simulate_chirp_sum(
-    scene: list[Scatterer],
+    scenes: list[list[Scatterer]],
     cfg: RadarConfig,
     rows: int,
-    noise_std: float = 0.0,
-    seed: int | list[int] = 0,
-    headings: list[float] | None = None,
+    noise_std: float,
+    seeds: list[int],
 ) -> np.ndarray:
-    """Coherent chirp sum of the first ``rows`` fast-time samples, (rows, n_antennas).
+    """Coherent chirp sums of the first ``rows`` fast-time samples, (frames, rows, n_antennas).
 
-    This is what a heatmap of ``rows`` range bins reads from the IF cube of
-    :func:`simulate_if_cube`, drawn without building the cube.  The signal
-    adds ``n_chirps`` times.  The noise of n iid chirps, each N(0, s**2)
-    per component, sums to N(0, n * s**2), so one draw per element with
-    ``sqrt(n_chirps)`` times the cube's per-component scale has exactly the
-    distribution of the cube's chirp sum, though not the same draw for the
-    same seed.
-
-    With ``headings`` (deg), ``scene`` is world-frame, ``seed`` holds one
-    noise seed per heading, and the result is a (len(headings), rows,
-    n_antennas) stack: frame f is, bit for bit, the chirp sum of
-    ``scene_at_heading(scene, headings[f], cfg.fov_deg)`` drawn with
-    ``seed[f]``.
+    Frame f is what a heatmap of ``rows`` range bins reads from the IF cube
+    of ``scenes[f]`` (:func:`simulate_if_cube`), drawn with ``seeds[f]``
+    and without building the cube.  The signal adds ``n_chirps`` times.
+    The noise of n iid chirps, each N(0, s**2) per component, sums to
+    N(0, n * s**2), so one draw per element with ``sqrt(n_chirps)`` times
+    the cube's per-component scale has exactly the distribution of the
+    cube's chirp sum, though not the same draw for the same seed.
     """
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
     _check_rows(rows, cfg.n_samples)
-    summed = _signal(scene, cfg, rows, headings)
+    summed = _signal(scenes, cfg, rows)
     summed *= cfg.n_chirps
     if noise_std > 0:
         scale = math.sqrt(cfg.n_chirps) * noise_std / math.sqrt(2.0)
-        if headings is None:
-            _add_noise(summed, scale, seed)
-        else:
-            for frame, frame_seed in zip(summed, seed, strict=True):
-                _add_noise(frame, scale, frame_seed)
+        for frame, seed in zip(summed, seeds, strict=True):
+            _add_noise(frame, scale, seed)
     return summed
 
 
@@ -276,42 +252,44 @@ def sweep_headings(pcfg: PlatformConfig, n_frames: int, seed: int = 0) -> np.nda
 
     Frame 0 is at heading 0; each subsequent frame advances by the nominal
     step plus Gaussian jitter (clamped to a non-negative step), reflecting
-    at the sweep limits.
+    at the sweep limits.  The triangle wave has period 2 * sweep_extent, so
+    a step longer than the extent folds back in one remainder.
     """
     if n_frames < 1:
         raise ConfigError("n_frames must be >= 1")
     rng = np.random.default_rng(seed)
     headings = np.empty(n_frames)
+    extent = pcfg.sweep_extent
     pos, direction = 0.0, 1.0
     for f in range(n_frames):
         headings[f] = pos
         step = pcfg.nominal_step
         if pcfg.jitter_std > 0:
             step = max(0.0, step + rng.normal(0.0, pcfg.jitter_std))
-        new = pos + direction * step
-        if new > pcfg.sweep_extent:
-            new = 2 * pcfg.sweep_extent - new
-            direction = -1.0
-        elif new < 0.0:
-            new = -new
-            direction = 1.0
-        pos = new
+        pos += direction * step
+        if pos < 0.0:
+            pos, direction = -pos, -direction
+        if pos > extent:
+            pos %= 2 * extent
+            if pos > extent:
+                pos, direction = 2 * extent - pos, -direction
     return headings
 
 
 def scene_at_heading(
     scene: list[Scatterer], heading_deg: float, fov_deg: float
 ) -> list[Scatterer]:
-    """Re-express world-frame scatterers in the rotated sensor frame.
+    """Re-express world-frame scatterers in the sensor frame at ``heading_deg``.
 
-    Scatterers outside the field of view at this heading are dropped.
+    Azimuths wrap into [-pi, pi); scatterers outside the field of view at
+    this heading are dropped.
     """
     out = []
     half_fov = math.radians(fov_deg) / 2.0
     h = math.radians(heading_deg)
     for sc in scene:
-        az = _sensor_azimuth(sc.azimuth, h, half_fov)
-        if az is not None:
+        az = (sc.azimuth - h + math.pi) % (2 * math.pi) - math.pi
+        if abs(az) < half_fov:
             out.append(Scatterer(sc.range, az, sc.amplitude))
     return out
 

@@ -26,6 +26,7 @@ from .radar import (
     PlatformConfig,
     RadarConfig,
     Scatterer,
+    scene_at_heading,
     simulate_chirp_sum,
     sweep_schedule,
 )
@@ -111,8 +112,8 @@ def _render(
     ``heatmap_rows`` samples are simulated, since that is all a heatmap
     reads, and no IF cube is built.
     """
-    summed = simulate_chirp_sum(scene, cfg, wcfg.heatmap_rows, wcfg.noise_std, seeds,
-                                headings_deg)
+    scenes = [scene_at_heading(scene, h, cfg.fov_deg) for h in headings_deg]
+    summed = simulate_chirp_sum(scenes, cfg, wcfg.heatmap_rows, wcfg.noise_std, seeds)
     return heatmaps_from_sums(summed, cfg, wcfg.heatmap_cols)
 
 

@@ -23,7 +23,7 @@ from radarplace.fileio import (
     save_scene,
     save_weights,
 )
-from radarplace.heatmap import Heatmap
+from radarplace.heatmap import Heatmap, generate_heatmap
 from radarplace.radar import PlatformConfig, RadarConfig, Scatterer
 
 
@@ -428,6 +428,41 @@ def test_non_finite_config_value_exits_1(tmp_path, scene_file, line):
     cfg.write_text(f"n_chirps = 4\n{line}\n")
     assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
                  "--out", str(tmp_path / "cubes"), "--frames", "3"]) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "concat"])
+def test_non_finite_platform_step_exits_1(tmp_path, scene_file, cfg_file, capsys, command):
+    cubes, maps = tmp_path / "cubes", tmp_path / "maps"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                 "--out", str(cubes), "--frames", "3"]) == 0
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
+                 "--out", str(maps)]) == 0
+    # each value is finite, but 1e300 deg/s at 1e-300 Hz is an infinite step per frame
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg_file.read_text() + "angular_speed = 1e300\nframe_rate = 1e-300\n")
+    inputs = {"simulate": ["--scene", str(scene_file), "--frames", "3"],
+              "concat": ["--in", str(maps)]}[command]
+    assert main([command, *inputs, "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "angular_speed / frame_rate must be finite" in capsys.readouterr().err
+
+
+def test_scatterer_cells_are_frame_0_cells(tmp_path, cfg_file):
+    scene = tmp_path / "scene.txt"
+    save_scene(scene, [Scatterer(10.0, math.radians(20.0)),
+                       Scatterer(10.0, math.radians(150.0))])
+    out = tmp_path / "cubes"
+    assert main(["simulate", "--scene", str(scene), "--config", str(cfg_file),
+                 "--out", str(out), "--frames", "2"]) == 0
+    with open(out / "scatterer_cells.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    rcfg = fileio.radar_config_from(fileio.load_keyvals(cfg_file))
+    hm = generate_heatmap(fileio.load_cube(out / "frame_0000.ifc"), rcfg)
+    assert hm.values.shape == (rcfg.n_samples, rcfg.n_antennas)
+    peak = np.unravel_index(np.argmax(hm.values), hm.values.shape)
+    assert (int(cells[0]["row"]), int(cells[0]["col"])) == peak
+    # 150 deg lies outside frame 0's 120 deg field of view: no cell to name
+    assert cells[1]["azimuth_deg"] == "150.000000"
+    assert cells[1]["row"] == cells[1]["col"] == ""
 
 
 def test_concat_fixed_default_step_is_the_nominal_step(tmp_path, scene_file, cfg_file):

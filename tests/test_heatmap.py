@@ -12,7 +12,6 @@ from radarplace.heatmap import (
     angle_from_phase,
     angle_to_col,
     generate_heatmap,
-    heatmap_from_sum,
     heatmaps_from_sums,
     range_from_frequency,
     range_to_row,
@@ -32,6 +31,20 @@ def test_range_from_frequency_values():
     )
     with pytest.raises(ConfigError):
         range_from_frequency(-1.0, cfg)
+
+
+def test_range_bin_is_range_from_frequency_of_the_bin_spacing_bit_for_bit():
+    # the inline d = f c / (2 S) that heatmaps_from_sums used, in its order of operations
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        cfg = RadarConfig(slope=float(rng.uniform(1e12, 1e14)),
+                          sample_rate=float(rng.uniform(1e6, 5e7)),
+                          n_samples=512, n_chirps=1, n_antennas=2)
+        rows = int(rng.integers(1, 513))
+        summed = np.ones((1, rows, 2), dtype=np.complex128)
+        got = heatmaps_from_sums(summed, cfg, 2)[0].range_bin_m
+        assert got == cfg.sample_rate / rows * SPEED_OF_LIGHT / (2.0 * cfg.slope)
+        assert got == range_from_frequency(cfg.sample_rate / rows, cfg)
 
 
 def test_angle_from_phase_values():
@@ -336,13 +349,13 @@ def test_split_cascade_raises_what_the_one_piece_heatmap_raised(noisy_cubes, siz
 
 def test_heatmap_from_sum_rejects_bad_input(small_cfg):
     summed = np.ones((16, 8), dtype=np.complex128)
-    assert heatmap_from_sum(summed, small_cfg, 8).values.shape == (16, 8)
+    assert heatmaps_from_sums(summed[None], small_cfg, 8)[0].values.shape == (16, 8)
     for cols in (0, 7):
         with pytest.raises(DimensionError):
-            heatmap_from_sum(summed, small_cfg, cols)
+            heatmaps_from_sums(summed[None], small_cfg, cols)
     summed[3, 2] = np.inf
     with pytest.raises(ConfigError):
-        heatmap_from_sum(summed, small_cfg, 8)
+        heatmaps_from_sums(summed[None], small_cfg, 8)
 
 
 def test_a_stack_of_sums_gives_each_frame_s_heatmap(noisy_cubes):
@@ -357,7 +370,8 @@ def test_a_stack_of_sums_gives_each_frame_s_heatmap(noisy_cubes):
                     got = heatmaps_from_sums(stack, c, cols, max_range_m, window)
                     assert len(got) == len(stack)
                     for g, summed in zip(got, stack):
-                        want = heatmap_from_sum(summed, c, cols, max_range_m, window)
+                        want = heatmaps_from_sums(summed[None], c, cols, max_range_m,
+                                                  window)[0]
                         assert g.values.tobytes() == want.values.tobytes()
                         assert g.values.shape == want.values.shape
                         assert g.range_bin_m == want.range_bin_m

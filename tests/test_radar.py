@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from radarplace.errors import ConfigError, DimensionError, RangeAliasingError
-from radarplace.heatmap import generate_heatmap, heatmap_from_sum
+from radarplace.heatmap import generate_heatmap, heatmaps_from_sums
 from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
@@ -106,6 +107,16 @@ def test_config_validation():
             Scatterer(*fields)
 
 
+@pytest.mark.parametrize("fields", [
+    {"angular_speed": math.inf}, {"frame_rate": math.nan}, {"sweep_extent": math.inf},
+    {"jitter_std": math.inf}, {"angular_speed": 1e300, "frame_rate": 1e-300},
+    {"angular_speed": 1e-300, "frame_rate": 1e300},
+])
+def test_platform_config_rejects_a_non_finite_or_vanishing_step(fields):
+    with pytest.raises(ConfigError):
+        PlatformConfig(**fields)
+
+
 def test_gain_taper_attenuates_off_boresight(small_cfg):
     cfg = RadarConfig(n_samples=64, n_chirps=4, n_antennas=8, gain_taper_exp=4.0)
     on = simulate_if_cube([Scatterer(10.0, 0.0)], cfg)
@@ -131,6 +142,68 @@ def test_jittered_sweep_stays_within_limits():
     pcfg = PlatformConfig(jitter_std=3.0)
     h = sweep_headings(pcfg, 200, seed=9)
     assert np.all(h >= 0.0) and np.all(h <= 180.0)
+
+
+def _sweep_headings_reference(pcfg, n_frames, seed=0):
+    """The earlier sweep_headings, one reflection per step; also returns the steps."""
+    rng = np.random.default_rng(seed)
+    headings, steps = np.empty(n_frames), []
+    pos, direction = 0.0, 1.0
+    for f in range(n_frames):
+        headings[f] = pos
+        step = pcfg.nominal_step
+        if pcfg.jitter_std > 0:
+            step = max(0.0, step + rng.normal(0.0, pcfg.jitter_std))
+        steps.append(step)
+        new = pos + direction * step
+        if new > pcfg.sweep_extent:
+            new = 2 * pcfg.sweep_extent - new
+            direction = -1.0
+        elif new < 0.0:
+            new = -new
+            direction = 1.0
+        pos = new
+    return headings, steps
+
+
+def test_a_step_longer_than_the_sweep_folds_back_inside():
+    # a 15 deg step over a 10 deg sweep reflects more than once in some steps
+    pcfg = PlatformConfig(sweep_extent=10.0)
+    assert list(sweep_headings(pcfg, 8)) == [0.0, 5.0, 10.0, 5.0, 0.0, 5.0, 10.0, 5.0]
+    huge = PlatformConfig(angular_speed=1e300, frame_rate=1.0, sweep_extent=7.0)
+    h = sweep_headings(huge, 5)
+    assert np.all((h >= 0.0) & (h <= 7.0))
+
+
+_extents = st.floats(min_value=1e-3, max_value=720.0)
+_steps = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@settings(max_examples=300)
+@given(extent=_extents, step=_steps, jitter=st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+       n_frames=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_every_swept_heading_stays_in_the_sweep(extent, step, jitter, n_frames, seed):
+    pcfg = PlatformConfig(angular_speed=step, frame_rate=1.0, sweep_extent=extent,
+                          jitter_std=jitter)
+    h = sweep_headings(pcfg, n_frames, seed)
+    assert h.shape == (n_frames,) and h[0] == 0.0
+    assert np.all((h >= 0.0) & (h <= extent))
+
+
+@settings(max_examples=300)
+@given(extent=_extents, fraction=st.floats(min_value=1e-3, max_value=1.0),
+       jitter=st.sampled_from([0.0, 0.01, 0.5, 3.0]), n_frames=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(extent=10.0, fraction=1.0, jitter=0.0, n_frames=9, seed=0)
+@example(extent=180.0, fraction=1 / 12, jitter=0.0, n_frames=40, seed=0)
+def test_sweep_headings_match_the_earlier_loop_for_steps_within_the_sweep(
+    extent, fraction, jitter, n_frames, seed,
+):
+    pcfg = PlatformConfig(angular_speed=extent * fraction, frame_rate=1.0,
+                          sweep_extent=extent, jitter_std=jitter)
+    want, steps = _sweep_headings_reference(pcfg, n_frames, seed)
+    assume(max(steps) <= extent)
+    assert sweep_headings(pcfg, n_frames, seed).tobytes() == want.tobytes()
 
 
 def test_scene_at_heading_rotates_and_clips():
@@ -229,7 +302,8 @@ def test_signal_built_once_matches_per_chirp_accumulation():
 def test_cube_and_chirp_sum_reject_what_the_earlier_cube_rejected(scene, error):
     cfg = RadarConfig(n_chirps=4)
     for simulate in (_simulate_if_cube_reference, simulate_if_cube,
-                     lambda sc, c, *a: simulate_chirp_sum(sc, c, 64, *a)):
+                     lambda sc, c, noise_std=0.0:
+                         simulate_chirp_sum([sc], c, 64, noise_std, [0])):
         with pytest.raises(error):
             simulate(scene, cfg)
         with pytest.raises(ConfigError):
@@ -238,11 +312,11 @@ def test_cube_and_chirp_sum_reject_what_the_earlier_cube_rejected(scene, error):
 
 def test_chirp_sum_rows_stay_within_the_chirp(small_cfg):
     scene = [Scatterer(10.0, 0.1)]
-    assert simulate_chirp_sum(scene, small_cfg, 64).shape == (64, 8)
-    assert simulate_chirp_sum(scene, small_cfg, 1).shape == (1, 8)
+    assert simulate_chirp_sum([scene], small_cfg, 64, 0.0, [0]).shape == (1, 64, 8)
+    assert simulate_chirp_sum([scene], small_cfg, 1, 0.0, [0]).shape == (1, 1, 8)
     for rows in (65, 0, -3):
         with pytest.raises(DimensionError):
-            simulate_chirp_sum(scene, small_cfg, rows)
+            simulate_chirp_sum([scene], small_cfg, rows, 0.0, [0])
 
 
 CHIRP_SUM_CASES = [
@@ -266,16 +340,16 @@ def test_noise_free_chirp_sum_heatmap_matches_the_cube_path(cfg, rows, cols):
     for case in range(30):
         scene = random_scene(rng, 1 + case % 8, range_lo=1.0, range_hi=45.0,
                              az_limit_deg=80.0)
-        x = _signal(scene, cfg, rows)
+        x = _signal([scene], cfg, rows)[0]
         # the premise of the bound: both paths see the same chirp-invariant signal
-        assert np.array_equal(x, _signal(scene, cfg, cfg.n_samples)[:rows])
-        summed = simulate_chirp_sum(scene, cfg, rows)
+        assert np.array_equal(x, _signal([scene], cfg, cfg.n_samples)[0][:rows])
+        summed = simulate_chirp_sum([scene], cfg, rows, 0.0, [0])[0]
         cube_sum = simulate_if_cube(scene, cfg).data[:rows].sum(axis=1)
         s = n * np.abs(x.real), n * np.abs(x.imag)
         # eps (1 + 4u) covers rounding the right-hand side itself
         assert np.all(np.abs(summed.real - cube_sum.real) <= eps * (1 + 4 * u) * s[0])
         assert np.all(np.abs(summed.imag - cube_sum.imag) <= eps * (1 + 4 * u) * s[1])
-        got = heatmap_from_sum(summed, cfg, cols)
+        got = heatmaps_from_sums(summed[None], cfg, cols)[0]
         want = generate_heatmap(simulate_if_cube(scene, cfg), cfg, (rows, cols))
         assert got.values.shape == want.values.shape
         assert np.max(np.abs(got.values - want.values)) <= bound * np.max(want.values)
@@ -298,7 +372,8 @@ def test_noise_only_chirp_sums_follow_the_cube_paths_law():
     """
     cfg = RadarConfig(n_samples=16, n_chirps=16, n_antennas=4)
     rows, noise_std, k = 8, 0.3, 2000
-    fast = np.stack([simulate_chirp_sum([], cfg, rows, noise_std, seed) for seed in range(k)])
+    fast = np.stack([simulate_chirp_sum([[]], cfg, rows, noise_std, [seed])[0]
+                     for seed in range(k)])
     cube = np.stack([
         simulate_if_cube([], cfg, noise_std, seed=10_000 + seed).data[:rows].sum(axis=1)
         for seed in range(k)
@@ -313,3 +388,79 @@ def test_noise_only_chirp_sums_follow_the_cube_paths_law():
     z_pooled_mean = (fast.mean() - cube.mean()) / math.sqrt(2 * var / n)
     assert np.max(np.abs(z_mean)) < 5 and np.max(np.abs(z_var)) < 5
     assert abs(z_pooled) < 5 and abs(z_pooled_mean) < 5
+
+
+def _signal_by_headings_reference(scene, cfg, rows, headings):
+    """The earlier heading mode of _signal: a world-frame scene, wrapped and cut per frame."""
+    frames = [math.radians(h) for h in headings]
+    signal = np.zeros((len(frames), rows, cfg.n_antennas), dtype=np.complex128)
+    i = np.arange(rows)
+    k = np.arange(cfg.n_antennas)
+    half_fov = math.radians(cfg.fov_deg) / 2.0
+    tones = {}
+    for out, heading in zip(signal, frames):
+        for s, sc in enumerate(scene):
+            az = (sc.azimuth - heading + math.pi) % (2 * math.pi) - math.pi
+            if abs(az) >= half_fov:
+                continue
+            if sc.range >= cfg.max_range:
+                raise RangeAliasingError("aliases")
+            if abs(az) >= math.pi / 2:
+                raise ConfigError("outside sensor half-space")
+            amp = sc.amplitude
+            if cfg.gain_taper_exp > 0:
+                amp *= max(math.cos(az), 0.0) ** cfg.gain_taper_exp
+            tone = tones.get(s)
+            if tone is None:
+                f_if = cfg.beat_frequency(sc.range)
+                tone = tones[s] = np.exp(2j * math.pi * f_if * i / cfg.sample_rate)
+            steer = np.exp(1j * cfg.phase_step(az) * k)
+            out += amp * tone[:, None] * steer[None, :]
+    return signal
+
+
+def _outcome(fn):
+    """An array's bytes, or the type of what ``fn`` raised."""
+    try:
+        return fn().tobytes()
+    except (ConfigError, RangeAliasingError) as exc:
+        return type(exc)
+
+
+SIGNAL_CONFIGS = [
+    RadarConfig(n_samples=64, n_chirps=4, n_antennas=8),
+    RadarConfig(n_samples=32, n_chirps=2, n_antennas=4, gain_taper_exp=0.0, fov_deg=180.0),
+    RadarConfig(n_samples=48, n_chirps=2, n_antennas=6, gain_taper_exp=2.5, fov_deg=75.0),
+]
+
+
+def _by_scene_at_heading(scene, cfg, rows, headings):
+    return _signal([scene_at_heading(scene, h, cfg.fov_deg) for h in headings], cfg, rows)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_signal_of_rotated_scenes_matches_the_heading_mode(data):
+    cfg = data.draw(st.sampled_from(SIGNAL_CONFIGS))
+    rows = data.draw(st.integers(1, cfg.n_samples))
+    # a few shared ranges exercise the tone cache; ranges past max_range alias
+    ranges = st.one_of(st.sampled_from([4.0, 12.5, 30.0, 55.0]),
+                       st.floats(min_value=0.0, max_value=1.2 * cfg.max_range))
+    scene = data.draw(st.lists(st.builds(
+        Scatterer, ranges, st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=0.1, max_value=3.0)), max_size=8))
+    headings = data.draw(st.lists(st.floats(min_value=-720.0, max_value=720.0),
+                                  min_size=1, max_size=5))
+    want = _outcome(lambda: _signal_by_headings_reference(scene, cfg, rows, headings))
+    assert _outcome(lambda: _by_scene_at_heading(scene, cfg, rows, headings)) == want
+
+
+def test_an_aliasing_reflector_raises_only_when_a_frame_sees_it():
+    cfg = RadarConfig(n_chirps=4)
+    scene = [Scatterer(10.0, 0.2), Scatterer(60.0, math.radians(150.0))]
+    unseen = [0.0, 15.0, 30.0]  # 150 deg lies outside every frame's 120 deg FOV
+    want = _signal_by_headings_reference(scene, cfg, 64, unseen)
+    assert _by_scene_at_heading(scene, cfg, 64, unseen).tobytes() == want.tobytes()
+    for signal in (_signal_by_headings_reference, _by_scene_at_heading):
+        with pytest.raises(RangeAliasingError):
+            signal(scene, cfg, 64, unseen + [120.0])

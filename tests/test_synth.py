@@ -8,7 +8,7 @@ import pytest
 from radarplace import encoder as enc
 from radarplace import synth
 from radarplace.errors import ConfigError, DimensionError, RangeAliasingError
-from radarplace.heatmap import angle_axis_for, generate_heatmap, heatmap_from_sum
+from radarplace.heatmap import angle_axis_for, generate_heatmap, heatmaps_from_sums
 from radarplace.radar import (
     PlatformConfig,
     RadarConfig,
@@ -43,8 +43,9 @@ def _render_sweep_reference(world, place_idx, cfg, pcfg, n_frames,
     frames = []
     for f in range(n_frames):
         local = scene_at_heading(scene, body_heading_deg + headings[f], cfg.fov_deg)
-        summed = simulate_chirp_sum(local, cfg, wcfg.heatmap_rows, wcfg.noise_std, noise_seeds[f])
-        frames.append(heatmap_from_sum(summed, cfg, wcfg.heatmap_cols))
+        summed = simulate_chirp_sum([local], cfg, wcfg.heatmap_rows, wcfg.noise_std,
+                                    [noise_seeds[f]])
+        frames.append(heatmaps_from_sums(summed, cfg, wcfg.heatmap_cols)[0])
     return frames
 
 
@@ -61,7 +62,7 @@ def _render_view_reference(world, place_idx, cfg, heading_deg, lateral, seed):
     wcfg = world.cfg
     scene = synth._scene_from(world.places[place_idx], lateral)
     local = scene_at_heading(scene, heading_deg, cfg.fov_deg)
-    summed = simulate_chirp_sum(local, cfg, wcfg.heatmap_rows, wcfg.noise_std, seed)
+    summed = simulate_chirp_sum([local], cfg, wcfg.heatmap_rows, wcfg.noise_std, [seed])[0]
     return _heatmap_from_sum_reference(summed, cfg, wcfg.heatmap_cols)
 
 
