@@ -181,6 +181,8 @@ def cmd_build_db(args) -> int:
 def cmd_query(args) -> int:
     weights = fileio.load_weights(args.weights)
     db = fileio.load_db(args.db)
+    if not len(db):
+        raise EmptyResultError(f"{args.db}: the database has no records to query")
     writer = csv.writer(sys.stdout)
     writer.writerow(["query", "rank", "id", "distance"])
     for f in args.inputs:

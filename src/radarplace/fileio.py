@@ -174,6 +174,9 @@ def load_weights(path) -> EncoderWeights:
 
 # -- place databases ----------------------------------------------------------
 
+_MPDB_BLOCK = 1024  # records decoded per read by load_db
+
+
 def _mpdb_record(dim: int) -> np.dtype:
     """One packed MPDB record: id, x, y, heading (NaN for none), descriptor."""
     return np.dtype([("id", "<u8"), ("x", "<f8"), ("y", "<f8"), ("heading", "<f8"),
@@ -196,27 +199,43 @@ def save_db(path, db: PlaceDB) -> None:
 
 
 def load_db(path) -> PlaceDB:
-    db = PlaceDB()
+    """Read an MPDB file into a database whose records view its query store.
+
+    Records are decoded in blocks of ``_MPDB_BLOCK`` straight into the
+    arrays ``PlaceDB.query`` reads.  Each record's ``descriptor`` is a row
+    view of that store and, like any stored descriptor, is never modified,
+    so the loaded database holds each descriptor once and its first query
+    copies nothing.
+    """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MPDB_MAGIC:
             raise FormatError(f"{path}: not a place database file")
         count, dim = struct.unpack("<II", _read_exact(fh, 8, "header"))
         _expect_payload(fh, count * (32 + dim * 4), path)
         if not count:
-            return db
-        # read straight into the record array: no intermediate copy of the payload
-        table = np.empty(count, _mpdb_record(dim))
-        if fh.readinto(table) != table.nbytes:
+            return PlaceDB()
+        with _decoding(path):  # _from_columns rejects a non-finite descriptor
+            return PlaceDB._from_columns(count, dim, _mpdb_blocks(fh, count, dim, path))
+
+
+def _mpdb_blocks(fh, count: int, dim: int, path):
+    """The ``count`` records of ``fh`` as ``PlaceDB._from_columns`` column blocks.
+
+    Each block is read into one reused buffer.  A non-finite coordinate
+    or an infinite heading is a malformed file; ``_from_columns`` rejects
+    a non-finite descriptor as it computes the row's squared norm.
+    """
+    buf = np.empty(min(count, _MPDB_BLOCK), _mpdb_record(dim))
+    for start in range(0, count, len(buf)):
+        block = buf[:count - start]
+        if fh.readinto(block) != block.nbytes:
             raise FormatError(f"{path}: truncated payload")
-    # a NaN heading stands for none
-    if (not all(np.isfinite(table[name]).all() for name in ("x", "y", "descriptor"))
-            or np.isinf(table["heading"]).any()):
-        raise FormatError(f"{path}: non-finite value in a record")
-    ids, xs, ys, headings = (table[name].tolist() for name in ("id", "x", "y", "heading"))
-    return PlaceDB._from_columns(
-        ids, np.asarray(table["descriptor"], dtype=np.float32), list(zip(xs, ys)),
-        [None if math.isnan(h) else h for h in headings],
-    )
+        # a NaN heading stands for none
+        if not (np.isfinite(block["x"]).all() and np.isfinite(block["y"]).all()
+                and not np.isinf(block["heading"]).any()):
+            raise FormatError(f"{path}: non-finite value in a record")
+        yield (block["id"], block["descriptor"], block["x"], block["y"],
+               [None if math.isnan(h) else h for h in block["heading"].tolist()])
 
 
 # -- text inputs --------------------------------------------------------------

@@ -53,13 +53,15 @@ class PlaceDB:
     Descriptors are held as float32, matching the on-disk format, so a
     save/load round trip reproduces query results bit for bit.
 
-    ``records`` grows only through ``add`` (or, for a new database,
-    ``_from_columns``), and a stored descriptor is never changed after it
-    is added: ``query`` keeps arrays that mirror
-    ``records`` (float32 descriptors, float64 squared norms, ids,
-    positions) and copies only the records added since the last query.
-    That copy rejects a descriptor holding NaN or inf, so the first query
-    after such an ``add`` raises ConfigError.
+    ``records`` grows only through ``add`` (or, for a loaded database,
+    ``_from_columns``), and a stored descriptor is never modified after it
+    is added: ``query`` keeps a store of arrays that mirror ``records``
+    (float32 descriptors, float64 squared norms, ids, positions) and copies
+    only the records added since the last query.  That copy rejects a
+    descriptor holding NaN or inf, so the first query after such an
+    ``add`` raises ConfigError.  A loaded database's records are row views
+    of the descriptor store itself: it holds each descriptor once, and its
+    first query copies nothing.
     """
 
     def __init__(self):
@@ -93,58 +95,92 @@ class PlaceDB:
         return self.records[self._row_of[record_id]]
 
     @classmethod
-    def _from_columns(cls, ids: list[int], descriptors: np.ndarray,
-                      positions: list[tuple[float, float]],
-                      headings: list[float | None]) -> "PlaceDB":
-        """A database of one record per descriptor row, built in one step, not one ``add`` each.
+    def _from_columns(cls, count: int, dim: int, blocks) -> "PlaceDB":
+        """A database of ``count`` records built from column blocks, not one ``add`` each.
 
-        ``descriptors`` is a (count, dim) float32 array and positions are
-        float pairs, so the records take them as they are, without
-        ``PlaceRecord``'s conversions.  Rows of one array share their dim;
+        ``blocks`` yields consecutive records as ``(ids, descriptors, xs,
+        ys, headings)``: uint64 ids, a (rows, dim) float32 array, float64
+        coordinates and a list of headings (float or None).  Each block is
+        copied straight into the query store, squared norms included, and
+        each record's ``descriptor`` is a row view of that store, never
+        modified; the caller may reuse a block's arrays once the next one
+        is asked for.
+        A descriptor holding NaN or inf raises ConfigError, as in ``query``.
         ``add``'s duplicate-id check applies, with its error.
         """
         db = cls()
-        db._row_of = dict(zip(ids, range(len(ids))))
-        if len(db._row_of) < len(ids):
+        db._reserve(count, dim)
+        ids, positions, headings = [], [], []
+        for block_ids, descriptors, xs, ys, block_headings in blocks:
+            n, block_ids = len(ids), block_ids.tolist()
+            m = n + len(block_ids)
+            db._desc[n:m] = descriptors
+            db._put(n, block_ids)
+            db._pos[n:m, 0], db._pos[n:m, 1] = xs, ys
+            ids += block_ids
+            positions += zip(xs.tolist(), ys.tolist())
+            headings += block_headings
+        db._row_of = dict(zip(ids, range(count)))
+        if len(db._row_of) < count:
             seen: set[int] = set()
             for rid in ids:
                 if rid in seen:
                     raise DuplicateIdError(f"record id {rid} already present")
                 seen.add(rid)
         new = object.__new__
-        for rid, desc, pos, heading in zip(ids, descriptors, positions, headings):
+        for rid, desc, pos, heading in zip(ids, db._desc, positions, headings):
             rec = new(PlaceRecord)
             rec.__dict__ = {"id": rid, "descriptor": desc, "position": pos,
                             "heading": heading, "source": ""}
             db.records.append(rec)
+        db._n = count
         return db
 
+    def _reserve(self, cap: int, dim: int) -> None:
+        """Move the query store to ``cap`` rows, keeping its first ``_n``.
+
+        Records that view rows of the old store (a loaded database's) are
+        pointed at the same rows of the new one, so the old store is freed.
+        """
+        n, old = self._n, self._desc
+        self._desc = _grown(old, n, (cap, dim))
+        self._sqnorm = _grown(self._sqnorm, n, (cap,))
+        self._ids = _grown(self._ids, n, (cap,))
+        self._pos = _grown(self._pos, n, (cap, 2))
+        for rec, row in zip(self.records[:n], self._desc):
+            if rec.descriptor.base is old:
+                rec.descriptor = row
+
+    def _put(self, start: int, ids: list[int]) -> None:
+        """Fill in the squared norms and ids of the stored rows from ``start`` on.
+
+        Products of float32 values are exact in float64, so a squared norm
+        is finite exactly when its row is: a row holding NaN or inf raises
+        ConfigError.
+        """
+        stop = start + len(ids)
+        rows, sqnorm = self._desc[start:stop], self._sqnorm[start:stop]
+        np.einsum("ij,ij->i", rows, rows, dtype=np.float64, out=sqnorm)
+        finite = np.isfinite(sqnorm)
+        if not finite.all():
+            bad = ids[int(finite.argmin())]
+            raise ConfigError(f"record id {bad}: descriptor holds a non-finite value")
+        try:
+            self._ids[start:stop] = ids
+        except OverflowError:  # an id outside int64: keep exact Python ints
+            self._ids = self._ids.astype(object)
+            self._ids[start:stop] = ids
+
     def _sync(self) -> int:
-        """Copy the records added since the last query into the mirror; return its size."""
+        """Copy the records added since the last query into the store; return its size."""
         n, new = self._n, self.records[self._n:]
         if not new:
             return n
         need = n + len(new)
         if need > len(self._ids):  # amortised doubling
-            cap = max(need, 2 * len(self._ids))
-            self._desc = _grown(self._desc, n, (cap, self.dim))
-            self._sqnorm = _grown(self._sqnorm, n, (cap,))
-            self._ids = _grown(self._ids, n, (cap,))
-            self._pos = _grown(self._pos, n, (cap, 2))
-        rows = np.stack([r.descriptor for r in new], out=self._desc[n:need])
-        # products of float32 values are exact in float64, so a squared norm is
-        # finite exactly when its row is
-        self._sqnorm[n:need] = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
-        finite = np.isfinite(self._sqnorm[n:need])
-        if not finite.all():
-            bad = new[int(finite.argmin())].id
-            raise ConfigError(f"record id {bad}: descriptor holds a non-finite value")
-        ids = [r.id for r in new]
-        try:
-            self._ids[n:need] = ids
-        except OverflowError:  # an id outside int64: keep exact Python ints
-            self._ids = self._ids.astype(object)
-            self._ids[n:need] = ids
+            self._reserve(max(need, 2 * len(self._ids)), self.dim)
+        np.stack([r.descriptor for r in new], out=self._desc[n:need])
+        self._put(n, [r.id for r in new])
         self._pos[n:need] = [r.position for r in new]
         self._n = need
         return need

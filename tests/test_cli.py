@@ -24,6 +24,7 @@ from radarplace.fileio import (
     save_weights,
 )
 from radarplace.heatmap import Heatmap, generate_heatmap
+from radarplace.placedb import PlaceDB
 from radarplace.radar import PlatformConfig, RadarConfig, Scatterer
 
 
@@ -316,6 +317,17 @@ def test_train_build_db_query_flow(tmp_path, scene_file, cfg_file, capsys):
     assert len(rows) == 4
     # the probe is itself in the database, so rank 1 is an exact hit
     assert rows[1][2] == "0" and float(rows[1][3]) == 0.0
+
+
+def test_query_against_an_empty_database_exits_2(tmp_path, capsys):
+    weights, probe, db = tmp_path / "enc.mmw", tmp_path / "probe.rah", tmp_path / "empty.mpdb"
+    save_weights(weights, init_weights(EncoderArch(input_shape=(64, 32)), 0))
+    save_heatmap(probe, Heatmap(np.ones((64, 32)), 0.1, np.linspace(-1.0, 1.0, 32)))
+    fileio.save_db(db, PlaceDB())
+    capsys.readouterr()
+    assert main(["query", "--db", str(db), "--weights", str(weights), str(probe)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("warning:") and "no records" in err
 
 
 @pytest.mark.parametrize("flag, value, name", [

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from radarplace import fileio
 from radarplace.concat import PoseOffset
 from radarplace.encoder import EncoderArch, init_weights
 from radarplace.errors import ConfigError, FormatError
@@ -188,7 +189,7 @@ def test_signed_weights_with_invalid_header_are_format_errors(tmp_path):
         load_weights(p)
 
 
-def test_db_round_trip(tmp_path):
+def test_db_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(1)
     db = PlaceDB()
     db.add(PlaceRecord(5, rng.standard_normal(8), (1.0, 2.0), heading=30.0, source="a"))
@@ -208,6 +209,29 @@ def test_db_round_trip(tmp_path):
     (tmp_path / "bad.mpdb").write_bytes(b"ZZZZ")
     with pytest.raises(FormatError):
         load_db(tmp_path / "bad.mpdb")
+
+    # records are decoded in blocks: counts just below, at and past a block edge,
+    # with an id beyond int64 in the last block
+    monkeypatch.setattr(fileio, "_MPDB_BLOCK", 3)
+    for count in (2, 3, 4, 6, 7):
+        db = PlaceDB()
+        for rid in [*range(count - 1), 2**64 - 1]:
+            db.add(PlaceRecord(rid, rng.standard_normal(8), (float(rid), -1.0),
+                               heading=None if rid % 2 else 5.0))
+        save_db(p, db)
+        back = load_db(p)
+        for a, b in zip(back.records, db.records, strict=True):
+            assert (a.id, a.position, a.heading) == (b.id, b.position, b.heading)
+            assert a.descriptor.tobytes() == b.descriptor.tobytes()
+        q = rng.standard_normal(8)
+        want, got = db.query(q, count, (2.0, -1.0)), back.query(q, count, (2.0, -1.0))
+        assert (got.ids, got.distances, got.flags) == (want.ids, want.distances, want.flags)
+        # a file that shrinks after its header is checked fails in its last block
+        with monkeypatch.context() as m:
+            m.setattr(fileio, "_expect_payload", lambda fh, n, path: None)
+            (tmp_path / "short.mpdb").write_bytes(p.read_bytes()[:-1])
+            with pytest.raises(FormatError, match="truncated payload"):
+                load_db(tmp_path / "short.mpdb")
 
 
 def test_db_size_must_match_header(tmp_path):
@@ -240,16 +264,21 @@ def test_non_finite_weights_are_a_format_error(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["descriptor", "position", "heading"])
-def test_db_non_finite_value_is_a_format_error(tmp_path, bad):
-    db = PlaceDB()
-    db.add(PlaceRecord(1, np.ones(4), (0.0, 0.0), heading=None))  # NaN on disk: no heading
-    db.add(PlaceRecord(2, np.full(4, np.nan) if bad == "descriptor" else np.ones(4),
-                       (np.inf, 0.0) if bad == "position" else (1.0, 0.0),
-                       heading=-np.inf if bad == "heading" else 10.0))
+def test_db_non_finite_value_is_a_format_error(tmp_path, monkeypatch, bad):
     p = tmp_path / "places.mpdb"
-    save_db(p, db)
-    with pytest.raises(FormatError, match="non-finite value"):
-        load_db(p)
+    # with the default block, then with the bad record last in a block of two:
+    # at the first block's edge, alone past it, at the second's edge, in the third
+    for block, count in ((fileio._MPDB_BLOCK, 2), (2, 2), (2, 3), (2, 4), (2, 5)):
+        monkeypatch.setattr(fileio, "_MPDB_BLOCK", block)
+        db = PlaceDB()
+        for rid in range(1, count):
+            db.add(PlaceRecord(rid, np.ones(4), (0.0, 0.0), heading=None))  # NaN on disk
+        db.add(PlaceRecord(count, np.full(4, np.nan) if bad == "descriptor" else np.ones(4),
+                           (np.inf, 0.0) if bad == "position" else (1.0, 0.0),
+                           heading=-np.inf if bad == "heading" else 10.0))
+        save_db(p, db)
+        with pytest.raises(FormatError, match="non-finite value"):
+            load_db(p)
 
 
 @pytest.mark.parametrize("bad_id", [-1, 2**64, 1.5])

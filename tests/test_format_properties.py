@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from radarplace import fileio
 from radarplace.encoder import EncoderArch, EncoderWeights, init_weights
 from radarplace.errors import DuplicateIdError, FormatError
 from radarplace.fileio import (
@@ -189,7 +190,10 @@ def test_db_round_trip(workdir, data):
         heading = data.draw(st.none() | finite)
         originals.append((rid, desc, position, heading))
         db.add(PlaceRecord(rid, desc, position, heading=heading))
-    loaded = _round_trip(workdir, save_db, load_db, db)
+    # record counts below, at and past the edge of a small decoding block
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fileio, "_MPDB_BLOCK", data.draw(st.sampled_from([1, 2, 3, fileio._MPDB_BLOCK])))
+        loaded = _round_trip(workdir, save_db, load_db, db)
     assert len(loaded) == len(originals)
     for rec, (rid, desc, position, heading) in zip(loaded.records, originals):
         assert (rec.id, rec.position, rec.heading) == (rid, position, heading)
@@ -239,13 +243,16 @@ def test_db_codec_matches_struct_reference(workdir, data):
     _save_db_reference(ref, db)
     assert fast.read_bytes() == ref.read_bytes()
     want = _load_db_reference(ref)
-    # NaN codes a missing heading; any other non-finite value is a malformed file
-    if any(not np.isfinite([*r.position, *r.descriptor]).all()
-           or r.heading is not None and np.isinf(r.heading) for r in want.records):
-        with pytest.raises(FormatError, match="non-finite value"):
-            load_db(fast)
-        return
-    got = load_db(fast)
+    block = data.draw(st.sampled_from([1, 2, 4, fileio._MPDB_BLOCK]))  # below, at, past the count
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fileio, "_MPDB_BLOCK", block)
+        # NaN codes a missing heading; any other non-finite value is a malformed file
+        if any(not np.isfinite([*r.position, *r.descriptor]).all()
+               or r.heading is not None and np.isinf(r.heading) for r in want.records):
+            with pytest.raises(FormatError, match="non-finite value"):
+                load_db(fast)
+            return
+        got = load_db(fast)
     assert len(got) == len(want)
     for a, b in zip(got.records, want.records, strict=True):
         assert repr((a.id, a.position, a.heading)) == repr((b.id, b.position, b.heading))

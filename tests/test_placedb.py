@@ -1,5 +1,7 @@
 """Exact retrieval and recognition metric tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -457,6 +459,28 @@ def test_a_loaded_database_is_the_one_adds_build(tmp_path):
                                                                b.has_match)
         for target in (db, loaded):
             target.add(PlaceRecord(1000 + step, q, pos))
+
+
+def test_a_loaded_database_holds_one_copy(tmp_path):
+    rng = np.random.default_rng(23)
+    db = PlaceDB()
+    for rid in range(40):
+        db.add(PlaceRecord(rid, rng.standard_normal(16), tuple(rng.uniform(0, 60, 2))))
+    save_db(tmp_path / "db.mpdb", db)
+    loaded = load_db(tmp_path / "db.mpdb")
+    store = weakref.ref(loaded._desc)
+    assert all(np.shares_memory(r.descriptor, loaded._desc) for r in loaded.records)
+    loaded.query(rng.standard_normal(16), 3)
+    assert loaded._desc is store()  # the first query copies nothing
+    # an add outgrows the store: the loaded records move to the new one, and the old is freed
+    loaded.add(PlaceRecord(100, rng.standard_normal(16), (0.0, 0.0)))
+    q = rng.standard_normal(16)
+    a, b = db.query(q, 5), loaded.query(q, 5)
+    assert (a.ids, a.distances) == (b.ids, b.distances)
+    assert all(np.shares_memory(r.descriptor, loaded._desc) for r in loaded.records[:40])
+    assert store() is None
+    assert [r.descriptor.tobytes() for r in loaded.records[:40]] == [
+        r.descriptor.tobytes() for r in db.records]
 
 
 def test_loading_a_duplicate_id_raises_what_add_raises(tmp_path):
