@@ -201,11 +201,11 @@ def save_db(path, db: PlaceDB) -> None:
 def load_db(path) -> PlaceDB:
     """Read an MPDB file into a database whose records view its query store.
 
-    Records are decoded in blocks of ``_MPDB_BLOCK`` straight into the
-    arrays ``PlaceDB.query`` reads.  Each record's ``descriptor`` is a row
-    view of that store and, like any stored descriptor, is never modified,
-    so the loaded database holds each descriptor once and its first query
-    copies nothing.
+    Records are decoded in blocks of ``_MPDB_BLOCK`` and written into the
+    arrays ``PlaceDB.query`` reads through the same path as added records.
+    As for every stored record, each record's ``descriptor`` is a
+    read-only view of its own store row, so the loaded database holds each
+    descriptor once and its first query copies nothing.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MPDB_MAGIC:
@@ -234,7 +234,7 @@ def _mpdb_blocks(fh, count: int, dim: int, path):
         if not (np.isfinite(block["x"]).all() and np.isfinite(block["y"]).all()
                 and not np.isinf(block["heading"]).any()):
             raise FormatError(f"{path}: non-finite value in a record")
-        yield (block["id"], block["descriptor"], block["x"], block["y"],
+        yield (block["id"], block["descriptor"], np.column_stack((block["x"], block["y"])),
                [None if math.isnan(h) else h for h in block["heading"].tolist()])
 
 
@@ -347,22 +347,26 @@ def load_offsets_csv(path) -> list[PoseOffset]:
 
 
 def load_poses_csv(path) -> list[dict]:
-    """Poses: ``frame_idx,x_m,y_m,heading_deg`` rows."""
+    """Poses: ``frame_idx,x_m,y_m,heading_deg`` rows of finite numbers."""
+    columns = ("frame_idx", "x_m", "y_m", "heading_deg")
     poses = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"frame_idx", "x_m", "y_m", "heading_deg"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise FormatError(f"{path}: poses CSV needs columns {sorted(required)}")
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise FormatError(f"{path}: poses CSV needs columns {sorted(columns)}")
         for row in reader:
-            poses.append(
-                {
-                    "frame_idx": int(row["frame_idx"]),
-                    "x_m": float(row["x_m"]),
-                    "y_m": float(row["y_m"]),
-                    "heading_deg": float(row["heading_deg"]),
-                }
-            )
+            where = f"{path}:{reader.line_num}"
+            missing = [c for c in columns if row[c] is None]
+            if missing:
+                raise FormatError(f"{where}: missing field {missing[0]}")
+            try:
+                frame_idx = int(row["frame_idx"])
+                x, y, heading = (float(row[c]) for c in columns[1:])
+            except ValueError as exc:
+                raise FormatError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, (x, y, heading))):
+                raise FormatError(f"{where}: non-finite value")
+            poses.append({"frame_idx": frame_idx, "x_m": x, "y_m": y, "heading_deg": heading})
     return poses
 
 

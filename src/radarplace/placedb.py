@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +54,15 @@ class PlaceDB:
     Descriptors are held as float32, matching the on-disk format, so a
     save/load round trip reproduces query results bit for bit.
 
-    ``records`` grows only through ``add`` (or, for a loaded database,
-    ``_from_columns``), and a stored descriptor is never modified after it
-    is added: ``query`` keeps a store of arrays that mirror ``records``
-    (float32 descriptors, float64 squared norms, ids, positions) and copies
-    only the records added since the last query.  That copy rejects a
-    descriptor holding NaN or inf, so the first query after such an
-    ``add`` raises ConfigError.  A loaded database's records are row views
-    of the descriptor store itself: it holds each descriptor once, and its
-    first query copies nothing.
+    ``query`` reads a store of arrays that mirror ``records``: float32
+    descriptors, float64 squared norms, ids and positions.  ``records``
+    grows only through ``add`` (or, for a loaded database,
+    ``_from_columns``), and ``add`` is lazy: the first query after it
+    stores the new records.  ``_store`` is the one write path into the
+    store, and it rejects a descriptor holding NaN or inf with ConfigError.
+    Every stored record's ``descriptor`` is a read-only view of its own
+    store row, so the database holds each descriptor once and a row never
+    drifts from its squared norm.
     """
 
     def __init__(self):
@@ -98,92 +99,92 @@ class PlaceDB:
     def _from_columns(cls, count: int, dim: int, blocks) -> "PlaceDB":
         """A database of ``count`` records built from column blocks, not one ``add`` each.
 
-        ``blocks`` yields consecutive records as ``(ids, descriptors, xs,
-        ys, headings)``: uint64 ids, a (rows, dim) float32 array, float64
-        coordinates and a list of headings (float or None).  Each block is
-        copied straight into the query store, squared norms included, and
-        each record's ``descriptor`` is a row view of that store, never
-        modified; the caller may reuse a block's arrays once the next one
-        is asked for.
-        A descriptor holding NaN or inf raises ConfigError, as in ``query``.
-        ``add``'s duplicate-id check applies, with its error.
+        ``blocks`` yields consecutive records as ``(ids, descriptors,
+        positions, headings)``: uint64 ids, a (rows, dim) float32 array, a
+        (rows, 2) float64 array and a list of headings (float or None).
+        Each block goes through ``_store``, the one write path into the
+        query store, and each record's ``descriptor`` is its store row, as
+        for every stored record; the caller may reuse a block's arrays once
+        the next one is asked for.  ``_store``'s checks apply, and so does
+        ``add``'s duplicate-id check, with its error.
         """
         db = cls()
         db._reserve(count, dim)
-        ids, positions, headings = [], [], []
-        for block_ids, descriptors, xs, ys, block_headings in blocks:
-            n, block_ids = len(ids), block_ids.tolist()
-            m = n + len(block_ids)
-            db._desc[n:m] = descriptors
-            db._put(n, block_ids)
-            db._pos[n:m, 0], db._pos[n:m, 1] = xs, ys
-            ids += block_ids
-            positions += zip(xs.tolist(), ys.tolist())
-            headings += block_headings
-        db._row_of = dict(zip(ids, range(count)))
-        if len(db._row_of) < count:
-            seen: set[int] = set()
-            for rid in ids:
-                if rid in seen:
-                    raise DuplicateIdError(f"record id {rid} already present")
-                seen.add(rid)
         new = object.__new__
-        for rid, desc, pos, heading in zip(ids, db._desc, positions, headings):
-            rec = new(PlaceRecord)
-            rec.__dict__ = {"id": rid, "descriptor": desc, "position": pos,
-                            "heading": heading, "source": ""}
-            db.records.append(rec)
-        db._n = count
+        for block_ids, descriptors, positions, headings in blocks:
+            ids = block_ids.tolist()
+            rows = db._store(ids, [descriptors], positions)
+            for rid, desc, pos, heading in zip(ids, rows, positions.tolist(), headings):
+                rec = new(PlaceRecord)
+                rec.__dict__ = {"id": rid, "descriptor": desc, "position": tuple(pos),
+                                "heading": heading, "source": ""}
+                db.records.append(rec)
+        for row, rec in enumerate(db.records):
+            if db._row_of.setdefault(rec.id, row) != row:
+                raise DuplicateIdError(f"record id {rec.id} already present")
         return db
 
     def _reserve(self, cap: int, dim: int) -> None:
         """Move the query store to ``cap`` rows, keeping its first ``_n``.
 
-        Records that view rows of the old store (a loaded database's) are
-        pointed at the same rows of the new one, so the old store is freed.
+        Every stored record is pointed at its row of the new store, so the
+        old one is freed.
         """
-        n, old = self._n, self._desc
-        self._desc = _grown(old, n, (cap, dim))
+        n = self._n
+        self._desc = _grown(self._desc, n, (cap, dim))
         self._sqnorm = _grown(self._sqnorm, n, (cap,))
         self._ids = _grown(self._ids, n, (cap,))
         self._pos = _grown(self._pos, n, (cap, 2))
-        for rec, row in zip(self.records[:n], self._desc):
-            if rec.descriptor.base is old:
-                rec.descriptor = row
+        stored = self._desc[:n]
+        stored.flags.writeable = False
+        for rec, row in zip(self.records, stored):
+            rec.descriptor = row
 
-    def _put(self, start: int, ids: list[int]) -> None:
-        """Fill in the squared norms and ids of the stored rows from ``start`` on.
+    def _store(self, ids: list[int], blocks, positions) -> np.ndarray:
+        """Append records at row ``_n`` of the query store; return the rows written.
 
-        Products of float32 values are exact in float64, so a squared norm
-        is finite exactly when its row is: a row holding NaN or inf raises
-        ConfigError.
+        ``blocks`` are (rows, dim) descriptor arrays, concatenated straight
+        into the store, which grows by doubling.  Products of float32
+        values are exact in float64, so a squared norm is finite exactly
+        when its row is: a row holding NaN or inf raises ConfigError, as
+        does an id that is not an integer, and ``_n`` stays where it was.
+        The rows returned are read-only.
         """
+        start = self._n
         stop = start + len(ids)
+        if stop > len(self._ids):  # amortised doubling
+            self._reserve(max(stop, 2 * len(self._ids)), blocks[0].shape[1])
         rows, sqnorm = self._desc[start:stop], self._sqnorm[start:stop]
+        np.concatenate(blocks, out=rows)
         np.einsum("ij,ij->i", rows, rows, dtype=np.float64, out=sqnorm)
         finite = np.isfinite(sqnorm)
         if not finite.all():
             bad = ids[int(finite.argmin())]
             raise ConfigError(f"record id {bad}: descriptor holds a non-finite value")
+        for rid in ids:
+            try:
+                operator.index(rid)  # an int64 column would truncate 1.5 to 1
+            except TypeError:
+                raise ConfigError(f"record id {rid!r}: not an integer") from None
         try:
             self._ids[start:stop] = ids
         except OverflowError:  # an id outside int64: keep exact Python ints
             self._ids = self._ids.astype(object)
             self._ids[start:stop] = ids
+        self._pos[start:stop] = positions
+        self._n = stop
+        rows.flags.writeable = False
+        return rows
 
     def _sync(self) -> int:
-        """Copy the records added since the last query into the store; return its size."""
-        n, new = self._n, self.records[self._n:]
-        if not new:
-            return n
-        need = n + len(new)
-        if need > len(self._ids):  # amortised doubling
-            self._reserve(max(need, 2 * len(self._ids)), self.dim)
-        np.stack([r.descriptor for r in new], out=self._desc[n:need])
-        self._put(n, [r.id for r in new])
-        self._pos[n:need] = [r.position for r in new]
-        self._n = need
-        return need
+        """Store the records added since the last query at their rows; return the store's size."""
+        new = self.records[self._n:]
+        if new:
+            rows = self._store([r.id for r in new], [r.descriptor[None] for r in new],
+                               [r.position for r in new])
+            for rec, row in zip(new, rows):
+                rec.descriptor = row
+        return self._n
 
     def query(self, descriptor, k: int, query_position=None) -> QueryResult:
         """Exact top-k by Euclidean distance; ties break to the smaller id.

@@ -358,6 +358,27 @@ def test_train_on_an_empty_dataset_exits_2(tmp_path, capsys):
     assert "no training samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("1,abc,0,0", "could not convert string to float: 'abc'"),
+    ("1,1", "missing field y_m"),
+    ("1,nan,0,0", "non-finite value"),
+])
+def test_train_on_a_malformed_poses_row_exits_3(tmp_path, capsys, row, problem):
+    # a non-numeric field or a short row was an internal error, and a NaN
+    # coordinate was trained on and written into the database
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for f in range(2):
+        save_heatmap(maps / f"frame_{f:04d}.rah",
+                     Heatmap(np.ones((64, 32)), 0.1, np.linspace(-1.0, 1.0, 32)))
+    poses = maps / "poses.csv"
+    poses.write_text(f"frame_idx,x_m,y_m,heading_deg\n0,0,0,0\n{row}\n")
+    capsys.readouterr()
+    assert main(["train", "--heatmaps", str(maps), "--poses", str(poses),
+                 "--out", str(tmp_path / "w.mmw"), "--epochs", "1"]) == 3
+    assert f"poses.csv:3: {problem}" in capsys.readouterr().err
+
+
 def test_build_db_pose_count_mismatch_exits_1(tmp_path, scene_file, cfg_file):
     cubes, maps = tmp_path / "cubes", tmp_path / "maps"
     assert main([

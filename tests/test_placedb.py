@@ -404,6 +404,17 @@ def test_query_refuses_a_stored_non_finite_descriptor():
         db.query(np.ones(4), 2)
 
 
+def test_query_refuses_a_non_integer_id():
+    # an int64 id column would return id 1.5 as 1; numpy integers are ids like any other
+    db = _db_from([[1.0, 0.0], [0.0, 1.0]])
+    db.add(PlaceRecord(np.int64(7), [1.0, 1.0], (0.0, 0.0)))
+    assert db.query([1.0, 1.0], 1).ids == [7]
+    db.add(PlaceRecord(1.5, [1.0, 1.0], (0.0, 0.0)))
+    assert db.get(1.5).id == 1.5
+    with pytest.raises(ConfigError, match="record id 1.5: not an integer"):
+        db.query([1.0, 1.0], 1)
+
+
 def test_query_returns_ids_beyond_int64_exactly():
     # ids up to 2**64 - 1 are valid in MPDB files; ties still break to the smaller id
     big = [2**64 - 1, 2**63 + 1, 2**63, -5]
@@ -481,6 +492,42 @@ def test_a_loaded_database_holds_one_copy(tmp_path):
     assert store() is None
     assert [r.descriptor.tobytes() for r in loaded.records[:40]] == [
         r.descriptor.tobytes() for r in db.records]
+
+
+def test_a_database_built_by_add_holds_one_copy():
+    rng = np.random.default_rng(29)
+    descs, positions = rng.standard_normal((40, 16)), rng.uniform(0, 60, (40, 2))
+    queried, fresh = _db_from(descs, positions), _db_from(descs, positions)
+    own = [weakref.ref(r.descriptor) for r in queried.records]
+    q, qpos = rng.standard_normal(16), (30.0, 30.0)
+    got = queried.query(q, 5, qpos)
+    assert all(np.shares_memory(r.descriptor, queried._desc) for r in queried.records)
+    assert all(ref() is None for ref in own)  # each record's own array is freed
+    assert [r.descriptor.tobytes() for r in queried.records] == [
+        r.descriptor.tobytes() for r in fresh.records]
+    _same(got, fresh.query(q, 5, qpos))
+    # an add outgrows the store: every stored record moves to the new one, and the old is freed
+    store = weakref.ref(queried._desc)
+    for target in (queried, fresh):
+        target.add(PlaceRecord(40, q, qpos))
+    _same(queried.query(q, 5, qpos), fresh.query(q, 5, qpos))
+    assert store() is None
+    assert all(np.shares_memory(r.descriptor, queried._desc) for r in queried.records)
+
+
+def test_stored_descriptors_are_read_only(tmp_path):
+    # the squared norms the query's margin relies on stay those of the rows
+    rng = np.random.default_rng(31)
+    db = _db_from(rng.standard_normal((6, 8)))
+    save_db(tmp_path / "db.mpdb", db)
+    loaded = load_db(tmp_path / "db.mpdb")
+    db.query(rng.standard_normal(8), 2)
+    for target in (db, loaded):
+        target.add(PlaceRecord(6, rng.standard_normal(8), (0.0, 0.0)))
+        target.query(rng.standard_normal(8), 2)  # stores the add, growing the store
+        for rid in (0, 6):
+            with pytest.raises(ValueError, match="read-only"):
+                target.get(rid).descriptor[0] = 1.0
 
 
 def test_loading_a_duplicate_id_raises_what_add_raises(tmp_path):
