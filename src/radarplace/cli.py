@@ -63,7 +63,7 @@ def _heatmap_files(path: Path) -> list[Path]:
 
 def cmd_simulate(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
-    n_frames = int(keyvals.get("n_frames", 1)) if args.frames is None else args.frames
+    n_frames = fileio.config_int(keyvals, "n_frames", 1) if args.frames is None else args.frames
     if n_frames < 1:
         raise ConfigError(f"the frame count must be >= 1, got {n_frames}")
     scene = fileio.load_scene(args.scene)
@@ -99,7 +99,8 @@ def cmd_heatmap(args) -> int:
     if size is None and keyvals.keys() & {"heatmap_rows", "heatmap_cols"}:
         if not keyvals.keys() >= {"heatmap_rows", "heatmap_cols"}:
             raise ConfigError("heatmap_rows and heatmap_cols must be given together")
-        size = (int(keyvals["heatmap_rows"]), int(keyvals["heatmap_cols"]))
+        size = (fileio.config_int(keyvals, "heatmap_rows"),
+                fileio.config_int(keyvals, "heatmap_cols"))
     if size is not None and min(size) < 1:
         raise ConfigError(f"heatmap size must be >= 1, got {size[0]}x{size[1]}")
     src = Path(args.input)
@@ -204,7 +205,7 @@ def cmd_render(args) -> int:
 def cmd_eval(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
     world = synth.build_world(fileio.world_config_from(keyvals, args.seed))
-    queries_per_cell = int(keyvals.get("queries_per_cell", 4))
+    queries_per_cell = fileio.config_int(keyvals, "queries_per_cell", 4)
     if queries_per_cell < 1:  # before training, which can take minutes or fail first
         raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")
 
@@ -222,7 +223,7 @@ def cmd_eval(args) -> int:
             ]
         else:
             dataset = synth.training_dataset(world, rcfg, seed=args.seed + 50)
-        tcfg = enc.TrainConfig(seed=args.seed, max_epochs=int(keyvals.get("epochs", 8)))
+        tcfg = enc.TrainConfig(seed=args.seed, max_epochs=fileio.config_int(keyvals, "epochs", 8))
         weights = enc.train(dataset, tcfg).weights
 
     report = synth.evaluate(

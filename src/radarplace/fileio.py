@@ -28,13 +28,19 @@ IFC_MAGIC = b"IFC1"
 RAH_MAGIC = b"RAH1"
 MMW_MAGIC = b"MMW1"
 MPDB_MAGIC = b"MPDB"
+_IFC_HEADER = struct.Struct("<3I")  # samples, chirps, antennas
+_RAH_HEADER = struct.Struct("<2Id")  # rows, cols, range bin size in m
+_MPDB_HEADER = struct.Struct("<2I")  # record count, descriptor dim
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
+def _read_header(fh, magic: bytes, header: struct.Struct, path, kind: str) -> tuple:
+    """Check the four-byte ``magic``, then unpack the ``header`` that follows it."""
+    if fh.read(4) != magic:
+        raise FormatError(f"{path}: not {kind} file")
+    buf = fh.read(header.size)
+    if len(buf) != header.size:
+        raise FormatError(f"{path}: truncated header")
+    return header.unpack(buf)
 
 
 def _expect_payload(fh, n: int, path) -> None:
@@ -61,16 +67,13 @@ def _decoding(path):
 
 def save_cube(path, cube: IFCube) -> None:
     with open(path, "wb") as fh:
-        fh.write(IFC_MAGIC)
-        fh.write(struct.pack("<III", *cube.dims))
+        fh.write(IFC_MAGIC + _IFC_HEADER.pack(*cube.dims))
         fh.write(cube.data.astype("<c8").tobytes())  # interleaved float32 re, im
 
 
 def load_cube(path) -> IFCube:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != IFC_MAGIC:
-            raise FormatError(f"{path}: not an IF cube file")
-        n_s, n_c, n_r = struct.unpack("<III", _read_exact(fh, 12, "dims"))
+        n_s, n_c, n_r = _read_header(fh, IFC_MAGIC, _IFC_HEADER, path, "an IF cube")
         _expect_payload(fh, n_s * n_c * n_r * 2 * 4, path)
         raw = np.frombuffer(fh.read(), dtype="<c8")
     with _decoding(path):
@@ -81,19 +84,14 @@ def load_cube(path) -> IFCube:
 
 def save_heatmap(path, h: Heatmap) -> None:
     with open(path, "wb") as fh:
-        fh.write(RAH_MAGIC)
-        fh.write(struct.pack("<II", h.n_rows, h.n_cols))
-        fh.write(struct.pack("<d", h.range_bin_m))
+        fh.write(RAH_MAGIC + _RAH_HEADER.pack(h.n_rows, h.n_cols, h.range_bin_m))
         fh.write(h.angle_axis.astype("<f8").tobytes())
         fh.write(h.values.astype("<f4").tobytes())
 
 
 def load_heatmap(path) -> Heatmap:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != RAH_MAGIC:
-            raise FormatError(f"{path}: not a heatmap file")
-        rows, cols = struct.unpack("<II", _read_exact(fh, 8, "dims"))
-        (range_bin_m,) = struct.unpack("<d", _read_exact(fh, 8, "range_bin_m"))
+        rows, cols, range_bin_m = _read_header(fh, RAH_MAGIC, _RAH_HEADER, path, "a heatmap")
         _expect_payload(fh, cols * 8 + rows * cols * 4, path)
         axis = np.frombuffer(fh.read(cols * 8), dtype="<f8")
         vals = np.frombuffer(fh.read(), dtype="<f4")
@@ -103,28 +101,29 @@ def load_heatmap(path) -> Heatmap:
 
 # -- encoder weights ----------------------------------------------------------
 
+def _mmw_header(n_ch: int) -> struct.Struct:
+    """The MMW1 header of an encoder with ``n_ch`` channel widths.
+
+    It holds the input rows and cols, ``n_ch``, the widths, each layer's pool
+    ((0, 0) for none) and the u64 seed.  One float32 block follows it, every
+    kernel then its bias, layer by layer, and then a CRC-32 of header and block.
+    """
+    return struct.Struct(f"<3I{n_ch}I{2 * (n_ch - 1)}IQ")
+
+
 def save_weights(path, w: EncoderWeights) -> None:
     arch = w.arch
-    payload = bytearray()
-    payload += struct.pack("<II", *arch.input_shape)
-    payload += struct.pack("<I", len(arch.channels))
-    payload += struct.pack(f"<{len(arch.channels)}I", *arch.channels)
-    for pool in arch.pools:
-        ph, pw = pool if pool is not None else (0, 0)
-        payload += struct.pack("<II", ph, pw)
-    payload += struct.pack("<Q", w.seed)
-    for k, b in zip(w.kernels, w.biases):
-        payload += k.astype("<f4").tobytes()
-        payload += b.astype("<f4").tobytes()
+    pools = [v for pool in arch.pools for v in ((0, 0) if pool is None else pool)]
+    payload = _mmw_header(len(arch.channels)).pack(
+        *arch.input_shape, len(arch.channels), *arch.channels, *pools, w.seed)
+    payload += b"".join(a.astype("<f4").tobytes() for kb in zip(w.kernels, w.biases) for a in kb)
     with open(path, "wb") as fh:
-        fh.write(MMW_MAGIC)
-        fh.write(bytes(payload))
-        fh.write(struct.pack("<I", zlib.crc32(bytes(payload))))
+        fh.write(MMW_MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
 def load_weights(path) -> EncoderWeights:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MMW_MAGIC:
+        if fh.read(4) != MMW_MAGIC:
             raise FormatError(f"{path}: not a weights file")
         payload = fh.read()
     if len(payload) < 4:
@@ -132,44 +131,22 @@ def load_weights(path) -> EncoderWeights:
     payload, (crc,) = payload[:-4], struct.unpack("<I", payload[-4:])
     if zlib.crc32(payload) != crc:
         raise FormatError(f"{path}: checksum mismatch")
-    off = 0
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, payload, off)
-        off += size
-        return vals
-
-    with _decoding(path):
-        rows, cols = take("<II")
-        (n_ch,) = take("<I")
-        channels = take(f"<{n_ch}I")
-        pools = []
-        for _ in range(n_ch - 1):
-            ph, pw = take("<II")
-            pools.append((ph, pw) if ph else None)
-        (seed,) = take("<Q")
-        arch = EncoderArch((rows, cols), tuple(channels), tuple(pools))
-        kernels, biases = [], []
-        for l in range(arch.n_layers):
-            c_in, c_out = channels[l], channels[l + 1]
-            n_k = c_out * c_in * 9
-            kernels.append(
-                np.frombuffer(payload, dtype="<f4", count=n_k, offset=off)
-                .astype(np.float64)
-                .reshape(c_out, c_in, 3, 3)
-            )
-            off += n_k * 4
-            biases.append(
-                np.frombuffer(payload, dtype="<f4", count=c_out, offset=off).astype(np.float64)
-            )
-            off += c_out * 4
-        if off != len(payload):
-            raise FormatError(f"{path}: trailing bytes in weights payload")
-        if not all(np.isfinite(a).all() for a in kernels + biases):
-            raise FormatError(f"{path}: non-finite encoder weight")
-        return EncoderWeights(arch, kernels, biases, seed)
+    with _decoding(path):  # a header the payload cannot hold, or a partial float32
+        header = _mmw_header(*struct.unpack_from("<I", payload, 8))  # n_ch is the third u32
+        rows, cols, n_ch, *plan, seed = header.unpack_from(payload)
+        pools = [(ph, pw) if ph else None for ph, pw in zip(plan[n_ch::2], plan[n_ch + 1::2])]
+        arch = EncoderArch((rows, cols), tuple(plan[:n_ch]), tuple(pools))
+        block = np.frombuffer(payload, dtype="<f4", offset=header.size)
+    ch = arch.channels
+    shapes = [s for c_in, c_out in zip(ch, ch[1:]) for s in ((c_out, c_in, 3, 3), (c_out,))]
+    sizes = [math.prod(s) for s in shapes]
+    if block.size != sum(sizes):
+        raise FormatError(f"{path}: {block.size} weights, the header declares {sum(sizes)}")
+    if not np.isfinite(block).all():
+        raise FormatError(f"{path}: non-finite encoder weight")
+    arrays = [a.astype(np.float64).reshape(s)
+              for a, s in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes)]
+    return EncoderWeights(arch, arrays[0::2], arrays[1::2], seed)
 
 
 # -- place databases ----------------------------------------------------------
@@ -193,8 +170,7 @@ def save_db(path, db: PlaceDB) -> None:
     table["heading"] = [math.nan if r.heading is None else r.heading for r in recs]
     table["descriptor"] = [r.descriptor for r in recs]
     with open(path, "wb") as fh:
-        fh.write(MPDB_MAGIC)
-        fh.write(struct.pack("<II", len(recs), dim))
+        fh.write(MPDB_MAGIC + _MPDB_HEADER.pack(len(recs), dim))
         fh.write(table)  # the packed records as they are in memory, without a copy
 
 
@@ -208,13 +184,11 @@ def load_db(path) -> PlaceDB:
     descriptor once and its first query copies nothing.
     """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MPDB_MAGIC:
-            raise FormatError(f"{path}: not a place database file")
-        count, dim = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        _expect_payload(fh, count * (32 + dim * 4), path)
-        if not count:
-            return PlaceDB()
-        with _decoding(path):  # _from_columns rejects a non-finite descriptor
+        count, dim = _read_header(fh, MPDB_MAGIC, _MPDB_HEADER, path, "a place database")
+        with _decoding(path):  # a dim too wide for numpy, or a non-finite descriptor
+            _expect_payload(fh, count * _mpdb_record(dim).itemsize, path)
+            if not count:
+                return PlaceDB()
             return PlaceDB._from_columns(count, dim, _mpdb_blocks(fh, count, dim, path))
 
 
@@ -296,22 +270,28 @@ def load_keyvals(path) -> dict[str, float]:
     return out
 
 
-_RADAR_KEYS = {
-    "slope", "wavelength", "antenna_spacing", "sample_rate",
-    "n_samples", "n_chirps", "n_antennas", "fov_deg", "gain_taper_exp",
-}
-_PLATFORM_KEYS = {"angular_speed", "frame_rate", "sweep_extent", "jitter_std"}
-_WORLD_KEYS = {
+_RADAR_KEYS = {f.name for f in fields(RadarConfig)}
+_PLATFORM_KEYS = {f.name for f in fields(PlatformConfig)}
+_WORLD_KEYS = {  # not seed or range_lo
     "n_places", "spacing_m", "scatterers_per_place", "noise_std",
     "heatmap_rows", "heatmap_cols", "mosaic_cols",
 }
 CONFIG_KEYS = _RADAR_KEYS | _PLATFORM_KEYS | _WORLD_KEYS
 
 
+def config_int(keyvals: dict[str, float], key: str, default: int | None = None) -> int:
+    """``keyvals[key]`` (``default`` if unset) as an int: a whole number within int64."""
+    value = keyvals.get(key, default)
+    if value % 1 or not -2**63 <= value < 2**63:
+        raise ConfigError(f"{key} must be a whole number within int64, got {value!r}")
+    return int(value)
+
+
 def _config_from(cls, keys, keyvals, **fixed):
-    """``cls`` from the ``keys`` that ``keyvals`` sets plus ``fixed``; ``int`` fields truncate."""
+    """``cls`` from the ``keys`` set in ``keyvals`` plus ``fixed``; ints via ``config_int``."""
     ints = {f.name for f in fields(cls) if f.type in ("int", int)}
-    kwargs = {k: int(keyvals[k]) if k in ints else keyvals[k] for k in keys & keyvals.keys()}
+    kwargs = {k: config_int(keyvals, k) if k in ints else keyvals[k]
+              for k in keys & keyvals.keys()}
     return cls(**kwargs, **fixed)
 
 
@@ -327,53 +307,67 @@ def world_config_from(keyvals: dict[str, float], seed: int) -> WorldConfig:
     return _config_from(WorldConfig, _WORLD_KEYS, keyvals, seed=seed)
 
 
-def save_offsets_csv(path, offsets: list[PoseOffset]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_idx", "r_offset", "a_offset", "score"])
-        for i, o in enumerate(offsets):
-            writer.writerow([i, o.r_offset, o.a_offset, f"{o.score:.9f}"])
+_OFFSET_COLUMNS = ("frame_idx", "r_offset", "a_offset", "score")
+_POSE_COLUMNS = ("frame_idx", "x_m", "y_m", "heading_deg")
+_CSV_INTS = {"frame_idx", "r_offset", "a_offset"}  # every other column is a finite float
 
 
-def load_offsets_csv(path) -> list[PoseOffset]:
-    offsets = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            offsets.append(
-                PoseOffset(int(row["r_offset"]), int(row["a_offset"]), float(row["score"]))
-            )
-    return offsets
+def _csv_rows(path, columns):
+    """``(path:line, row)`` for each row of a CSV whose header names ``columns``.
 
-
-def load_poses_csv(path) -> list[dict]:
-    """Poses: ``frame_idx,x_m,y_m,heading_deg`` rows of finite numbers."""
-    columns = ("frame_idx", "x_m", "y_m", "heading_deg")
-    poses = []
+    ``row`` maps each column to its ``int`` or finite ``float``; a missing,
+    extra or malformed field is a ``FormatError`` that names ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
-            raise FormatError(f"{path}: poses CSV needs columns {sorted(columns)}")
+            raise FormatError(f"{path}: CSV needs columns {sorted(columns)}")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             missing = [c for c in columns if row[c] is None]
             if missing:
                 raise FormatError(f"{where}: missing field {missing[0]}")
+            if None in row:  # DictReader files fields past the header under None
+                raise FormatError(f"{where}: more fields than the header names")
             try:
-                frame_idx = int(row["frame_idx"])
-                x, y, heading = (float(row[c]) for c in columns[1:])
+                values = {c: int(row[c]) if c in _CSV_INTS else float(row[c]) for c in columns}
             except ValueError as exc:
                 raise FormatError(f"{where}: {exc}") from None
-            if not all(map(math.isfinite, (x, y, heading))):
+            if not all(math.isfinite(v) for c, v in values.items() if c not in _CSV_INTS):
                 raise FormatError(f"{where}: non-finite value")
-            poses.append({"frame_idx": frame_idx, "x_m": x, "y_m": y, "heading_deg": heading})
+            yield where, values
+
+
+def save_offsets_csv(path, offsets: list[PoseOffset]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_OFFSET_COLUMNS)
+        for i, o in enumerate(offsets):
+            writer.writerow([i, o.r_offset, o.a_offset, f"{o.score:.9f}"])
+
+
+def load_offsets_csv(path) -> list[PoseOffset]:
+    return [PoseOffset(row["r_offset"], row["a_offset"], row["score"])
+            for _, row in _csv_rows(path, _OFFSET_COLUMNS)]
+
+
+def load_poses_csv(path) -> list[dict]:
+    """Poses: ``frame_idx,x_m,y_m,heading_deg`` rows of finite numbers.
+
+    Row ``i`` labels the ``i``-th heatmap: a ``frame_idx`` other than ``i`` is a ``ConfigError``.
+    """
+    poses = []
+    for where, row in _csv_rows(path, _POSE_COLUMNS):
+        if row["frame_idx"] != len(poses):
+            raise ConfigError(f"{where}: frame_idx {row['frame_idx']}, expected {len(poses)}")
+        poses.append(row)
     return poses
 
 
 def save_poses_csv(path, poses: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame_idx", "x_m", "y_m", "heading_deg"])
+        writer.writerow(_POSE_COLUMNS)
         for p in poses:
             writer.writerow(
                 [p["frame_idx"], f"{p['x_m']:.6f}", f"{p['y_m']:.6f}", f"{p['heading_deg']:.6f}"]

@@ -3,15 +3,17 @@
 import csv
 import hashlib
 import math
+import re
 import struct
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radarplace import fileio, synth
-from radarplace.cli import main
+from radarplace.cli import _CONFIG_KEYS, main
 from radarplace.concat import detect_cycles
 from radarplace.encoder import EncoderArch, TrainResult, init_weights
 from radarplace.fileio import (
@@ -399,6 +401,25 @@ def test_build_db_pose_count_mismatch_exits_1(tmp_path, scene_file, cfg_file):
     assert rc == 1
 
 
+def test_poses_out_of_frame_order_exit_1(tmp_path, capsys):
+    # row i labels the i-th heatmap; these rows would label frame 1 with frame 2's pose
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for f in range(3):
+        save_heatmap(maps / f"frame_{f:04d}.rah",
+                     Heatmap(np.full((64, 32), f + 1.0), 0.1, np.linspace(-1.0, 1.0, 32)))
+    poses = maps / "poses.csv"
+    poses.write_text("frame_idx,x_m,y_m,heading_deg\n0,0,0,0\n2,20,0,0\n1,10,0,0\n")
+    weights = tmp_path / "w.mmw"
+    save_weights(weights, init_weights(EncoderArch(input_shape=(64, 32)), 0))
+    for command in (["train", "--epochs", "1"], ["build-db", "--weights", str(weights)]):
+        capsys.readouterr()
+        assert main([*command, "--heatmaps", str(maps), "--poses", str(poses),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "poses.csv:3: frame_idx 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_bad_eval_config_exits_1(tmp_path):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("scatterers_per_place = -1\n")
@@ -461,6 +482,24 @@ def test_non_finite_config_value_exits_1(tmp_path, scene_file, line):
     cfg.write_text(f"n_chirps = 4\n{line}\n")
     assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
                  "--out", str(tmp_path / "cubes"), "--frames", "3"]) == 1
+
+
+@pytest.mark.parametrize("command, line", [
+    ("simulate", "n_frames = 2.7"),
+    ("simulate", "n_antennas = 2.5"),
+    ("simulate", "n_frames = 1e30"),
+    ("simulate", "n_samples = 1e30"),
+    ("eval", "mosaic_cols = 1e30"),
+])
+def test_integer_config_value_outside_int64_or_fractional_exits_1(tmp_path, scene_file, capsys,
+                                                                   command, line):
+    # fractions were truncated, and values past int64 were internal errors
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_chirps = 4\n{line}\n")
+    args = ["--scene", str(scene_file)] if command == "simulate" else ["--concat", "relpose"]
+    assert main([command, *args, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    key = line.split(" = ")[0]
+    assert f"{key} must be a whole number within int64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "concat"])
@@ -622,6 +661,13 @@ _EVERY_CONFIG_KEY = {
     "n_places": 8, "spacing_m": 20, "scatterers_per_place": 8, "mosaic_cols": 64,
     "epochs": 1, "queries_per_cell": 1,
 }
+
+
+def test_readme_lists_every_recognized_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("Recognized keys:", 1)[1].split("\n\n")[1]
+    assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(_CONFIG_KEYS)
+    assert _EVERY_CONFIG_KEY.keys() == _CONFIG_KEYS
 
 
 def test_one_config_with_every_recognized_key_serves_each_subcommand(tmp_path, scene_file):

@@ -381,6 +381,25 @@ def test_poses_csv_round_trip(tmp_path):
         load_poses_csv(tmp_path / "bad.csv")
 
 
+def test_poses_csv_refuses_a_field_past_the_header(tmp_path):
+    p = tmp_path / "poses.csv"
+    p.write_text("frame_idx,x_m,y_m,heading_deg\n0,1,2,3,99\n")
+    with pytest.raises(FormatError, match="poses.csv:2: more fields"):
+        load_poses_csv(p)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("0,1", "missing field a_offset"),
+    ("0,abc,0,1.0", "invalid literal for int"),
+    ("0,1,2,nan", "non-finite value"),
+])
+def test_offsets_csv_malformed_row_is_a_format_error(tmp_path, row, problem):
+    p = tmp_path / "offsets.csv"
+    p.write_text(f"frame_idx,r_offset,a_offset,score\n0,0,0,1.0\n{row}\n")
+    with pytest.raises(FormatError, match=f"offsets.csv:3: {problem}"):
+        load_offsets_csv(p)
+
+
 def test_render_pgm(tmp_path):
     rng = np.random.default_rng(2)
     vals = random_heatmap_values(rng, 6, 9)

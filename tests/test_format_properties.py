@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from radarplace import fileio
 from radarplace.encoder import EncoderArch, EncoderWeights, init_weights
-from radarplace.errors import DuplicateIdError, FormatError
+from radarplace.errors import ConfigError, DuplicateIdError, FormatError
 from radarplace.fileio import (
     load_cube,
     load_db,
@@ -35,6 +35,8 @@ from radarplace.fileio import (
 from radarplace.heatmap import Heatmap
 from radarplace.placedb import PlaceDB, PlaceRecord
 from radarplace.radar import IFCube
+
+from test_acceptance import GRAD_ARCHS
 
 LOADERS = {"IFC1": load_cube, "RAH1": load_heatmap, "MMW1": load_weights, "MPDB": load_db}
 KINDS = [*LOADERS, "MMW1-resigned"]
@@ -259,3 +261,109 @@ def test_db_codec_matches_struct_reference(workdir, data):
         assert type(a.id) is type(b.id) and type(a.heading) is type(b.heading)
         assert a.descriptor.dtype == b.descriptor.dtype
         assert a.descriptor.tobytes() == b.descriptor.tobytes()
+
+
+# -- MMW1 against the per-field struct codec -------------------------------------
+
+def _save_weights_reference(path, w):
+    """The earlier ``save_weights``: one struct call per header field."""
+    arch = w.arch
+    payload = bytearray()
+    payload += struct.pack("<II", *arch.input_shape)
+    payload += struct.pack("<I", len(arch.channels))
+    payload += struct.pack(f"<{len(arch.channels)}I", *arch.channels)
+    for pool in arch.pools:
+        ph, pw = pool if pool is not None else (0, 0)
+        payload += struct.pack("<II", ph, pw)
+    payload += struct.pack("<Q", w.seed)
+    for k, b in zip(w.kernels, w.biases):
+        payload += k.astype("<f4").tobytes()
+        payload += b.astype("<f4").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(b"MMW1")
+        fh.write(bytes(payload))
+        fh.write(struct.pack("<I", zlib.crc32(bytes(payload))))
+
+
+def _load_weights_reference(path):
+    """The earlier ``load_weights``: the payload walked with a running offset."""
+    raw = path.read_bytes()
+    if raw[:4] != b"MMW1" or len(raw) < 8:
+        raise FormatError(f"{path}: not a weights file")
+    payload, (crc,) = raw[4:-4], struct.unpack("<I", raw[-4:])
+    if zlib.crc32(payload) != crc:
+        raise FormatError(f"{path}: checksum mismatch")
+    off = 0
+
+    def take(fmt):
+        nonlocal off
+        vals = struct.unpack_from(fmt, payload, off)
+        off += struct.calcsize(fmt)
+        return vals
+
+    try:
+        rows, cols = take("<II")
+        (n_ch,) = take("<I")
+        channels = take(f"<{n_ch}I")
+        pools = []
+        for _ in range(n_ch - 1):
+            ph, pw = take("<II")
+            pools.append((ph, pw) if ph else None)
+        (seed,) = take("<Q")
+        arch = EncoderArch((rows, cols), tuple(channels), tuple(pools))
+        kernels, biases = [], []
+        for l in range(arch.n_layers):
+            c_in, c_out = channels[l], channels[l + 1]
+            n_k = c_out * c_in * 9
+            kernels.append(np.frombuffer(payload, dtype="<f4", count=n_k, offset=off)
+                           .astype(np.float64).reshape(c_out, c_in, 3, 3))
+            off += n_k * 4
+            biases.append(np.frombuffer(payload, dtype="<f4", count=c_out, offset=off)
+                          .astype(np.float64))
+            off += c_out * 4
+    except (ConfigError, ValueError, struct.error) as exc:
+        raise FormatError(f"{path}: invalid content: {exc}") from None
+    if off != len(payload):
+        raise FormatError(f"{path}: trailing bytes in weights payload")
+    if not all(np.isfinite(a).all() for a in kernels + biases):
+        raise FormatError(f"{path}: non-finite encoder weight")
+    return EncoderWeights(arch, kernels, biases, seed)
+
+
+# criterion 5's gradient-oracle archs and the default arch at 64x96 and 64x256
+ORACLE_ARCHS = [*GRAD_ARCHS, EncoderArch(input_shape=(64, 96)),
+                EncoderArch(input_shape=(64, 256))]
+
+
+def _resign(payload):
+    return b"MMW1" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+@pytest.mark.parametrize("ai", range(len(ORACLE_ARCHS)))
+def test_weights_codec_matches_struct_reference(workdir, ai):
+    weights = init_weights(ORACLE_ARCHS[ai], seed=2**64 - 1 - ai)
+    new, ref = workdir / "new.mmw", workdir / "ref.mmw"
+    save_weights(new, weights)
+    _save_weights_reference(ref, weights)
+    assert new.read_bytes() == ref.read_bytes()
+    got, want = load_weights(new), _load_weights_reference(ref)
+    assert (got.arch, got.seed) == (want.arch, want.seed)
+    for a, b in zip(got.kernels + got.biases, want.kernels + want.biases, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    payload = ref.read_bytes()[4:-4]
+    header = 12 + 4 * len(weights.arch.channels) + 8 * weights.arch.n_layers + 8
+    nan_at = header + 4 * (ai % 7)  # a kernel value of the first layer
+    nan = payload[:nan_at] + np.float32(np.nan).tobytes() + payload[nan_at + 4:]
+    damaged = {
+        "truncated header": payload[:header - 1],
+        "partial float32": payload[:-2],
+        "one value short": payload[:-4],
+        "one value long": payload + bytes(4),
+        "non-finite weight": nan,
+    }
+    for what, bad in damaged.items():
+        (workdir / "bad.mmw").write_bytes(_resign(bad))
+        for load in (load_weights, _load_weights_reference):
+            with pytest.raises(FormatError):
+                load(workdir / "bad.mmw")
