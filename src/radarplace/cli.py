@@ -204,25 +204,23 @@ def cmd_render(args) -> int:
 
 def cmd_eval(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
-    world = synth.build_world(fileio.world_config_from(keyvals, args.seed))
+    wcfg = fileio.world_config_from(keyvals, args.seed)
+    # checked before rendering and training, which can take minutes or fail first
+    if wcfg.heatmap_rows > rcfg.n_samples or wcfg.heatmap_cols < rcfg.n_antennas:
+        raise ConfigError(
+            f"a {wcfg.heatmap_rows}x{wcfg.heatmap_cols} heatmap needs heatmap_rows <= "
+            f"n_samples ({rcfg.n_samples}) and heatmap_cols >= n_antennas ({rcfg.n_antennas})")
     queries_per_cell = fileio.config_int(keyvals, "queries_per_cell", 4)
-    if queries_per_cell < 1:  # before training, which can take minutes or fail first
+    if queries_per_cell < 1:
         raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")
+    world = synth.build_world(wcfg)
 
     if args.weights:
         weights = fileio.load_weights(args.weights)
     else:
-        if args.concat != "none":
-            # a base pass and a 5-degree revisit, seeded apart from evaluate's views
-            dataset = [
-                (synth.mosaic_view(world, i, rcfg, pcfg, mode=args.concat,
-                                   body_heading_deg=heading, seed=args.seed + offset + i),
-                 world.places[i].position)
-                for heading, offset in ((0.0, 50), (5.0, 1050))
-                for i in range(len(world.places))
-            ]
-        else:
-            dataset = synth.training_dataset(world, rcfg, seed=args.seed + 50)
+        # seeded apart from evaluate's reference and query views
+        dataset = synth.training_dataset(world, rcfg, seed=args.seed + 50, pcfg=pcfg,
+                                         mode=args.concat)
         tcfg = enc.TrainConfig(seed=args.seed, max_epochs=fileio.config_int(keyvals, "epochs", 8))
         weights = enc.train(dataset, tcfg).weights
 

@@ -398,18 +398,6 @@ def concat_relative_pose(
     return _concat_at_offsets(seg_frames, per_pair)
 
 
-def concat_fixed_step(
-    frames: list[Heatmap],
-    segment: CycleSegment,
-    step_bins: int,
-) -> Heatmap:
-    """Mosaic one rotation cycle at a fixed nominal angle step (baseline)."""
-    if step_bins <= 0:
-        raise ConfigError("step_bins must be > 0")
-    step = PoseOffset(0, segment.direction * step_bins, 1.0)
-    return concat_relative_pose(frames, segment, [step] * len(frames))
-
-
 def default_a_window(n_cols: int, span_deg: float = 20.0) -> int:
     """Angle search window, in bins, spanning span_deg at boresight.
 
@@ -448,4 +436,11 @@ def mosaic_cycles(frames: list[Heatmap], pcfg: PlatformConfig, mode: str, r_wind
     if mode == "relpose":
         return offsets, [concat_relative_pose(frames, seg, offsets) for seg in segments]
     step = step_bins(pcfg.nominal_step, cols)
-    return offsets, [concat_fixed_step(frames, seg, step) for seg in segments]
+    if step <= 0:
+        raise ConfigError(f"the nominal step of {pcfg.nominal_step:g} deg is 0 angle bins "
+                          f"at {cols} columns")
+    # each frame one nominal step on from the one before, in its cycle's direction
+    return offsets, [
+        concat_relative_pose(frames, seg, [PoseOffset(0, seg.direction * step, 1.0)] * len(frames))
+        for seg in segments
+    ]

@@ -85,15 +85,6 @@ class EncoderWeights:
             self.seed,
         )
 
-    def checksum(self) -> int:
-        import zlib
-
-        crc = 0
-        for k, b in zip(self.kernels, self.biases):
-            crc = zlib.crc32(k.tobytes(), crc)
-            crc = zlib.crc32(b.tobytes(), crc)
-        return crc
-
 
 def init_weights(arch: EncoderArch, seed: int = 0) -> EncoderWeights:
     """Uniform init in +-fan_in**-0.5, reproducible from the seed."""

@@ -13,10 +13,6 @@ class RangeAliasingError(RadarPlaceError):
     """A scatterer lies beyond the unambiguous range of the radar."""
 
 
-class AngleAmbiguityError(RadarPlaceError):
-    """Phase difference maps outside the arcsine domain."""
-
-
 class DimensionError(RadarPlaceError):
     """Array dimensions do not match the expected configuration."""
 

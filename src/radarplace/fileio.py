@@ -313,15 +313,17 @@ _CSV_INTS = {"frame_idx", "r_offset", "a_offset"}  # every other column is a fin
 
 
 def _csv_rows(path, columns):
-    """``(path:line, row)`` for each row of a CSV whose header names ``columns``.
+    """``(path:line, row)`` for each row of a CSV whose header names exactly ``columns``.
 
-    ``row`` maps each column to its ``int`` or finite ``float``; a missing,
-    extra or malformed field is a ``FormatError`` that names ``path:line``.
+    A header with a missing, extra or repeated name is a ``FormatError`` at
+    ``path``.  ``row`` maps each column to its ``int`` or finite ``float``;
+    a missing, extra or malformed field is a ``FormatError`` that names
+    ``path:line``.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
-            raise FormatError(f"{path}: CSV needs columns {sorted(columns)}")
+        if sorted(reader.fieldnames or ()) != sorted(columns):
+            raise FormatError(f"{path}: CSV needs exactly the columns {sorted(columns)}")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             missing = [c for c in columns if row[c] is None]

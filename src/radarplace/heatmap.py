@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleAmbiguityError, ConfigError, DimensionError
+from .errors import ConfigError, DimensionError
 from .radar import SPEED_OF_LIGHT, IFCube, RadarConfig, _check_rows
 
 
@@ -33,17 +33,6 @@ def range_from_frequency(f_if: float, cfg: RadarConfig) -> float:
     if f_if < 0:
         raise ConfigError(f"beat frequency must be >= 0, got {f_if}")
     return f_if * SPEED_OF_LIGHT / (2.0 * cfg.slope)
-
-
-def angle_from_phase(omega: float, cfg: RadarConfig) -> float:
-    """Azimuth for a per-antenna phase step: arcsin(lambda*omega / (2*pi*l))."""
-    arg = cfg.wavelength * omega / (2.0 * math.pi * cfg.antenna_spacing)
-    if abs(arg) > 1.0:
-        raise AngleAmbiguityError(
-            f"phase step {omega:.4f} rad maps outside the arcsine domain "
-            f"(argument {arg:.4f})"
-        )
-    return math.asin(arg)
 
 
 @dataclass
@@ -86,8 +75,9 @@ def _shifted_phase_bins(n_cols: int) -> np.ndarray:
 def angle_axis_for(cfg: RadarConfig, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Azimuth per angle column plus the mask of resolvable columns.
 
-    Columns whose wrapped phase maps outside the arcsine domain (spacing
-    wider than half a wavelength) are masked out.
+    A column's azimuth is arcsin(lambda * omega / (2 * pi * l)) of its
+    wrapped per-antenna phase step omega.  Columns whose phase maps outside
+    the arcsine domain (spacing wider than half a wavelength) are masked out.
     """
     omega = _shifted_phase_bins(n_cols)
     arg = cfg.wavelength * omega / (2.0 * math.pi * cfg.antenna_spacing)

@@ -67,7 +67,7 @@ class PlaceDB:
 
     def __init__(self):
         self.records: list[PlaceRecord] = []
-        self._row_of: dict[int, int] = {}  # record id -> index into records
+        self._known_ids: set[int] = set()  # ids of records, for the duplicate check
         self._n = 0  # records mirrored so far
         self._desc = np.empty((0, 0), np.float32)
         self._sqnorm = np.empty(0)
@@ -86,14 +86,11 @@ class PlaceDB:
             raise DimensionError(
                 f"descriptor dim {record.descriptor.size} != db dim {self.dim}"
             )
-        if record.id in self._row_of:
+        if record.id in self._known_ids:
             raise DuplicateIdError(f"record id {record.id} already present")
-        self._row_of[record.id] = len(self.records)
+        self._known_ids.add(record.id)
         self.records.append(record)
         return record.id
-
-    def get(self, record_id: int) -> PlaceRecord:
-        return self.records[self._row_of[record_id]]
 
     @classmethod
     def _from_columns(cls, count: int, dim: int, blocks) -> "PlaceDB":
@@ -119,9 +116,11 @@ class PlaceDB:
                 rec.__dict__ = {"id": rid, "descriptor": desc, "position": tuple(pos),
                                 "heading": heading, "source": ""}
                 db.records.append(rec)
-        for row, rec in enumerate(db.records):
-            if db._row_of.setdefault(rec.id, row) != row:
+        known = db._known_ids
+        for rec in db.records:
+            if rec.id in known:
                 raise DuplicateIdError(f"record id {rec.id} already present")
+            known.add(rec.id)
         return db
 
     def _reserve(self, cap: int, dim: int) -> None:

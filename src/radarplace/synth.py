@@ -182,29 +182,6 @@ def mosaic_view(
     return standardize_mosaic(mosaics[0], world.cfg.mosaic_cols)
 
 
-def training_dataset(
-    world: World, cfg: RadarConfig, max_rot_deg: float = 8.0, max_lat_m: float = 0.8,
-    passes: int = 2, seed: int = 100,
-):
-    """(heatmap, position) pairs: a reference pass plus perturbed revisits."""
-    rng = np.random.default_rng(seed)
-    dataset = []
-    for i, place in enumerate(world.places):
-        dataset.append((render_view(world, i, cfg, seed=seed + i), place.position))
-        for p in range(1, passes):
-            rot = rng.uniform(-max_rot_deg, max_rot_deg)
-            ang = rng.uniform(0, 2 * math.pi)
-            lat_m = rng.uniform(0, max_lat_m)
-            lateral = (lat_m * math.cos(ang), lat_m * math.sin(ang))
-            pos = (place.position[0] + lateral[0], place.position[1] + lateral[1])
-            hm = render_view(
-                world, i, cfg, heading_deg=rot, lateral=lateral,
-                seed=seed + 1000 * p + i,
-            )
-            dataset.append((hm, pos))
-    return dataset
-
-
 def _view(world: World, place_idx: int, cfg: RadarConfig, pcfg: PlatformConfig | None,
           mode: str, heading_deg: float = 0.0,
           lateral: tuple[float, float] = (0.0, 0.0), seed: int = 0) -> Heatmap:
@@ -214,6 +191,31 @@ def _view(world: World, place_idx: int, cfg: RadarConfig, pcfg: PlatformConfig |
                            lateral=lateral, seed=seed)
     return mosaic_view(world, place_idx, cfg, pcfg or PlatformConfig(), mode=mode,
                        body_heading_deg=heading_deg, lateral=lateral, seed=seed)
+
+
+def training_dataset(
+    world: World, cfg: RadarConfig, max_rot_deg: float = 8.0, max_lat_m: float = 0.8,
+    passes: int = 2, seed: int = 100, pcfg: PlatformConfig | None = None, mode: str = "none",
+):
+    """(view, position) pairs, place-major: a reference view plus perturbed revisits.
+
+    Views are made by :func:`_view` in ``mode``, so they are single frames
+    for "none" and one-cycle mosaics otherwise.
+    """
+    rng = np.random.default_rng(seed)
+    dataset = []
+    for i, place in enumerate(world.places):
+        dataset.append((_view(world, i, cfg, pcfg, mode, seed=seed + i), place.position))
+        for p in range(1, passes):
+            rot = rng.uniform(-max_rot_deg, max_rot_deg)
+            ang = rng.uniform(0, 2 * math.pi)
+            lat_m = rng.uniform(0, max_lat_m)
+            lateral = (lat_m * math.cos(ang), lat_m * math.sin(ang))
+            pos = (place.position[0] + lateral[0], place.position[1] + lateral[1])
+            hm = _view(world, i, cfg, pcfg, mode, heading_deg=rot, lateral=lateral,
+                       seed=seed + 1000 * p + i)
+            dataset.append((hm, pos))
+    return dataset
 
 
 def build_reference_db(world: World, cfg: RadarConfig, weights, seed: int = 0,

@@ -15,7 +15,7 @@ import pytest
 from radarplace import fileio, synth
 from radarplace.cli import _CONFIG_KEYS, main
 from radarplace.concat import detect_cycles
-from radarplace.encoder import EncoderArch, TrainResult, init_weights
+from radarplace.encoder import HOLDOUT_STRIDE, EncoderArch, TrainResult, init_weights
 from radarplace.fileio import (
     load_heatmap,
     load_offsets_csv,
@@ -26,7 +26,7 @@ from radarplace.fileio import (
     save_weights,
 )
 from radarplace.heatmap import Heatmap, generate_heatmap
-from radarplace.placedb import PlaceDB
+from radarplace.placedb import MATCH_RADIUS_M, PlaceDB
 from radarplace.radar import PlatformConfig, RadarConfig, Scatterer
 
 
@@ -381,6 +381,22 @@ def test_train_on_a_malformed_poses_row_exits_3(tmp_path, capsys, row, problem):
     assert f"poses.csv:3: {problem}" in capsys.readouterr().err
 
 
+def test_train_on_a_poses_header_with_an_extra_column_exits_3(tmp_path, capsys):
+    # the z_m column was dropped without a word
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for f in range(2):
+        save_heatmap(maps / f"frame_{f:04d}.rah",
+                     Heatmap(np.ones((64, 32)), 0.1, np.linspace(-1.0, 1.0, 32)))
+    poses = maps / "poses.csv"
+    poses.write_text("frame_idx,x_m,y_m,heading_deg,z_m\n0,0,0,0,99\n1,10,0,0,99\n")
+    capsys.readouterr()
+    assert main(["train", "--heatmaps", str(maps), "--poses", str(poses),
+                 "--out", str(tmp_path / "w.mmw"), "--epochs", "1"]) == 3
+    assert "poses.csv: CSV needs exactly the columns" in capsys.readouterr().err
+    assert not (tmp_path / "w.mmw").exists()
+
+
 def test_build_db_pose_count_mismatch_exits_1(tmp_path, scene_file, cfg_file):
     cubes, maps = tmp_path / "cubes", tmp_path / "maps"
     assert main([
@@ -452,6 +468,44 @@ def test_eval_concat_training_mosaics_follow_the_seed(tmp_path, monkeypatch):
         # the reference-map view of place i that evaluate builds at this seed
         ref = synth._view(world, i, RadarConfig(), pcfg, "relpose", seed=200 + i)
         assert not any(np.array_equal(hm.values, ref.values) for hm in trained_on)
+
+
+def test_eval_concat_holds_out_views_of_places_it_keeps(tmp_path, monkeypatch):
+    # a pass-major list of 5 places held out both views of place 0, so
+    # model selection scored on a place training never saw
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_places = 5\nheatmap_cols = 32\nmosaic_cols = 64\n"
+                   "epochs = 1\nqueries_per_cell = 1\n")
+    trained_on = []
+
+    def capture(dataset, tcfg):
+        trained_on.extend(dataset)
+        return TrainResult(init_weights(EncoderArch(input_shape=(64, 64)), 0), [])
+
+    monkeypatch.setattr("radarplace.encoder.train", capture)
+    assert main(["eval", "--config", str(cfg), "--seed", "200", "--concat", "relpose",
+                 "--out", str(tmp_path / "report")]) == 0
+    positions = np.array([pos for _, pos in trained_on])
+    held = np.arange(len(positions)) % HOLDOUT_STRIDE == 0
+    for pos in positions[held]:
+        assert (np.hypot(*(positions[~held] - pos).T) <= MATCH_RADIUS_M).any()
+
+
+@pytest.mark.parametrize("line", ["heatmap_cols = 4", "heatmap_rows = 300"])
+def test_eval_refuses_a_heatmap_size_the_radar_cannot_give(tmp_path, monkeypatch, capsys, line):
+    # 4 columns < 8 antennas, 300 rows > 256 samples: exit 3 from the first render
+    def no_work(*args, **kwargs):
+        raise AssertionError("eval rendered or trained before rejecting its config")
+
+    monkeypatch.setattr("radarplace.synth._render", no_work)
+    monkeypatch.setattr("radarplace.encoder.train", no_work)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"n_places = 2\nepochs = 1\n{line}\n")
+    for concat in ("none", "relpose"):
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--concat", concat,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "heatmap_rows <= n_samples (256)" in capsys.readouterr().err
 
 
 def test_eval_checks_queries_per_cell_before_training(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from radarplace.concat import (
     MAX_CANVAS_COLS,
     CycleSegment,
     PoseOffset,
-    concat_fixed_step,
     concat_relative_pose,
     default_a_window,
     detect_cycles,
@@ -195,17 +194,23 @@ def test_fixed_step_matches_relative_pose_on_constructed_frames():
         assert (o.r_offset, o.a_offset) == (0, step)
     seg = CycleSegment(0, 3, 1)
     rel = concat_relative_pose(frames, seg, offsets)
-    fix = concat_fixed_step(frames, seg, step)
+    fix = concat_relative_pose(frames, seg, [PoseOffset(0, step, 1.0)] * 4)
     assert np.array_equal(rel.values, fix.values)
     assert rel.n_cols == 120 + 3 * step
     # the mosaic reproduces the underlying wide map on the covered span
     assert np.array_equal(rel.values, base[:, 30:180])
+    # a platform whose nominal step is `step` bins at boresight places them alike
+    pcfg = PlatformConfig(angular_speed=10 * math.degrees(step / 60))
+    assert step_bins(pcfg.nominal_step, 120) == step
+    for mode in ("fixed", "relpose"):
+        _, mosaics = mosaic_cycles(frames, pcfg, mode, 2)
+        assert len(mosaics) == 1 and np.array_equal(mosaics[0].values, rel.values)
 
 
 def test_concat_idempotent_on_repeated_frame():
     rng = np.random.default_rng(10)
     h = _hm(random_heatmap_values(rng, 10, 20))
-    out = concat_fixed_step([h, h, h], CycleSegment(0, 2, 1), 4)
+    out = concat_relative_pose([h, h, h], CycleSegment(0, 2, 1), [PoseOffset(0, 4, 1.0)] * 3)
     assert out.values.max() == pytest.approx(h.values.max())
 
 
@@ -214,16 +219,27 @@ def test_canvas_limit_enforced():
     h = _hm(random_heatmap_values(rng, 8, 16))
     with pytest.raises(ConfigError):
         # five 16-column frames 2048 bins apart span 16 + 4 * 2048 > 8192 columns
-        concat_fixed_step([h] * 5, CycleSegment(0, 4, 1), MAX_CANVAS_COLS // 4)
+        concat_relative_pose([h] * 5, CycleSegment(0, 4, 1),
+                             [PoseOffset(0, MAX_CANVAS_COLS // 4, 1.0)] * 5)
+
+
+def test_fixed_mode_rejects_a_nominal_step_of_zero_bins():
+    rng = np.random.default_rng(9)
+    base = random_heatmap_values(rng, 16, 200)
+    frames = [_hm(base[:, 60 - i * 5 : 180 - i * 5]) for i in range(4)]
+    slow = PlatformConfig(angular_speed=1.0)  # 0.1 deg per frame: 0 bins at 120 columns
+    assert step_bins(slow.nominal_step, 120) == 0
+    _, mosaics = mosaic_cycles(frames, slow, "relpose")
+    assert mosaics[0].n_cols == 120 + 3 * 5
     with pytest.raises(ConfigError):
-        concat_fixed_step([h, h], CycleSegment(0, 1, 1), 0)
+        mosaic_cycles(frames, slow, "fixed")
 
 
 def test_segment_indices_validated():
     rng = np.random.default_rng(13)
     h = _hm(random_heatmap_values(rng, 8, 16))
     with pytest.raises(ConfigError):
-        concat_fixed_step([h, h], CycleSegment(0, 2, 1), 4)
+        concat_relative_pose([h, h], CycleSegment(0, 2, 1), [PoseOffset(0, 4, 1.0)] * 2)
     with pytest.raises(ConfigError):
         concat_relative_pose([h, h], CycleSegment(0, 1, 1), [PoseOffset(0, 0, 1.0)])
 
@@ -308,9 +324,10 @@ def test_mosaic_cycles_runs_the_recipe_once_per_cycle():
         assert np.array_equal(mosaic.values,
                               concat_relative_pose(frames, seg, offsets).values)
     _, fixed = mosaic_cycles(frames, pcfg, "fixed", 2)
+    step = step_bins(pcfg.nominal_step, 96)
     for seg, mosaic in zip(segments, fixed):
-        assert np.array_equal(mosaic.values, concat_fixed_step(
-            frames, seg, step_bins(pcfg.nominal_step, 96)).values)
+        nominal = [PoseOffset(0, seg.direction * step, 1.0)] * len(frames)
+        assert np.array_equal(mosaic.values, concat_relative_pose(frames, seg, nominal).values)
     # angle-only by default
     assert mosaic_cycles(frames, pcfg, "relpose")[0] == register_sequence(frames, 0, a_window)
     for mode in ("none", "RELPOSE"):

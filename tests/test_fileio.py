@@ -122,7 +122,9 @@ def test_weights_round_trip_and_crc(tmp_path):
     p2 = tmp_path / "enc2.mmw"
     save_weights(p2, back)
     assert p.read_bytes() == p2.read_bytes()
-    assert load_weights(p2).checksum() == back.checksum()
+    again = load_weights(p2)
+    for got, want in zip(again.kernels + again.biases, back.kernels + back.biases, strict=True):
+        assert np.array_equal(got, want)
 
     raw = bytearray(p.read_bytes())
     raw[30] ^= 0xFF  # flip a payload byte; the crc trailer must catch it
@@ -198,10 +200,11 @@ def test_db_round_trip(tmp_path, monkeypatch):
     save_db(p, db)
     back = load_db(p)
     assert len(back) == 2
-    r5, r9 = back.get(5), back.get(9)
+    r5, r9 = back.records
+    assert (r5.id, r9.id) == (5, 9)
     assert r5.position == (1.0, 2.0) and r5.heading == 30.0
     assert r9.heading is None
-    assert np.array_equal(r5.descriptor, db.get(5).descriptor)
+    assert np.array_equal(r5.descriptor, db.records[0].descriptor)
     # query results survive the round trip bit for bit
     q = rng.standard_normal(8)
     assert back.query(q, 2).ids == db.query(q, 2).ids
@@ -397,6 +400,18 @@ def test_offsets_csv_malformed_row_is_a_format_error(tmp_path, row, problem):
     p = tmp_path / "offsets.csv"
     p.write_text(f"frame_idx,r_offset,a_offset,score\n0,0,0,1.0\n{row}\n")
     with pytest.raises(FormatError, match=f"offsets.csv:3: {problem}"):
+        load_offsets_csv(p)
+
+
+@pytest.mark.parametrize("header", [
+    "frame_idx,r_offset,a_offset,score,note",  # an extra column was dropped without a word
+    "frame_idx,r_offset,a_offset,score,score",
+    "frame_idx,r_offset,a_offset",
+])
+def test_offsets_csv_header_must_name_exactly_its_columns(tmp_path, header):
+    p = tmp_path / "offsets.csv"
+    p.write_text(header + "\n" + ",".join("0" * len(header.split(","))) + "\n")
+    with pytest.raises(FormatError, match="offsets.csv: CSV needs exactly the columns"):
         load_offsets_csv(p)
 
 

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from radarplace.errors import AngleAmbiguityError, ConfigError, DimensionError, RadarPlaceError
+from radarplace.errors import ConfigError, DimensionError, RadarPlaceError
 from radarplace.heatmap import (
     Heatmap,
     angle_axis_for,
-    angle_from_phase,
     angle_to_col,
     generate_heatmap,
     heatmaps_from_sums,
@@ -47,14 +46,19 @@ def test_range_bin_is_range_from_frequency_of_the_bin_spacing_bit_for_bit():
         assert got == range_from_frequency(cfg.sample_rate / rows, cfg)
 
 
-def test_angle_from_phase_values():
+def test_angle_axis_is_the_arcsine_of_the_phase_step():
     cfg = RadarConfig()  # half-wavelength spacing
-    assert angle_from_phase(0.0, cfg) == 0.0
-    assert angle_from_phase(math.pi, cfg) == pytest.approx(math.pi / 2)
-    assert angle_from_phase(-math.pi / 2, cfg) == pytest.approx(math.asin(-0.5))
+    axis, valid = angle_axis_for(cfg, 4)  # phase steps -pi, -pi/2, 0, pi/2
+    assert valid.all()
+    assert axis[2] == 0.0
+    assert axis[0] == pytest.approx(-math.pi / 2)
+    assert axis[1] == pytest.approx(math.asin(-0.5))
+    assert axis[3] == pytest.approx(math.asin(0.5))
+    # a phase step outside the arcsine domain masks its column instead of raising
     wide = RadarConfig(antenna_spacing=1.0e-3)
-    with pytest.raises(AngleAmbiguityError):
-        angle_from_phase(math.pi, wide)
+    axis, valid = angle_axis_for(wide, 4)
+    assert valid.tolist() == [False, True, True, True]
+    assert axis[1] == pytest.approx(math.asin(-wide.wavelength / (4 * wide.antenna_spacing)))
 
 
 def test_heatmap_size_sets_the_fft_lengths(small_cfg):

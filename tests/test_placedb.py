@@ -95,15 +95,14 @@ def _db_from(descs, positions=None):
     return db
 
 
-def test_add_get_and_duplicate_id():
+def test_add_and_duplicate_id():
     db = PlaceDB()
-    db.add(PlaceRecord(3, [1.0, 0.0], (0.0, 0.0)))
+    assert db.add(PlaceRecord(3, [1.0, 0.0], (0.0, 0.0))) == 3
     assert len(db) == 1 and db.dim == 2
-    assert db.get(3).id == 3
+    assert db.records[0].id == 3
     with pytest.raises(DuplicateIdError):
         db.add(PlaceRecord(3, [0.0, 1.0], (1.0, 1.0)))
-    with pytest.raises(KeyError):
-        db.get(99)
+    assert len(db) == 1 and db.records[0].descriptor.tolist() == [1.0, 0.0]
 
 
 def test_dim_mismatch_leaves_db_unchanged():
@@ -410,7 +409,7 @@ def test_query_refuses_a_non_integer_id():
     db.add(PlaceRecord(np.int64(7), [1.0, 1.0], (0.0, 0.0)))
     assert db.query([1.0, 1.0], 1).ids == [7]
     db.add(PlaceRecord(1.5, [1.0, 1.0], (0.0, 0.0)))
-    assert db.get(1.5).id == 1.5
+    assert db.records[-1].id == 1.5
     with pytest.raises(ConfigError, match="record id 1.5: not an integer"):
         db.query([1.0, 1.0], 1)
 
@@ -455,8 +454,8 @@ def test_a_loaded_database_is_the_one_adds_build(tmp_path):
     save_db(tmp_path / "db.mpdb", db)
     loaded = load_db(tmp_path / "db.mpdb")
     assert [r.id for r in loaded.records] == [r.id for r in db.records]
-    for rid in (db.records[0].id, db.records[-1].id):
-        assert loaded.get(rid).position == db.get(rid).position
+    for row in (0, -1):
+        assert loaded.records[row].position == db.records[row].position
     with pytest.raises(DuplicateIdError):
         loaded.add(PlaceRecord(db.records[5].id, np.ones(24), (0.0, 0.0)))
     with pytest.raises(DimensionError):
@@ -525,9 +524,9 @@ def test_stored_descriptors_are_read_only(tmp_path):
     for target in (db, loaded):
         target.add(PlaceRecord(6, rng.standard_normal(8), (0.0, 0.0)))
         target.query(rng.standard_normal(8), 2)  # stores the add, growing the store
-        for rid in (0, 6):
+        for row in (0, 6):  # record ids 0..6 sit in rows 0..6
             with pytest.raises(ValueError, match="read-only"):
-                target.get(rid).descriptor[0] = 1.0
+                target.records[row].descriptor[0] = 1.0
 
 
 def test_loading_a_duplicate_id_raises_what_add_raises(tmp_path):
