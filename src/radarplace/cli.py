@@ -214,6 +214,13 @@ def cmd_eval(args) -> int:
     if queries_per_cell < 1:
         raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")
     world = synth.build_world(wcfg)
+    # evaluate's query views stand up to the widest lateral bucket off a place
+    lateral_m = synth.LATERAL_BUCKETS[-1][1]
+    reach = lateral_m + max(np.hypot(*p.points[:, :2].T).max(initial=0.0) for p in world.places)
+    if reach >= rcfg.max_range:
+        raise ConfigError(
+            f"a reflector can be {reach:.2f} m from the sensor (farthest reflector plus "
+            f"{lateral_m:g} m lateral offset): unambiguous range is {rcfg.max_range:.2f} m")
 
     if args.weights:
         weights = fileio.load_weights(args.weights)

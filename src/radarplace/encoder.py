@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, EmptyResultError, FormatError
 from .heatmap import Heatmap
@@ -120,49 +121,46 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(C, H, W) -> (C*9, H*W) patch matrix for a zero-padded 3x3 convolution.
-
-    Each of the nine shifted windows is copied into its in-bounds part of a
-    zeroed (C, 3, 3, H, W) buffer, ``out`` if given; the uncovered border is
-    the zero padding.  The copied parts depend only on the shape, so a
-    buffer reused for one shape keeps its zero border.
-    """
-    c, h, w = x.shape
-    cols = np.zeros((c, 3, 3, h, w)) if out is None else out
-    for di in range(3):
-        r0, r1 = max(0, 1 - di), min(h, h + 1 - di)
-        for dj in range(3):
-            c0, c1 = max(0, 1 - dj), min(w, w + 1 - dj)
-            cols[:, di, dj, r0:r1, c0:c1] = x[:, r0 + di - 1 : r1 + di - 1,
-                                              c0 + dj - 1 : c1 + dj - 1]
-    return cols.reshape(c * 9, h * w)
-
-
 _workspaces = threading.local()
 
 
-def _workspace(layer: int, shape: tuple[int, int, int], c_out: int):
-    """This thread's (patch buffer, matmul output) for one layer and input shape.
+def _workspace(key, make):
+    """This thread's tuple of buffers under ``key``, built by ``make()`` on first use.
 
-    The lean forward reuses them on every call: fresh arrays of this size
-    would be freshly mapped, zero-filled pages each time.  Every call
-    overwrites all they hold but the patch buffer's zero border, so what
-    an earlier call left in them never reaches a result.  They live as
-    long as the thread, one pair per (layer, shape) it has encoded.
+    The forward reuses them on every call: fresh arrays of these sizes
+    would be freshly mapped, zero-filled pages each time.  They live as
+    long as the thread, one set per (layer, shape) it has encoded.
     """
     bufs = getattr(_workspaces, "bufs", None)
     if bufs is None:
         bufs = _workspaces.bufs = {}
-    key = (layer, shape, c_out)
-    if key not in bufs:
+    entry = bufs.get(key)
+    if entry is None:
+        entry = bufs[key] = make()
+    return entry
+
+
+def _layer_input(layer: int, shape: tuple[int, int, int]):
+    """(interior, windows) of one layer's input buffer for a (C, H, W) input.
+
+    The input lives in the interior of a zero-bordered (C, H+2, W+2)
+    buffer whose border nothing writes: it is the zero padding of the 3x3
+    convolution.  ``windows`` is a read-only (C, 3, 3, H, W) view of every
+    window, [c, di, dj, i, j] = input[c, i+di-1, j+dj-1], so one copy of it
+    is the (C*9, H*W) patch matrix.
+    """
+    def make():
         c, h, w = shape
-        bufs[key] = (np.zeros((c, 3, 3, h, w)), np.empty((c_out, h * w)))
-    return bufs[key]
+        padded = np.zeros((c, h + 2, w + 2))
+        s_c, s_h, s_w = padded.strides
+        windows = as_strided(padded, (c, 3, 3, h, w), (s_c, s_h, s_w, s_h, s_w),
+                             writeable=False)
+        return padded[:, 1:-1, 1:-1], windows
+    return _workspace((layer, shape), make)
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to the input."""
+    """Adjoint of the patch copy: scatter-add patch gradients back to the input."""
     c, h, w = shape
     dpadded = np.zeros((c, h + 2, w + 2))
     dcols = dcols.reshape(c, 9, h, w)
@@ -172,63 +170,119 @@ def _col2im(dcols: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     return dpadded[:, 1:-1, 1:-1]
 
 
-def _max_pool(act: np.ndarray, ph: int, pw: int, keep: bool = False):
-    """Non-overlapping (ph, pw) max pool as a running maximum over strided slices.
+def _max_of(parts, out: np.ndarray) -> np.ndarray:
+    """Elementwise maximum of the same-shape arrays ``parts``, written into ``out``."""
+    if len(parts) == 1:
+        np.copyto(out, parts[0])
+    else:
+        np.maximum(parts[0], parts[1], out=out)
+    for part in parts[2:]:
+        np.maximum(out, part, out=out)
+    return out
 
-    Returns (pooled, idx).  With ``keep``, idx holds each window's flat
-    in-window index i*pw + j of its first maximum (the one argmax picks):
-    a strict ``>`` in row-major window order moves it only past ties.
-    Without ``keep``, idx is None.
+
+def _max_pool(act: np.ndarray, out: np.ndarray, ph: int, pw: int, spare: np.ndarray):
+    """Non-overlapping (ph, pw) max pool of a (C, H, W) ``act`` into ``out``.
+
+    The pw columns of each window go first into the head of the flat
+    ``spare`` buffer (not used when pw is 1): those are 1-D strided runs over
+    the flat map.  Then the ph rows of each window go from there into ``out``.
     """
-    out = act[:, ::ph, ::pw].copy()
-    idx = np.zeros(out.shape, dtype=np.intp) if keep else None
+    if pw > 1:
+        c, h, w = act.shape
+        flat = act.reshape(-1)
+        act = _max_of([flat[j::pw] for j in range(pw)], spare[: flat.size // pw])
+        act = act.reshape(c, h, w // pw)
+    _max_of([act[:, i::ph] for i in range(ph)], out)
+
+
+def _argmax_pool(act: np.ndarray, out: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Max pool of ``act`` into ``out`` as a running maximum over its ph*pw strided slices.
+
+    Returns each window's flat in-window index i*pw + j of its first
+    maximum (the one argmax picks): a strict ``>`` in row-major window
+    order moves it only past ties.
+    """
+    np.copyto(out, act[:, ::ph, ::pw])
+    idx = np.zeros(out.shape, dtype=np.intp)
     for i in range(ph):
         for j in range(pw):
             if i or j:
                 win = act[:, i::ph, j::pw]
-                if keep:
-                    np.copyto(idx, i * pw + j, where=win > out)
+                np.copyto(idx, i * pw + j, where=win > out)
                 np.maximum(out, win, out=out)
-    return out, idx
+    return idx
 
 
 def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     """Run the conv stack; returns (flat pre-norm descriptor, cache).
 
-    The backward cache (patch matrices, rectifier masks, pool argmax
-    indices) is built only when ``keep`` is true, in fresh arrays that
-    outlive the call; otherwise the cache is None and each layer's patch
-    matrix and matmul output go to its reused ``_workspace``.  No returned
-    array shares memory with a workspace.
+    Each layer's input sits in its ``_layer_input`` buffer, where
+    ``_normalize_input`` writes layer 0's, and each layer writes its
+    rectified, pooled output into the next layer's; the last layer's output
+    is a fresh array, so no returned array shares memory with a workspace.
+
+    The lean pass (``keep`` false) copies the patch matrix into the
+    workspace and pools the matmul output before bias and ReLU.  Rounding
+    and the rectifier are monotone, max(fl(a + b), fl(c + b)) =
+    fl(max(a, c) + b), so the bits are those of bias, ReLU, pool, with
+    bias and ReLU on 1/(ph*pw) of the cells.  With ``keep``, the backward
+    cache (patch matrices, rectifier masks, pool argmax indices) is built
+    in fresh arrays that outlive the call, in bias, ReLU, pool order: the
+    kept index is the first maximum of the rectified map, where rounding
+    can tie values that differed before the bias.  Otherwise the cache is
+    None.
     """
     arch = w.arch
     cache = [] if keep else None
     cur = x[None] if x.ndim == 2 else x
+    inner, windows = _layer_input(0, cur.shape)
+    if not np.may_share_memory(cur, inner):  # else _normalize_input wrote it there
+        np.copyto(inner, cur)
     for l in range(arch.n_layers):
-        c_out = arch.channels[l + 1]
-        _, h, wid = cur.shape
-        cols_buf, pre = (None, None) if keep else _workspace(l, cur.shape, c_out)
-        cols = _im2col(cur, cols_buf)
-        pre = np.matmul(w.kernels[l].reshape(c_out, -1), cols, out=pre)
-        pre += w.biases[l][:, None]
+        c_out, pool = arch.channels[l + 1], arch.pools[l]
+        in_shape = c, h, wid = inner.shape
+        ph, pw = pool or (1, 1)
+        out_shape = (c_out, h // ph, wid // pw)
+        # the lean patch matrix is spent after the matmul: the pool reuses it
+        patch_buf, pre, pooled = _workspace((l, in_shape, c_out, ph, pw), lambda: (
+            np.empty(max(9 * c * h * wid, c_out * h * wid // pw)),
+            np.empty((c_out, h * wid)), np.empty(out_shape)))
+        if keep:
+            cols = windows.copy().reshape(c * 9, h * wid)
+        else:
+            cols = patch_buf[: 9 * c * h * wid].reshape(c * 9, h * wid)
+            np.copyto(cols.reshape(windows.shape), windows)
+        np.matmul(w.kernels[l].reshape(c_out, -1), cols, out=pre)
         pre = pre.reshape(c_out, h, wid)
+        bias = w.biases[l][:, None, None]
+        last = l + 1 == arch.n_layers
+        if last:
+            pooled = np.empty(out_shape)
         if keep:
-            cache.append({"in_shape": cur.shape, "cols": cols, "mask": pre > 0})
-        cur = np.maximum(pre, 0.0, out=pre)
-        pool = arch.pools[l]
-        if pool is None:
-            continue
-        cur, idx = _max_pool(cur, *pool, keep)
-        if keep:
-            cache[-1]["pool_idx"] = idx
-            cache[-1]["pool_in_shape"] = (c_out, h, wid)
-    if not keep and arch.pools[-1] is None:
-        cur = cur.copy()  # the last layer's output is its workspace
-    return cur.ravel(), cache
+            pre += bias
+            cache.append({"in_shape": in_shape, "cols": cols, "mask": pre > 0})
+            np.maximum(pre, 0.0, out=pre)
+            if pool is None:
+                np.copyto(pooled, pre)
+            else:
+                cache[-1]["pool_idx"] = _argmax_pool(pre, pooled, ph, pw)
+                cache[-1]["pool_in_shape"] = (c_out, h, wid)
+        else:
+            _max_pool(pre, pooled, ph, pw, patch_buf)
+            pooled += bias
+        if not last:
+            inner, windows = _layer_input(l + 1, out_shape)
+        # the ReLU; on the keep pass's rectified values it only copies
+        np.maximum(pooled, 0.0, out=pooled if last else inner)
+    return pooled.ravel(), cache
 
 
 def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
-    """Backprop a descriptor gradient through the stack; accumulates grads."""
+    """Backprop a descriptor gradient through the stack; accumulates grads.
+
+    Nothing reads the heatmap's own gradient, so layer 0 stops at its weights.
+    """
     arch = w.arch
     dcur = dflat
     for l in reversed(range(arch.n_layers)):
@@ -250,10 +304,9 @@ def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
         )
         grads[l][0] += (dpre @ entry["cols"].T).reshape(w.kernels[l].shape)
         grads[l][1] += dpre.sum(axis=1)
-        k2d = w.kernels[l].reshape(arch.channels[l + 1], -1)
-        dcols = k2d.T @ dpre
-        dcur = _col2im(dcols, entry["in_shape"])
-    return dcur
+        if l:
+            k2d = w.kernels[l].reshape(arch.channels[l + 1], -1)
+            dcur = _col2im(k2d.T @ dpre, entry["in_shape"])
 
 
 def _normalize_input(x: np.ndarray) -> np.ndarray:
@@ -261,11 +314,20 @@ def _normalize_input(x: np.ndarray) -> np.ndarray:
 
     ``encode``, ``backward`` and ``train`` all pass through here, so a NaN
     or infinite cell is rejected before it can turn the descriptor into NaN.
+    The result is written into layer 0's input buffer (see _layer_input)
+    and returned as an (H, W) view of it, which this thread's next call at
+    the same size overwrites.
     """
     if not np.isfinite(x).all():
         raise FormatError("heatmap holds a non-finite value")
     mu, sd = x.mean(), x.std()
-    return (x - mu) / sd if sd > 0 else x - mu
+    out = _layer_input(0, (1, *x.shape))[0][0]
+    centred = x - mu
+    if sd > 0:
+        np.divide(centred, sd, out=out)
+    else:
+        np.copyto(out, centred)
+    return out
 
 
 def _describe(x: np.ndarray, w: EncoderWeights, keep: bool = False):

@@ -19,6 +19,7 @@ azimuth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,8 +129,9 @@ def heatmaps_from_sums(
     fast time.  Rows beyond ``max_range_m``, a finite positive range, are
     discarded when given.  The range FFT runs once over the stack; the
     angle FFT runs per frame, since a (frames, rows, cols) complex stack
-    would be freshly mapped memory on every call.  The angle axis, its mask
-    and the shift order are built once.
+    would be freshly mapped memory on every call.  The range bin, the
+    angle axis and the column order are built once per (cfg, rows, cols),
+    and each heatmap gets its own copy of the axis.
     """
     _, rows, n_r = summed.shape
     if cols < 1:
@@ -146,16 +148,26 @@ def heatmaps_from_sums(
         raise ConfigError(f"unknown window {window!r}")
 
     spec = np.fft.fft(summed, axis=1)  # fast time -> range
-    axis, valid = angle_axis_for(cfg, cols)
-    order = np.fft.fftshift(np.arange(cols))[valid]  # ascending wrapped phase
-
-    # range bins are spaced by the cropped fast-time length
-    range_bin_m = range_from_frequency(cfg.sample_rate / rows, cfg)
+    range_bin_m, axis, order = _columns(cfg, rows, cols)
     keep = rows
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
     return [
         Heatmap(np.abs(np.fft.fft(frame[:keep], n=cols, axis=1)[:, order]),  # antennas -> angle
-                range_bin_m, axis[valid])
+                range_bin_m, axis.copy())
         for frame in spec
     ]
+
+
+@functools.lru_cache(maxsize=16)
+def _columns(cfg: RadarConfig, rows: int, cols: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(range bin in metres, azimuth of each resolvable column, its FFT column) for one size.
+
+    Built once per (config, rows, cols); the arrays are read-only, since
+    every heatmap of that size shares them.  Range bins are spaced by the
+    cropped fast-time length, and the columns run in ascending wrapped phase.
+    """
+    axis, valid = angle_axis_for(cfg, cols)
+    axis, order = axis[valid], np.fft.fftshift(np.arange(cols))[valid]
+    axis.flags.writeable = order.flags.writeable = False
+    return range_from_frequency(cfg.sample_rate / rows, cfg), axis, order

@@ -56,6 +56,11 @@ class WorldConfig:
             raise ConfigError("n_places must be >= 1")
         if self.spacing_m <= 0:
             raise ConfigError("spacing_m must be > 0")
+        # distances between places are squared on the way to a norm
+        extent = self.spacing_m * (self.n_places - 1)
+        if not math.isfinite(extent * extent):
+            raise ConfigError(
+                f"spacing_m = {self.spacing_m} over {self.n_places} places overflows float64")
         if self.scatterers_per_place < 0:
             raise ConfigError("scatterers_per_place must be >= 0")
         if min(self.heatmap_rows, self.heatmap_cols, self.mosaic_cols) < 1:

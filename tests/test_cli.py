@@ -521,6 +521,25 @@ def test_eval_checks_queries_per_cell_before_training(tmp_path, monkeypatch):
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
 
 
+def test_eval_refuses_a_radar_that_cannot_see_the_world(tmp_path, monkeypatch, capsys):
+    # slope 40e12: unambiguous range 37.47 m, inside the 40 m reflector clouds
+    def no_work(*args, **kwargs):
+        raise AssertionError("eval rendered or trained before rejecting its config")
+
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("slope = 40e12\nn_places = 2\nepochs = 1\n")
+    with monkeypatch.context() as m:
+        m.setattr("radarplace.synth._render", no_work)
+        m.setattr("radarplace.encoder.train", no_work)
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "unambiguous range is 37.47 m" in capsys.readouterr().err
+    # a scene file beyond that range is bad data, not bad config
+    scene = tmp_path / "far.txt"
+    save_scene(scene, [Scatterer(39.9, 0.0, 1.0)])
+    assert main(["simulate", "--scene", str(scene), "--config", str(cfg),
+                 "--out", str(tmp_path / "cubes")]) == 3
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
 def test_heatmap_max_range_must_be_finite_and_positive(tmp_path, scene_file, cfg_file, value):
     cubes = tmp_path / "cubes"

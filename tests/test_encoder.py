@@ -1,6 +1,7 @@
 """Encoder forward/backward tests, gradient oracle, and training loop."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -549,6 +550,24 @@ def test_encode_is_bit_identical_to_reference_forward():
     assert got.values.tobytes() == ref.values.tobytes()
 
 
+def test_pooling_before_the_bias_keeps_ties_that_rounding_makes():
+    # pre-bias a = 0.5 < c = 1 both round to 2**53 after the bias: the
+    # rectified map ties, and its first maximum is a's, not c's
+    arch = EncoderArch(input_shape=(1, 4), channels=(1, 1), pools=((1, 2),))
+    kernel = np.zeros((1, 1, 3, 3))
+    kernel[0, 0, 1, 1] = 1.0  # the centre tap: pre-bias values are the input
+    w = enc.EncoderWeights(arch, [kernel], [np.array([2.0**53])])
+    a, c = 0.5, 1.0
+    assert a != c and a + 2.0**53 == c + 2.0**53
+    x = np.array([[a, c, c, a]])
+    flat, _ = enc._forward(x, w)
+    ref_flat, ref_cache = _forward_reference(x, w)
+    assert flat.tobytes() == ref_flat.tobytes() == np.full(2, 2.0**53).tobytes()
+    kept_flat, cache = enc._forward(x, w, keep=True)
+    assert kept_flat.tobytes() == ref_flat.tobytes()
+    assert cache[0]["pool_idx"].tolist() == ref_cache[0]["pool_idx"].tolist() == [[[0, 0]]]
+
+
 def test_kept_cache_equals_reference_cache():
     for x, w in _oracle_cases():
         xn = enc._normalize_input(x)
@@ -652,7 +671,7 @@ def test_lean_outputs_do_not_alias_a_workspace():
         w = init_weights(arch, seed=6)
         x = enc._normalize_input(random_heatmap_values(rng, *arch.input_shape))
         flat, _ = enc._forward(x, w)
-        bufs = [b for pair in enc._workspaces.bufs.values() for b in pair]
+        bufs = [b for entry in enc._workspaces.bufs.values() for b in entry if b is not None]
         assert bufs and not any(np.shares_memory(flat, b) for b in bufs)
 
 
@@ -667,3 +686,18 @@ def test_a_warm_encode_takes_few_page_faults():
         encode(x, w)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 50 < 50
+
+
+@pytest.mark.parametrize("shape", [(64, 96), (64, 256)])
+def test_a_warm_encode_allocates_no_patch_matrix(shape):
+    w = init_weights(EncoderArch(input_shape=shape), 8)
+    x = random_heatmap_values(np.random.default_rng(46), *shape)
+    encode(x, w)
+    tracemalloc.start()
+    try:
+        encode(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    patch_matrix = 9 * shape[0] * shape[1] * 8  # layer 0's, in bytes
+    assert peak < patch_matrix / 2

@@ -384,3 +384,24 @@ def test_a_stack_of_sums_gives_each_frame_s_heatmap(noisy_cubes):
     a, b = heatmaps_from_sums(stack[:2], cfg, 8)
     assert not np.shares_memory(a.angle_axis, b.angle_axis)
     assert not np.shares_memory(a.values, b.values)
+
+
+def test_per_size_columns_stay_per_config_and_size():
+    # below half a wavelength, outer phase bins fall outside the arcsine's domain
+    narrow = RadarConfig(antenna_spacing=1.5e-3)
+    cfgs = (RadarConfig(), narrow)
+    summed = np.random.default_rng(5).standard_normal((1, 32, 8)) + 0j
+    for _ in range(2):  # the second round reads built constants
+        for cols in (24, 40):
+            for cfg in cfgs:
+                axis, valid = angle_axis_for(cfg, cols)
+                hm = heatmaps_from_sums(summed, cfg, cols)[0]
+                assert hm.angle_axis.tobytes() == axis[valid].tobytes()
+                assert hm.n_cols == valid.sum()
+                assert hm.range_bin_m == range_from_frequency(cfg.sample_rate / 32, cfg)
+    assert angle_axis_for(cfgs[0], 24)[1].all() and not angle_axis_for(narrow, 24)[1].all()
+    # a heatmap's axis is its own: writing into it leaves the next call's as built
+    first = heatmaps_from_sums(summed, narrow, 24)[0]
+    first.angle_axis[:] = 0.0
+    axis, valid = angle_axis_for(narrow, 24)
+    assert heatmaps_from_sums(summed, narrow, 24)[0].angle_axis.tobytes() == axis[valid].tobytes()

@@ -221,6 +221,15 @@ def test_world_config_rejects_negative_scatterer_count():
         synth.WorldConfig(scatterers_per_place=-1)
 
 
+def test_world_config_rejects_a_layout_that_overflows_float64():
+    # place distances are squared on the way to a norm: (spacing * (n - 1))**2 must be finite
+    assert synth.WorldConfig(spacing_m=1e150, n_places=6).spacing_m == 1e150
+    assert synth.WorldConfig(spacing_m=1e308, n_places=1).n_places == 1
+    for spacing in (1e308, 1e200, 1e155, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            synth.WorldConfig(spacing_m=spacing, n_places=6)
+
+
 def test_evaluate_rejects_fewer_than_one_query_per_cell():
     world = _world(0)
     w = enc.init_weights(enc.EncoderArch(input_shape=(64, 96)), 0)
