@@ -161,6 +161,13 @@ def _mpdb_record(dim: int) -> np.dtype:
 
 
 def save_db(path, db: PlaceDB) -> None:
+    """Write ``db`` as an MPDB file, or refuse a record that ``load_db`` would.
+
+    Each record's descriptor is cast into the packed table straight from
+    the values the record holds, as ``PlaceDB._store`` casts it.  A
+    non-finite descriptor value or coordinate, or an infinite heading,
+    raises ConfigError naming the record before the file is opened.
+    """
     recs, dim = db.records, db.dim or 0
     table = np.empty(len(recs), _mpdb_record(dim))
     # packing the ids with struct keeps its error for an id that does not fit <Q
@@ -168,7 +175,16 @@ def save_db(path, db: PlaceDB) -> None:
     table["x"] = [r.position[0] for r in recs]
     table["y"] = [r.position[1] for r in recs]
     table["heading"] = [math.nan if r.heading is None else r.heading for r in recs]
-    table["descriptor"] = [r.descriptor for r in recs]
+    desc = table["descriptor"]
+    if recs:
+        np.concatenate([r._values[None] for r in recs], out=desc)
+    # a row's max and min propagate a NaN, and hold an inf of either sign
+    finite = (np.isfinite(table["x"]) & np.isfinite(table["y"]) & ~np.isinf(table["heading"])
+              & np.isfinite(np.maximum.reduce(desc, axis=1, initial=0.0))
+              & np.isfinite(np.minimum.reduce(desc, axis=1, initial=0.0)))
+    if not finite.all():
+        bad = recs[int(finite.argmin())].id
+        raise ConfigError(f"record id {bad}: non-finite descriptor value, position or heading")
     with open(path, "wb") as fh:
         fh.write(MPDB_MAGIC + _MPDB_HEADER.pack(len(recs), dim))
         fh.write(table)  # the packed records as they are in memory, without a copy

@@ -13,19 +13,39 @@ from .errors import ConfigError, DimensionError, DuplicateIdError, MetricError
 MATCH_RADIUS_M = 3.0
 
 
-@dataclass
 class PlaceRecord:
-    """Descriptor plus ground truth for one stored place observation."""
+    """Descriptor plus ground truth for one stored place observation.
 
-    id: int
-    descriptor: np.ndarray
-    position: tuple[float, float]
-    heading: float | None = None  # deg
-    source: str = ""
+    A record holds a real-valued ndarray descriptor as it is given, raveled
+    (a view, not a copy), and the database casts it into float32 once, as
+    it stores the record at the first query after the ``add``.  So the
+    database reads the descriptor's values then, not at construction, and
+    a float64 value beyond the float32 range warns "overflow in cast" and
+    is refused as non-finite then.  Any other descriptor (a list, a complex
+    or object array) is cast to float32 here, so a bad one fails here.
 
-    def __post_init__(self):
-        self.descriptor = np.asarray(self.descriptor, dtype=np.float32).ravel()
-        self.position = (float(self.position[0]), float(self.position[1]))
+    Reading ``descriptor`` gives ``np.asarray(descriptor, np.float32).ravel()``
+    and keeps it; once the record is stored, it is its read-only store row.
+    """
+
+    __slots__ = ("id", "_values", "position", "heading", "source")
+
+    def __init__(self, id: int, descriptor, position: tuple[float, float],
+                 heading: float | None = None, source: str = ""):  # heading in deg
+        if isinstance(descriptor, np.ndarray) and descriptor.dtype.kind in "biuf":
+            self._values = np.asarray(descriptor).ravel()
+        else:  # numpy casts a listed int to float32 through float64, an int64 array directly
+            self._values = np.asarray(descriptor, dtype=np.float32).ravel()
+        self.id = id
+        self.position = (float(position[0]), float(position[1]))
+        self.heading = heading
+        self.source = source
+
+    @property
+    def descriptor(self) -> np.ndarray:
+        if self._values.dtype != np.float32:
+            self._values = self._values.astype(np.float32)
+        return self._values
 
 
 @dataclass
@@ -59,10 +79,11 @@ class PlaceDB:
     grows only through ``add`` (or, for a loaded database,
     ``_from_columns``), and ``add`` is lazy: the first query after it
     stores the new records.  ``_store`` is the one write path into the
-    store, and it rejects a descriptor holding NaN or inf with ConfigError.
-    Every stored record's ``descriptor`` is a read-only view of its own
-    store row, so the database holds each descriptor once and a row never
-    drifts from its squared norm.
+    store, and its concatenate is the one cast of an added record's values
+    into float32; it rejects a descriptor holding NaN or inf with
+    ConfigError.  Every stored record's ``descriptor`` is a read-only view
+    of its own store row, so the database holds each descriptor once and a
+    row never drifts from its squared norm.
     """
 
     def __init__(self):
@@ -79,12 +100,12 @@ class PlaceDB:
 
     @property
     def dim(self) -> int | None:
-        return self.records[0].descriptor.size if self.records else None
+        return self.records[0]._values.size if self.records else None
 
     def add(self, record: PlaceRecord) -> int:
-        if self.records and record.descriptor.size != self.dim:
+        if self.records and record._values.size != self.dim:
             raise DimensionError(
-                f"descriptor dim {record.descriptor.size} != db dim {self.dim}"
+                f"descriptor dim {record._values.size} != db dim {self.dim}"
             )
         if record.id in self._known_ids:
             raise DuplicateIdError(f"record id {record.id} already present")
@@ -113,8 +134,8 @@ class PlaceDB:
             rows = db._store(ids, [descriptors], positions)
             for rid, desc, pos, heading in zip(ids, rows, positions.tolist(), headings):
                 rec = new(PlaceRecord)
-                rec.__dict__ = {"id": rid, "descriptor": desc, "position": tuple(pos),
-                                "heading": heading, "source": ""}
+                rec.id, rec._values, rec.position, rec.heading, rec.source = (
+                    rid, desc, tuple(pos), heading, "")
                 db.records.append(rec)
         known = db._known_ids
         for rec in db.records:
@@ -137,16 +158,17 @@ class PlaceDB:
         stored = self._desc[:n]
         stored.flags.writeable = False
         for rec, row in zip(self.records, stored):
-            rec.descriptor = row
+            rec._values = row
 
     def _store(self, ids: list[int], blocks, positions) -> np.ndarray:
         """Append records at row ``_n`` of the query store; return the rows written.
 
-        ``blocks`` are (rows, dim) descriptor arrays, concatenated straight
-        into the store, which grows by doubling.  Products of float32
-        values are exact in float64, so a squared norm is finite exactly
-        when its row is: a row holding NaN or inf raises ConfigError, as
-        does an id that is not an integer, and ``_n`` stays where it was.
+        ``blocks`` are (rows, dim) real descriptor arrays, cast into float32
+        as they are concatenated straight into the store, which grows by
+        doubling.  Products of float32 values are exact in float64, so a
+        squared norm is finite exactly when its row is: a row holding NaN or
+        inf raises ConfigError, as does an id that is not an integer, and
+        ``_n`` stays where it was.
         The rows returned are read-only.
         """
         start = self._n
@@ -179,10 +201,10 @@ class PlaceDB:
         """Store the records added since the last query at their rows; return the store's size."""
         new = self.records[self._n:]
         if new:
-            rows = self._store([r.id for r in new], [r.descriptor[None] for r in new],
+            rows = self._store([r.id for r in new], [r._values[None] for r in new],
                                [r.position for r in new])
             for rec, row in zip(new, rows):
-                rec.descriptor = row
+                rec._values = row
         return self._n
 
     def query(self, descriptor, k: int, query_position=None) -> QueryResult:

@@ -273,15 +273,25 @@ def test_db_non_finite_value_is_a_format_error(tmp_path, monkeypatch, bad):
     # at the first block's edge, alone past it, at the second's edge, in the third
     for block, count in ((fileio._MPDB_BLOCK, 2), (2, 2), (2, 3), (2, 4), (2, 5)):
         monkeypatch.setattr(fileio, "_MPDB_BLOCK", block)
-        db = PlaceDB()
-        for rid in range(1, count):
-            db.add(PlaceRecord(rid, np.ones(4), (0.0, 0.0), heading=None))  # NaN on disk
-        db.add(PlaceRecord(count, np.full(4, np.nan) if bad == "descriptor" else np.ones(4),
-                           (np.inf, 0.0) if bad == "position" else (1.0, 0.0),
-                           heading=-np.inf if bad == "heading" else 10.0))
-        save_db(p, db)
+        table = np.zeros(count, fileio._mpdb_record(4))
+        table["id"] = np.arange(1, count + 1)
+        table["descriptor"] = 1.0
+        table["heading"] = np.nan  # none
+        table["x"][-1], table["heading"][-1] = 1.0, 10.0
+        column, value = {"descriptor": ("descriptor", np.nan), "position": ("x", np.inf),
+                         "heading": ("heading", -np.inf)}[bad]
+        table[column][-1] = value
+        p.write_bytes(fileio.MPDB_MAGIC + fileio._MPDB_HEADER.pack(count, 4) + table.tobytes())
         with pytest.raises(FormatError, match="non-finite value"):
             load_db(p)
+        # the writer refuses that database before it opens its file
+        db = PlaceDB()
+        for rid, x, y, heading, desc in table.tolist():
+            db.add(PlaceRecord(rid, np.array(desc), (x, y), None if np.isnan(heading) else heading))
+        refused = tmp_path / "refused.mpdb"
+        with pytest.raises(ConfigError, match=f"record id {count}: non-finite"):
+            save_db(refused, db)
+        assert not refused.exists()
 
 
 @pytest.mark.parametrize("bad_id", [-1, 2**64, 1.5])

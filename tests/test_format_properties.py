@@ -241,19 +241,24 @@ def test_db_codec_matches_struct_reference(workdir, data):
                            data.draw(st.tuples(st.floats(), st.floats())),
                            heading=data.draw(st.none() | st.floats())))
     fast, ref = workdir / "fast", workdir / "ref"
-    save_db(fast, db)
+    fast.unlink(missing_ok=True)
     _save_db_reference(ref, db)
-    assert fast.read_bytes() == ref.read_bytes()
     want = _load_db_reference(ref)
     block = data.draw(st.sampled_from([1, 2, 4, fileio._MPDB_BLOCK]))  # below, at, past the count
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fileio, "_MPDB_BLOCK", block)
-        # NaN codes a missing heading; any other non-finite value is a malformed file
+        # NaN codes a missing heading; any other non-finite value is a malformed
+        # file, and save_db refuses to write one
         if any(not np.isfinite([*r.position, *r.descriptor]).all()
                or r.heading is not None and np.isinf(r.heading) for r in want.records):
+            with pytest.raises(ConfigError, match="non-finite"):
+                save_db(fast, db)
+            assert not fast.exists()
             with pytest.raises(FormatError, match="non-finite value"):
-                load_db(fast)
+                load_db(ref)
             return
+        save_db(fast, db)
+        assert fast.read_bytes() == ref.read_bytes()
         got = load_db(fast)
     assert len(got) == len(want)
     for a, b in zip(got.records, want.records, strict=True):

@@ -1,12 +1,13 @@
 """Exact retrieval and recognition metric tests."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from radarplace import placedb
+from radarplace import fileio, placedb
 from radarplace.errors import ConfigError, DimensionError, DuplicateIdError, MetricError
 from radarplace.fileio import load_db, save_db
 from radarplace.placedb import (
@@ -512,6 +513,72 @@ def test_a_database_built_by_add_holds_one_copy():
     _same(queried.query(q, 5, qpos), fresh.query(q, 5, qpos))
     assert store() is None
     assert all(np.shares_memory(r.descriptor, queried._desc) for r in queried.records)
+
+
+def _cast_inputs(kind):
+    rng = np.random.default_rng(37)
+    values = rng.standard_normal((8, 6)) * np.logspace(-40, 37, 6)  # float32 rounds each
+    if kind == "float64":
+        return list(values)
+    if kind == "float32":
+        return list(values.astype(np.float32))
+    if kind == "int64":
+        return list(rng.integers(-2**62, 2**62, (8, 6)))  # beyond float32's exact integers
+    if kind == "bool":
+        return list(rng.random((8, 6)) < 0.5)
+    if kind == "list":  # numpy casts a Python int to float32 through float64, twice rounded
+        return [row.tolist() for row in values[:-1]] + [[2**60 + 2**36 + 1, 1, 2, 3, 4, 5]]
+    return [row.reshape(3, 2).T for row in values]  # 2-D, and not contiguous
+
+
+@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "bool", "list", "2-D"])
+def test_a_descriptor_is_cast_once_as_asarray_casts_it(kind):
+    inputs = _cast_inputs(kind)
+    want = np.stack([np.asarray(x, np.float32).ravel() for x in inputs])
+    q = np.asarray(inputs[3], np.float64).ravel() + 0.5
+    unread, read = _db_from(inputs), _db_from(inputs)
+    # a read before storing gives the float32 bits, and keeps them
+    early = [r.descriptor for r in read.records]
+    assert all(d.dtype == np.float32 and d.ndim == 1 for d in early)
+    assert np.stack(early).tobytes() == want.tobytes()
+    assert all(r.descriptor is d for r, d in zip(read.records, early))
+    for db in (unread, read):
+        got = db.query(q, 5, (0.0, 0.0))
+        assert db._desc[:len(inputs)].tobytes() == want.tobytes()
+        _same(got, _query_reference(db, q, 5, (0.0, 0.0)))
+    # a value beyond float32's range is refused when it is stored, not before
+    unread.add(PlaceRecord(8, np.full(6, 1e39), (0.0, 0.0)))
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            ConfigError, match="record id 8: descriptor holds a non-finite"):
+        unread.query(q, 5)
+    assert unread._n == len(inputs)
+    # a descriptor numpy cannot cast to float32 fails at construction, as it always has
+    with pytest.raises(ValueError):
+        PlaceRecord(9, np.array(["one", "two"]), (0.0, 0.0))
+
+
+def test_an_added_record_allocates_no_descriptor_copy(tmp_path):
+    # a float32 copy per added record would be 4 KiB each at this dim
+    n, dim = 1000, 1024
+    descs = np.random.default_rng(41).standard_normal((n, dim))
+    positions = [(float(i), 0.0) for i in range(n)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        db = PlaceDB()
+        for i in range(n):
+            db.add(PlaceRecord(i, descs[i], positions[i]))
+        built = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        save_db(tmp_path / "db.mpdb", db)
+        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert built < 1024 * n
+    # the packed table, a per-record view for the one cast, and a few columns
+    assert peak < (fileio._mpdb_record(dim).itemsize + 256) * n
+    assert kept < 64 * n
 
 
 def test_stored_descriptors_are_read_only(tmp_path):
