@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap-size",
-                   help="RxC FFT lengths: first R fast-time samples, C-point angle FFT")
+                   help="RxC size: first R fast-time samples, C angle bins")
     p.add_argument("--max-range", type=float, default=None)
     p.add_argument("--window", choices=["rect", "hann"], default="rect")
 

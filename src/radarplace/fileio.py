@@ -166,7 +166,8 @@ def save_db(path, db: PlaceDB) -> None:
     Each record's descriptor is cast into the packed table straight from
     the values the record holds, as ``PlaceDB._store`` casts it.  A
     non-finite descriptor value or coordinate, or an infinite heading,
-    raises ConfigError naming the record before the file is opened.
+    raises ConfigError naming the record before the file is opened; only
+    the descriptors not yet stored for a query need that check.
     """
     recs, dim = db.records, db.dim or 0
     table = np.empty(len(recs), _mpdb_record(dim))
@@ -178,10 +179,12 @@ def save_db(path, db: PlaceDB) -> None:
     desc = table["descriptor"]
     if recs:
         np.concatenate([r._values[None] for r in recs], out=desc)
-    # a row's max and min propagate a NaN, and hold an inf of either sign
-    finite = (np.isfinite(table["x"]) & np.isfinite(table["y"]) & ~np.isinf(table["heading"])
-              & np.isfinite(np.maximum.reduce(desc, axis=1, initial=0.0))
-              & np.isfinite(np.minimum.reduce(desc, axis=1, initial=0.0)))
+    finite = np.isfinite(table["x"]) & np.isfinite(table["y"]) & ~np.isinf(table["heading"])
+    # PlaceDB._store proved the stored rows finite; a row's max and min
+    # propagate a NaN, and hold an inf of either sign
+    new = desc[db._n:]
+    finite[db._n:] &= (np.isfinite(np.maximum.reduce(new, axis=1, initial=0.0))
+                       & np.isfinite(np.minimum.reduce(new, axis=1, initial=0.0)))
     if not finite.all():
         bad = recs[int(finite.argmin())].id
         raise ConfigError(f"record id {bad}: non-finite descriptor value, position or heading")

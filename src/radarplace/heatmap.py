@@ -1,20 +1,20 @@
 """Range-azimuth heatmap generation.
 
 An IF signal is reduced to a real power matrix by a coherent sum over
-chirps, an FFT over fast time (range), an FFT over the antenna axis (angle)
-and a final magnitude.  Both FFTs are linear, so integrating the chirps
-first gives the same map as transforming every chirp and summing after.
-:func:`heatmaps_from_sums` runs the cascade on a (frames, rows, antennas)
-stack of chirp sums, such as one drawn directly by
+chirps, an FFT over fast time (range), a DFT over the antenna axis (angle)
+and a final magnitude.  Both transforms are linear, so integrating the
+chirps first gives the same map as transforming every chirp and summing
+after.  :func:`heatmaps_from_sums` runs the cascade on a (frames, rows,
+antennas) stack of chirp sums, such as one drawn directly by
 ``radar.simulate_chirp_sum`` for the headings of a sweep, with one range
 FFT for the whole stack; :func:`generate_heatmap` sums the chirps of an IF
 cube and passes it on as a one-frame stack.
-The heatmap size sets the FFT lengths: the range FFT runs over the first
-``rows`` fast-time samples, and the angle FFT has length ``cols``, which
-zero-pads the antennas and interpolates the angle spectrum without moving
-its peaks.  The angle axis is FFT-shifted and calibrated through the
-arcsine phase-to-angle map so columns run over monotonically increasing
-azimuth.
+The heatmap size sets the transform lengths: the range FFT runs over the
+first ``rows`` fast-time samples, and the angle spectrum is the antennas'
+array factor at ``cols`` phase steps 2*pi*m/cols, which interpolates the
+antenna DFT without moving its peaks.  The angle axis runs in ascending
+wrapped phase and is calibrated through the arcsine phase-to-angle map so
+columns run over monotonically increasing azimuth.
 """
 
 from __future__ import annotations
@@ -124,14 +124,13 @@ def heatmaps_from_sums(
 ) -> list[Heatmap]:
     """One heatmap per frame of a (frames, rows, n_antennas) stack of chirp sums.
 
-    FFT over fast time, FFT over antennas zero-padded to ``cols``,
-    magnitude.  ``window`` may be "rect" (default) or "hann" applied over
-    fast time.  Rows beyond ``max_range_m``, a finite positive range, are
-    discarded when given.  The range FFT runs once over the stack; the
-    angle FFT runs per frame, since a (frames, rows, cols) complex stack
-    would be freshly mapped memory on every call.  The range bin, the
-    angle axis and the column order are built once per (cfg, rows, cols),
-    and each heatmap gets its own copy of the axis.
+    FFT over fast time, angle spectrum at ``cols`` phase steps, magnitude.
+    ``window`` may be "rect" (default) or "hann" applied over fast time.
+    Rows beyond ``max_range_m``, a finite positive range, are discarded
+    when given.  The range FFT runs once over the stack; each frame's
+    angle spectrum is its own product with the steering matrix that
+    :func:`_columns` builds once per size, with the range bin and the
+    angle axis.  Each heatmap gets its own copy of the axis.
     """
     _, rows, n_r = summed.shape
     if cols < 1:
@@ -148,26 +147,27 @@ def heatmaps_from_sums(
         raise ConfigError(f"unknown window {window!r}")
 
     spec = np.fft.fft(summed, axis=1)  # fast time -> range
-    range_bin_m, axis, order = _columns(cfg, rows, cols)
+    range_bin_m, axis, steer = _columns(cfg, rows, n_r, cols)
     keep = rows
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
-    return [
-        Heatmap(np.abs(np.fft.fft(frame[:keep], n=cols, axis=1)[:, order]),  # antennas -> angle
-                range_bin_m, axis.copy())
-        for frame in spec
-    ]
+    return [Heatmap(np.abs(frame[:keep] @ steer), range_bin_m, axis.copy())  # antennas -> angle
+            for frame in spec]
 
 
 @functools.lru_cache(maxsize=16)
-def _columns(cfg: RadarConfig, rows: int, cols: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(range bin in metres, azimuth of each resolvable column, its FFT column) for one size.
+def _columns(cfg: RadarConfig, rows: int, n_antennas: int,
+             cols: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(range bin in metres, azimuth of each resolvable column, steering matrix) for one size.
 
-    Built once per (config, rows, cols); the arrays are read-only, since
-    every heatmap of that size shares them.  Range bins are spaced by the
-    cropped fast-time length, and the columns run in ascending wrapped phase.
+    Built once per (config, rows, antennas, cols); the arrays are read-only,
+    since every heatmap of that size shares them.  Range bins are spaced by
+    the cropped fast-time length.  Column j reads bin m_j of the antennas'
+    DFT zero-padded to ``cols``, in ascending wrapped phase, so its steering
+    column is ``exp(-2*pi*i * (k * m_j mod cols) / cols)`` over antennas k.
     """
     axis, valid = angle_axis_for(cfg, cols)
-    axis, order = axis[valid], np.fft.fftshift(np.arange(cols))[valid]
-    axis.flags.writeable = order.flags.writeable = False
-    return range_from_frequency(cfg.sample_rate / rows, cfg), axis, order
+    axis, bins = axis[valid], np.fft.fftshift(np.arange(cols))[valid]
+    steer = np.exp((-2j * math.pi / cols) * (np.outer(np.arange(n_antennas), bins) % cols))
+    axis.flags.writeable = steer.flags.writeable = False
+    return range_from_frequency(cfg.sample_rate / rows, cfg), axis, steer

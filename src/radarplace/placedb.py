@@ -80,10 +80,11 @@ class PlaceDB:
     ``_from_columns``), and ``add`` is lazy: the first query after it
     stores the new records.  ``_store`` is the one write path into the
     store, and its concatenate is the one cast of an added record's values
-    into float32; it rejects a descriptor holding NaN or inf with
-    ConfigError.  Every stored record's ``descriptor`` is a read-only view
-    of its own store row, so the database holds each descriptor once and a
-    row never drifts from its squared norm.
+    into float32; it refuses a descriptor holding NaN or inf, and that
+    query drops the record and raises ConfigError.  Every stored record's
+    ``descriptor`` is a read-only view of its own store row, so the
+    database holds each descriptor once and a row never drifts from its
+    squared norm.
     """
 
     def __init__(self):
@@ -131,7 +132,9 @@ class PlaceDB:
         new = object.__new__
         for block_ids, descriptors, positions, headings in blocks:
             ids = block_ids.tolist()
-            rows = db._store(ids, [descriptors], positions)
+            rows, refused = db._store(ids, [descriptors], positions)
+            if refused:
+                raise ConfigError(refused[min(refused)])
             for rid, desc, pos, heading in zip(ids, rows, positions.tolist(), headings):
                 rec = new(PlaceRecord)
                 rec.id, rec._values, rec.position, rec.heading, rec.source = (
@@ -160,33 +163,38 @@ class PlaceDB:
         for rec, row in zip(self.records, stored):
             rec._values = row
 
-    def _store(self, ids: list[int], blocks, positions) -> np.ndarray:
-        """Append records at row ``_n`` of the query store; return the rows written.
+    def _store(self, ids: list[int], blocks, positions) -> tuple[np.ndarray, dict]:
+        """Append records at row ``_n`` of the query store; return the rows written and the refusals.
 
         ``blocks`` are (rows, dim) real descriptor arrays, cast into float32
         as they are concatenated straight into the store, which grows by
         doubling.  Products of float32 values are exact in float64, so a
-        squared norm is finite exactly when its row is: a row holding NaN or
-        inf raises ConfigError, as does an id that is not an integer, and
-        ``_n`` stays where it was.
-        The rows returned are read-only.
+        squared norm is finite exactly when its row is.  A record whose row
+        holds NaN or inf, or whose id is not an integer, is refused: the
+        records after it move up a row, and ``refused`` maps its index in
+        ``ids`` to its error message.
+        The rows returned are those of the stored records, and read-only.
         """
-        start = self._n
+        start, dim = self._n, blocks[0].shape[1]
         stop = start + len(ids)
-        if stop > len(self._ids):  # amortised doubling
-            self._reserve(max(stop, 2 * len(self._ids)), blocks[0].shape[1])
+        if stop > len(self._ids) or self._desc.shape[1] != dim:  # a new dim only when empty
+            self._reserve(max(stop, 2 * len(self._ids)), dim)  # amortised doubling
         rows, sqnorm = self._desc[start:stop], self._sqnorm[start:stop]
         np.concatenate(blocks, out=rows)
         np.einsum("ij,ij->i", rows, rows, dtype=np.float64, out=sqnorm)
-        finite = np.isfinite(sqnorm)
-        if not finite.all():
-            bad = ids[int(finite.argmin())]
-            raise ConfigError(f"record id {bad}: descriptor holds a non-finite value")
-        for rid in ids:
+        refused = {int(i): f"record id {ids[i]}: descriptor holds a non-finite value"
+                   for i in np.flatnonzero(~np.isfinite(sqnorm))}
+        for i, rid in enumerate(ids):
             try:
                 operator.index(rid)  # an int64 column would truncate 1.5 to 1
             except TypeError:
-                raise ConfigError(f"record id {rid!r}: not an integer") from None
+                refused.setdefault(i, f"record id {rid!r}: not an integer")
+        if refused:
+            keep = [i for i in range(len(ids)) if i not in refused]
+            stop = start + len(keep)
+            rows[:len(keep)], sqnorm[:len(keep)] = rows[keep], sqnorm[keep]
+            rows = rows[:len(keep)]
+            ids, positions = [ids[i] for i in keep], np.reshape(positions, (-1, 2))[keep]
         try:
             self._ids[start:stop] = ids
         except OverflowError:  # an id outside int64: keep exact Python ints
@@ -195,16 +203,29 @@ class PlaceDB:
         self._pos[start:stop] = positions
         self._n = stop
         rows.flags.writeable = False
-        return rows
+        return rows, refused
 
     def _sync(self) -> int:
-        """Store the records added since the last query at their rows; return the store's size."""
-        new = self.records[self._n:]
+        """Store the records added since the last query at their rows; return the store's size.
+
+        The records ``_store`` refuses are dropped, with their ids, and the
+        rest are stored before the first refusal is raised, so the error
+        shows once and later queries work.
+        """
+        start = self._n
+        new = self.records[start:]
         if new:
-            rows = self._store([r.id for r in new], [r._values[None] for r in new],
-                               [r.position for r in new])
+            rows, refused = self._store([r.id for r in new], [r._values[None] for r in new],
+                                        [r.position for r in new])
+            if refused:
+                self._known_ids.difference_update(new[i].id for i in refused)
+                new = [rec for i, rec in enumerate(new) if i not in refused]
+                self.records[start:] = new
             for rec, row in zip(new, rows):
                 rec._values = row
+            if refused:
+                more = f" ({len(refused)} records dropped)" if len(refused) > 1 else ""
+                raise ConfigError(refused[min(refused)] + more)
         return self._n
 
     def query(self, descriptor, k: int, query_position=None) -> QueryResult:

@@ -8,6 +8,7 @@ import pytest
 from radarplace.errors import ConfigError, DimensionError, RadarPlaceError
 from radarplace.heatmap import (
     Heatmap,
+    _columns,
     angle_axis_for,
     angle_to_col,
     generate_heatmap,
@@ -17,7 +18,7 @@ from radarplace.heatmap import (
 )
 from radarplace.radar import SPEED_OF_LIGHT, IFCube, RadarConfig, Scatterer, simulate_if_cube
 
-from conftest import random_scene
+from conftest import angle_sum_heatmap_bound, random_scene
 
 
 def test_range_from_frequency_values():
@@ -250,13 +251,16 @@ def noisy_cubes():
 )
 def test_fft_lengths_match_resize_then_transform(noisy_cubes, rows, cols):
     cfg, cubes = noisy_cubes
+    assert angle_axis_for(cfg, cols)[1].all()  # the bound needs every column
+    bound = angle_sum_heatmap_bound(cfg.n_antennas, cols)
     for cube in cubes:
         padded = _resize_cube_reference(cube, rows, cols)
         for window in ("rect", "hann"):
             for max_range_m in (None, 20.0):
                 hm = generate_heatmap(cube, cfg, (rows, cols), max_range_m, window)
                 values, range_bin_m, axis = _heatmap_reference(padded, cfg, max_range_m, window)
-                assert np.array_equal(hm.values, values)
+                assert hm.values.shape == values.shape
+                assert np.max(np.abs(hm.values - values)) <= bound * np.max(values)
                 assert hm.range_bin_m == range_bin_m
                 assert np.array_equal(hm.angle_axis, axis)
 
@@ -325,14 +329,20 @@ def _generate_heatmap_reference(cube, cfg, size=None, max_range_m=None, window="
 def test_split_cascade_matches_the_one_piece_heatmap(noisy_cubes, size):
     cfg, cubes = noisy_cubes
     narrow = RadarConfig(antenna_spacing=1.5e-3)  # below half a wavelength: masks outer columns
-    assert not angle_axis_for(narrow, size[1] if size else cubes[0].dims[2])[1].all()
+    cols = size[1] if size else cubes[0].dims[2]
+    assert not angle_axis_for(narrow, cols)[1].all() and angle_axis_for(cfg, cols)[1].all()
+    bound = angle_sum_heatmap_bound(cubes[0].dims[2], cols)
     for cube in cubes[:6]:
-        for c in (cfg, narrow):
-            for window in ("rect", "hann"):
-                for max_range_m in (None, 20.0, 1e-3, 1e6):
+        for window in ("rect", "hann"):
+            for max_range_m in (None, 20.0, 1e-3, 1e6):
+                # the bound scales with the largest value over every column: cfg's map
+                scale = np.max(_generate_heatmap_reference(cube, cfg, size, max_range_m,
+                                                           window).values)
+                for c in (cfg, narrow):
                     got = generate_heatmap(cube, c, size, max_range_m, window)
                     want = _generate_heatmap_reference(cube, c, size, max_range_m, window)
-                    assert np.array_equal(got.values, want.values)
+                    assert got.values.shape == want.values.shape
+                    assert np.max(np.abs(got.values - want.values)) <= bound * scale
                     assert got.range_bin_m == want.range_bin_m
                     assert np.array_equal(got.angle_axis, want.angle_axis)
 
@@ -390,18 +400,52 @@ def test_per_size_columns_stay_per_config_and_size():
     # below half a wavelength, outer phase bins fall outside the arcsine's domain
     narrow = RadarConfig(antenna_spacing=1.5e-3)
     cfgs = (RadarConfig(), narrow)
-    summed = np.random.default_rng(5).standard_normal((1, 32, 8)) + 0j
+    rng = np.random.default_rng(5)
     for _ in range(2):  # the second round reads built constants
         for cols in (24, 40):
             for cfg in cfgs:
-                axis, valid = angle_axis_for(cfg, cols)
-                hm = heatmaps_from_sums(summed, cfg, cols)[0]
-                assert hm.angle_axis.tobytes() == axis[valid].tobytes()
-                assert hm.n_cols == valid.sum()
-                assert hm.range_bin_m == range_from_frequency(cfg.sample_rate / 32, cfg)
+                for n_r in (8, 16):  # the steering matrix follows the input, not the config
+                    summed = rng.standard_normal((1, 32, n_r)) + 0j
+                    axis, valid = angle_axis_for(cfg, cols)
+                    hm = heatmaps_from_sums(summed, cfg, cols)[0]
+                    assert hm.angle_axis.tobytes() == axis[valid].tobytes()
+                    assert hm.n_cols == valid.sum()
+                    assert hm.range_bin_m == range_from_frequency(cfg.sample_rate / 32, cfg)
+                    _, kept, steer = _columns(cfg, 32, n_r, cols)
+                    assert _columns(cfg, 32, n_r, cols)[2] is steer
+                    assert steer.shape == (n_r, valid.sum())
+                    assert not (steer.flags.writeable or kept.flags.writeable)
+                    # each steering column is its bin of the zero-padded antenna DFT: a
+                    # unit vector's spectrum, within the bound for one antenna
+                    dft = np.fft.fftshift(np.fft.fft(np.eye(n_r), n=cols, axis=1), axes=1)
+                    assert (np.max(np.abs(steer - dft[:, valid]))
+                            <= angle_sum_heatmap_bound(1, cols))
+    # rows set the range bin, not the steering
+    short, tall = _columns(cfgs[0], 32, 8, 24), _columns(cfgs[0], 64, 8, 24)
+    assert tall[0] == range_from_frequency(cfgs[0].sample_rate / 64, cfgs[0]) != short[0]
+    assert tall[2].tobytes() == short[2].tobytes()
     assert angle_axis_for(cfgs[0], 24)[1].all() and not angle_axis_for(narrow, 24)[1].all()
     # a heatmap's axis is its own: writing into it leaves the next call's as built
     first = heatmaps_from_sums(summed, narrow, 24)[0]
     first.angle_axis[:] = 0.0
     axis, valid = angle_axis_for(narrow, 24)
     assert heatmaps_from_sums(summed, narrow, 24)[0].angle_axis.tobytes() == axis[valid].tobytes()
+
+
+def test_a_cube_with_more_antennas_than_its_config_gets_their_steering():
+    # a 16-antenna cube under an 8-antenna config, at full and masked columns
+    scene = random_scene(np.random.default_rng(16), 4)
+    cube = simulate_if_cube(scene, RadarConfig(n_antennas=16, n_chirps=4), noise_std=0.2, seed=3)
+    full, narrow = RadarConfig(n_chirps=4), RadarConfig(n_chirps=4, antenna_spacing=1.5e-3)
+    assert full.n_antennas == 8
+    for size in ((64, 16), (64, 40), (256, 96)):
+        assert angle_axis_for(full, size[1])[1].all()
+        assert not angle_axis_for(narrow, size[1])[1].all()
+        bound = angle_sum_heatmap_bound(16, size[1])
+        scale = np.max(_generate_heatmap_reference(cube, full, size).values)
+        for cfg in (full, narrow):
+            got = generate_heatmap(cube, cfg, size)
+            want = _generate_heatmap_reference(cube, cfg, size)
+            assert got.values.shape == want.values.shape
+            assert np.max(np.abs(got.values - want.values)) <= bound * scale
+            assert got.angle_axis.tobytes() == want.angle_axis.tobytes()

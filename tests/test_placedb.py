@@ -383,8 +383,8 @@ def test_non_finite_or_huge_values_rerank_everything(bad):
     _same(db.query(q, 4), _query_reference(db, q, 4))
     # a huge stored value is still ranked exactly; a non-finite one is refused
     descs[2, 1] = bad
-    db = _db_from(descs)
     for q in ([1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]):
+        db = _db_from(descs)  # the query that refuses a record drops it
         if np.isfinite(bad):
             _same(db.query(q, 4), _query_reference(db, q, 4))
         else:
@@ -413,6 +413,44 @@ def test_query_refuses_a_non_integer_id():
     assert db.records[-1].id == 1.5
     with pytest.raises(ConfigError, match="record id 1.5: not an integer"):
         db.query([1.0, 1.0], 1)
+
+
+def test_a_refused_record_is_dropped_and_the_rest_stored(tmp_path):
+    db = PlaceDB()
+    db.add(PlaceRecord(1, [1.0, 0.0], (0.0, 0.0)))
+    db.add(PlaceRecord(2, [np.nan, 0.0], (5.0, 0.0)))
+    with pytest.raises(ConfigError, match="record id 2: descriptor holds a non-finite"):
+        db.query([1.0, 0.0], 2)
+    # the error shows once: record 1 is stored, and the database saves and loads
+    assert [r.id for r in db.records] == [1] and db._n == 1
+    assert db.query([1.0, 0.0], 2).ids == [1]
+    save_db(tmp_path / "places.mpdb", db)
+    assert load_db(tmp_path / "places.mpdb").query([1.0, 0.0], 2).ids == [1]
+    # save_db checks the records not yet stored, from the first one on
+    db.add(PlaceRecord(9, [np.inf, 0.0], (0.0, 0.0)))
+    with pytest.raises(ConfigError, match="record id 9"):
+        save_db(tmp_path / "pending.mpdb", db)
+    assert not (tmp_path / "pending.mpdb").exists()
+    with pytest.raises(ConfigError, match="record id 9"):
+        db.query([1.0, 0.0], 2)
+    # the refused id is free again; refusals in one batch raise once, naming the first
+    db.add(PlaceRecord(2, [0.0, 1.0], (5.0, 0.0)))
+    db.add(PlaceRecord(1.5, [0.5, 0.5], (0.0, 0.0)))
+    db.add(PlaceRecord(3, [1.0, 1.0], (0.0, 0.0)))
+    db.add(PlaceRecord(4.5, [0.0, np.inf], (0.0, 0.0)))  # refused twice over, dropped once
+    with pytest.raises(ConfigError, match=r"record id 1.5: not an integer \(2 records dropped\)"):
+        db.query([0.0, 1.0], 5)
+    assert [r.id for r in db.records] == [1, 2, 3] and db._n == 3
+    assert db.query([0.0, 1.0], 5).ids == [2, 3, 1]
+    _same(db.query([0.0, 1.0], 5), _query_reference(db, [0.0, 1.0], 5))
+    assert all(r.descriptor.base is db._desc for r in db.records)
+    # a database whose every record was refused takes records of another dim
+    empty = _db_from([[np.nan] * 4])
+    with pytest.raises(ConfigError, match="record id 0"):
+        empty.query(np.ones(4), 1)
+    assert len(empty) == 0
+    empty.add(PlaceRecord(0, [1.0, 2.0], (0.0, 0.0)))
+    assert empty.query([1.0, 2.0], 1).ids == [0]
 
 
 def test_query_returns_ids_beyond_int64_exactly():

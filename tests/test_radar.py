@@ -335,7 +335,7 @@ def test_noise_free_chirp_sum_heatmap_matches_the_cube_path(cfg, rows, cols):
     n = cfg.n_chirps
     u = 2.0**-53
     eps = u + (n - 1) * u / (1 - (n - 1) * u)
-    bound = chirp_sum_heatmap_bound(n, rows, cfg.n_antennas, cols)
+    bound = chirp_sum_heatmap_bound(n, rows, cfg.n_antennas)
     rng = np.random.default_rng(rows + cols + n)
     for case in range(30):
         scene = random_scene(rng, 1 + case % 8, range_lo=1.0, range_hi=45.0,

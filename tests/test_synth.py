@@ -20,7 +20,7 @@ from radarplace.radar import (
     sweep_schedule,
 )
 
-from conftest import chirp_sum_heatmap_bound
+from conftest import angle_sum_heatmap_bound, chirp_sum_heatmap_bound
 
 CFG = RadarConfig(n_chirps=4)
 
@@ -50,7 +50,7 @@ def _render_sweep_reference(world, place_idx, cfg, pcfg, n_frames,
 
 
 def _heatmap_from_sum_reference(summed, cfg, cols):
-    """The earlier cascade: range FFT, angle FFT, fftshift, magnitude, column mask."""
+    """The earlier cascade: range FFT, zero-padded angle FFT, fftshift, magnitude, column mask."""
     spec = np.fft.fft(np.fft.fft(summed, axis=0), n=cols, axis=1)
     values = np.abs(np.fft.fftshift(spec, axes=1))
     axis, valid = angle_axis_for(cfg, cols)
@@ -102,6 +102,7 @@ def test_render_view_matches_the_per_frame_path(case):
         heatmap_rows=int(rng.choice([16, 64])), heatmap_cols=int(rng.choice([8, 33, 96])),
         noise_std=float(rng.choice([0.0, 0.05, 0.3])), seed=case,
     ))
+    bound = angle_sum_heatmap_bound(cfg.n_antennas, world.cfg.heatmap_cols)
     for _ in range(25):
         place = int(rng.integers(3))
         heading = float(rng.uniform(-400.0, 400.0))
@@ -109,7 +110,9 @@ def test_render_view_matches_the_per_frame_path(case):
         seed = int(rng.integers(2**63))
         got = synth.render_view(world, place, cfg, heading, lateral, seed)
         values, axis = _render_view_reference(world, place, cfg, heading, lateral, seed)
-        assert got.values.tobytes() == values.tobytes()
+        assert got.values.shape == values.shape
+        # the direct angle sum rounds apart from the FFT; no column is masked at these spacings
+        assert np.max(np.abs(got.values - values)) <= bound * np.max(values)
         assert got.angle_axis.tobytes() == axis.tobytes()
 
 
@@ -123,8 +126,7 @@ def test_platform_sweep_cubes_rebuild_render_sweep(world_seed, place, pcfg, _, l
     assert [h for _, h in cubes] == [h for h, _ in sweep_schedule(pcfg, 9, seed)]
     rebuilt = [generate_heatmap(c, CFG, (wcfg.heatmap_rows, wcfg.heatmap_cols)) for c, _ in cubes]
     frames = synth.render_sweep(quiet, place, CFG, pcfg, 9, 0.0, lateral, seed)
-    bound = chirp_sum_heatmap_bound(CFG.n_chirps, wcfg.heatmap_rows, CFG.n_antennas,
-                                    wcfg.heatmap_cols)
+    bound = chirp_sum_heatmap_bound(CFG.n_chirps, wcfg.heatmap_rows, CFG.n_antennas)
     for r, f in zip(rebuilt, frames, strict=True):
         assert np.max(np.abs(r.values - f.values)) <= bound * np.max(r.values)
 
