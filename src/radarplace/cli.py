@@ -157,11 +157,11 @@ def cmd_train(args) -> int:
     log_path = Path(args.out).with_suffix(".log.csv")
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "lr", "val_recall1"])
+        writer.writerow(["epoch", "mean_loss", "lr", "triplets_skipped"])
         for row in result.history:
             writer.writerow([
                 row["epoch"], f"{row['mean_loss']:.9f}",
-                f"{row['lr']:.9f}", f"{row['val_recall1']:.6f}",
+                f"{row['lr']:.9f}", row["triplets_skipped"],
             ])
     print(f"wrote weights to {args.out} (training log: {log_path})")
     return EXIT_OK

@@ -18,10 +18,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, EmptyResultError, FormatError
 from .heatmap import Heatmap
-from .placedb import MATCH_RADIUS_M, PlaceDB, PlaceRecord, recall_at_n
+from .placedb import MATCH_RADIUS_M
 
 _DEGENERATE_EPS = 1e-12
-HOLDOUT_STRIDE = 5
 
 # Training constants of the reproduction preset.
 BATCH_SIZE = 16
@@ -509,27 +508,7 @@ def lr_at(epoch: int) -> float:
 @dataclass
 class TrainResult:
     weights: EncoderWeights
-    history: list[dict]  # per epoch: epoch, mean_loss, lr, val_recall1, triplets_skipped
-
-
-def _val_recall1(dataset, weights):
-    """Leave-out recall@1: every HOLDOUT_STRIDE-th record queries the rest.
-
-    The rest form a PlaceDB; held-out queries with no record within
-    MATCH_RADIUS_M are not counted.  Returns 0.0 when nothing is counted.
-    """
-    db, queries = PlaceDB(), []
-    for i, (h, pos) in enumerate(dataset):
-        desc = encode(h, weights).values
-        if i % HOLDOUT_STRIDE:
-            db.add(PlaceRecord(i, desc, pos))
-        else:
-            queries.append((desc, pos))
-    if not len(db):
-        return 0.0
-    results = [db.query(desc, k=1, query_position=pos) for desc, pos in queries]
-    kept = [r for r in results if r.has_match]
-    return recall_at_n(kept, 1) if kept else 0.0
+    history: list[dict]  # per epoch: epoch, mean_loss, lr, triplets_skipped
 
 
 def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainResult:
@@ -539,9 +518,9 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     shape differs from the architecture's input (by default the first
     heatmap's) raises DimensionError before the first epoch.  Triplets are
     re-mined every epoch from the run seed by ``mine_triplets``'s distance
-    rule, so positives lie within MATCH_RADIUS_M, the radius leave-out
-    recall scores at; the returned weights are the ones with the best
-    leave-out recall@1.  Fully deterministic for a fixed (dataset, cfg, arch).
+    rule, over every record.  Returns the weights of the last epoch: no
+    epoch is scored or selected.  Fully deterministic for a fixed
+    (dataset, cfg, arch).
     """
     if not dataset:
         raise EmptyResultError("no training samples")
@@ -551,8 +530,6 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     weights = init_weights(arch, cfg.seed)
     velocity = _zero_grads(weights)
 
-    best = weights.copy()
-    best_recall = -1.0
     history = []
     rng = np.random.default_rng(cfg.seed + 1)
     for epoch in range(cfg.max_epochs):
@@ -577,11 +554,6 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
                 velocity[l][1] = MOMENTUM * velocity[l][1] - rate * gb
                 weights.kernels[l] += velocity[l][0]
                 weights.biases[l] += velocity[l][1]
-        recall = _val_recall1(dataset, weights)
-        mean_loss = float(np.mean(losses))
-        history.append({"epoch": epoch, "mean_loss": mean_loss, "lr": rate,
-                        "val_recall1": recall, "triplets_skipped": skipped})
-        if recall > best_recall:
-            best_recall = recall
-            best = weights.copy()
-    return TrainResult(best, history)
+        history.append({"epoch": epoch, "mean_loss": float(np.mean(losses)), "lr": rate,
+                        "triplets_skipped": skipped})
+    return TrainResult(weights, history)
