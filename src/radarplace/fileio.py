@@ -151,7 +151,7 @@ def load_weights(path) -> EncoderWeights:
 
 # -- place databases ----------------------------------------------------------
 
-_MPDB_BLOCK = 1024  # records decoded per read by load_db
+_MPDB_BLOCK = 1024  # at most this many records decoded per read by load_db
 
 
 def _mpdb_record(dim: int) -> np.dtype:
@@ -163,44 +163,48 @@ def _mpdb_record(dim: int) -> np.dtype:
 def save_db(path, db: PlaceDB) -> None:
     """Write ``db`` as an MPDB file, or refuse a record that ``load_db`` would.
 
-    Each record's descriptor is cast into the packed table straight from
-    the values the record holds, as ``PlaceDB._store`` casts it.  A
-    non-finite descriptor value or coordinate, or an infinite heading,
-    raises ConfigError naming the record before the file is opened; only
-    the descriptors not yet stored for a query need that check.
+    The packed table is filled column by column from the database's own
+    columns: the stored rows are copied from its query store, and the
+    values of the records added since its last query are cast straight
+    into the table, as ``PlaceDB._store`` casts them.  A non-finite
+    descriptor value or coordinate, or an infinite heading, raises
+    ConfigError naming the record before the file is opened; only the
+    descriptors not yet stored for a query need that check.
     """
-    recs, dim = db.records, db.dim or 0
-    table = np.empty(len(recs), _mpdb_record(dim))
+    n, stored, dim = len(db), db._n, db.dim or 0
+    ids = [*db._ids[:stored].tolist(), *db._p_ids]
+    table = np.empty(n, _mpdb_record(dim))
     # packing the ids with struct keeps its error for an id that does not fit <Q
-    table["id"] = np.frombuffer(struct.pack(f"<{len(recs)}Q", *[r.id for r in recs]), "<u8")
-    table["x"] = [r.position[0] for r in recs]
-    table["y"] = [r.position[1] for r in recs]
-    table["heading"] = [math.nan if r.heading is None else r.heading for r in recs]
+    table["id"] = np.frombuffer(struct.pack(f"<{n}Q", *ids), "<u8")
+    table["x"], table["y"] = np.concatenate((db._pos[:stored], np.reshape(db._p_xy, (-1, 2)))).T
+    table["heading"] = db._heading  # numpy reads None as NaN
     desc = table["descriptor"]
-    if recs:
-        np.concatenate([r._values[None] for r in recs], out=desc)
+    if stored:  # the store of an emptied database may have another dim
+        desc[:stored] = db._desc[:stored]
+    new = desc[stored:]
+    if db._p_values:
+        np.concatenate([v[None] for v in db._p_values], out=new)
     finite = np.isfinite(table["x"]) & np.isfinite(table["y"]) & ~np.isinf(table["heading"])
     # PlaceDB._store proved the stored rows finite; a row's max and min
     # propagate a NaN, and hold an inf of either sign
-    new = desc[db._n:]
-    finite[db._n:] &= (np.isfinite(np.maximum.reduce(new, axis=1, initial=0.0))
-                       & np.isfinite(np.minimum.reduce(new, axis=1, initial=0.0)))
+    finite[stored:] &= (np.isfinite(np.maximum.reduce(new, axis=1, initial=0.0))
+                        & np.isfinite(np.minimum.reduce(new, axis=1, initial=0.0)))
     if not finite.all():
-        bad = recs[int(finite.argmin())].id
-        raise ConfigError(f"record id {bad}: non-finite descriptor value, position or heading")
+        raise ConfigError(f"record id {ids[int(finite.argmin())]}: "
+                          "non-finite descriptor value, position or heading")
     with open(path, "wb") as fh:
-        fh.write(MPDB_MAGIC + _MPDB_HEADER.pack(len(recs), dim))
+        fh.write(MPDB_MAGIC + _MPDB_HEADER.pack(n, dim))
         fh.write(table)  # the packed records as they are in memory, without a copy
 
 
 def load_db(path) -> PlaceDB:
-    """Read an MPDB file into a database whose records view its query store.
+    """Read an MPDB file into a database whose columns are its query store.
 
-    Records are decoded in blocks of ``_MPDB_BLOCK`` and written into the
-    arrays ``PlaceDB.query`` reads through the same path as added records.
-    As for every stored record, each record's ``descriptor`` is a
-    read-only view of its own store row, so the loaded database holds each
-    descriptor once and its first query copies nothing.
+    Records are decoded in blocks of at most ``_MPDB_BLOCK`` and written
+    into the arrays ``PlaceDB.query`` reads through the same path as added
+    records, squared norms included; no per-record object is built.  The
+    loaded database holds each descriptor once, and its first query copies
+    nothing.
     """
     with open(path, "rb") as fh:
         count, dim = _read_header(fh, MPDB_MAGIC, _MPDB_HEADER, path, "a place database")
@@ -214,11 +218,14 @@ def load_db(path) -> PlaceDB:
 def _mpdb_blocks(fh, count: int, dim: int, path):
     """The ``count`` records of ``fh`` as ``PlaceDB._from_columns`` column blocks.
 
-    Each block is read into one reused buffer.  A non-finite coordinate
+    Each block is read into one reused buffer of at most half the records,
+    so it stays well below the store in size, and glibc's malloc keeps both
+    on its heap from one load to the next instead of returning them to the
+    system and faulting their pages in again.  A non-finite coordinate
     or an infinite heading is a malformed file; ``_from_columns`` rejects
     a non-finite descriptor as it computes the row's squared norm.
     """
-    buf = np.empty(min(count, _MPDB_BLOCK), _mpdb_record(dim))
+    buf = np.empty(min(-(-count // 2), _MPDB_BLOCK), _mpdb_record(dim))
     for start in range(0, count, len(buf)):
         block = buf[:count - start]
         if fh.readinto(block) != block.nbytes:

@@ -51,13 +51,16 @@ class Heatmap:
             raise DimensionError(f"heatmap must be 2-D, got {self.values.shape}")
         if self.angle_axis.shape != (self.values.shape[1],):
             raise DimensionError("angle_axis length must equal column count")
-        # min and max carry a NaN through, and fail both comparisons with it
-        v = self.values
-        if v.size and not (v.min() >= 0 and v.max() < math.inf):
-            raise ConfigError("heatmap values must be finite and >= 0")
-        a = self.angle_axis
-        if not (a[1:] > a[:-1]).all():
-            raise ConfigError("angle_axis must be strictly increasing")
+        _check_values(self.values)
+        _check_axis(self.angle_axis)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, range_bin_m: float,
+                 angle_axis: np.ndarray) -> "Heatmap":
+        """A heatmap of arrays that already pass ``__post_init__``'s checks, not run again."""
+        h = object.__new__(cls)
+        h.values, h.range_bin_m, h.angle_axis = values, range_bin_m, angle_axis
+        return h
 
     @property
     def n_rows(self) -> int:
@@ -66,6 +69,18 @@ class Heatmap:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+
+def _check_values(v: np.ndarray) -> None:
+    """Refuse heatmap values, of any shape, that hold a negative, NaN or inf."""
+    # min and max carry a NaN through, and fail both comparisons with it
+    if v.size and not (v.min() >= 0 and v.max() < math.inf):
+        raise ConfigError("heatmap values must be finite and >= 0")
+
+
+def _check_axis(a: np.ndarray) -> None:
+    if not (a[1:] > a[:-1]).all():
+        raise ConfigError("angle_axis must be strictly increasing")
 
 
 def _shifted_phase_bins(n_cols: int) -> np.ndarray:
@@ -130,7 +145,10 @@ def heatmaps_from_sums(
     when given.  The range FFT runs once over the stack; each frame's
     angle spectrum is its own product with the steering matrix that
     :func:`_columns` builds once per size, with the range bin and the
-    angle axis.  Each heatmap gets its own copy of the axis.
+    angle axis.  The stack of magnitudes is checked once, as ``Heatmap``
+    checks one heatmap's values, so each frame's heatmap is built without
+    checking it again; it views its frame of the stack and gets its own
+    copy of the axis.
     """
     _, rows, n_r = summed.shape
     if cols < 1:
@@ -151,8 +169,11 @@ def heatmaps_from_sums(
     keep = rows
     if max_range_m is not None:
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
-    return [Heatmap(np.abs(frame[:keep] @ steer), range_bin_m, axis.copy())  # antennas -> angle
-            for frame in spec]
+    mags = np.empty((len(spec), min(keep, rows), len(axis)))
+    for frame, out in zip(spec, mags):
+        np.abs(frame[:keep] @ steer, out=out)  # antennas -> angle
+    _check_values(mags)  # a finite sum can still overflow the product
+    return [Heatmap._checked(values, range_bin_m, axis.copy()) for values in mags]
 
 
 @functools.lru_cache(maxsize=16)
@@ -168,6 +189,7 @@ def _columns(cfg: RadarConfig, rows: int, n_antennas: int,
     """
     axis, valid = angle_axis_for(cfg, cols)
     axis, bins = axis[valid], np.fft.fftshift(np.arange(cols))[valid]
+    _check_axis(axis)  # once here, for every heatmap that shares it
     steer = np.exp((-2j * math.pi / cols) * (np.outer(np.arange(n_antennas), bins) % cols))
     axis.flags.writeable = steer.flags.writeable = False
     return range_from_frequency(cfg.sample_rate / rows, cfg), axis, steer

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,28 +12,31 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DuplicateIdError, MetricError
 
 MATCH_RADIUS_M = 3.0
+_REAL = frozenset(map(np.dtype, "?bhilqBHILQefdg"))  # the real dtypes, in native byte order
 
 
 class PlaceRecord:
-    """Descriptor plus ground truth for one stored place observation.
+    """Descriptor plus ground truth for one place observation.
 
-    A record holds a real-valued ndarray descriptor as it is given, raveled
-    (a view, not a copy), and the database casts it into float32 once, as
-    it stores the record at the first query after the ``add``.  So the
+    A record holds a real-valued ndarray descriptor as it is given: a 1-D
+    array itself, any other shape raveled.  ``PlaceDB.add`` keeps those
+    values, not the record, and the database casts them into float32 once,
+    as it stores them at the first query after the ``add``.  So the
     database reads the descriptor's values then, not at construction, and
     a float64 value beyond the float32 range warns "overflow in cast" and
     is refused as non-finite then.  Any other descriptor (a list, a complex
     or object array) is cast to float32 here, so a bad one fails here.
 
-    Reading ``descriptor`` gives ``np.asarray(descriptor, np.float32).ravel()``
-    and keeps it; once the record is stored, it is its read-only store row.
+    Reading ``descriptor`` gives the values as float32, and keeps them.
     """
 
     __slots__ = ("id", "_values", "position", "heading", "source")
 
     def __init__(self, id: int, descriptor, position: tuple[float, float],
                  heading: float | None = None, source: str = ""):  # heading in deg
-        if isinstance(descriptor, np.ndarray) and descriptor.dtype.kind in "biuf":
+        if type(descriptor) is np.ndarray and descriptor.ndim == 1 and descriptor.dtype in _REAL:
+            self._values = descriptor  # the common case first
+        elif isinstance(descriptor, np.ndarray) and descriptor.dtype.kind in "biuf":
             self._values = np.asarray(descriptor).ravel()
         else:  # numpy casts a listed int to float32 through float64, an int64 array directly
             self._values = np.asarray(descriptor, dtype=np.float32).ravel()
@@ -69,50 +73,84 @@ class QueryResult:
 
 
 class PlaceDB:
-    """In-memory place database with exact retrieval.
+    """In-memory place database with exact retrieval, held as columns.
 
     Descriptors are held as float32, matching the on-disk format, so a
     save/load round trip reproduces query results bit for bit.
 
-    ``query`` reads a store of arrays that mirror ``records``: float32
-    descriptors, float64 squared norms, ids and positions.  ``records``
-    grows only through ``add`` (or, for a loaded database,
-    ``_from_columns``), and ``add`` is lazy: the first query after it
-    stores the new records.  ``_store`` is the one write path into the
-    store, and its concatenate is the one cast of an added record's values
-    into float32; it refuses a descriptor holding NaN or inf, and that
-    query drops the record and raises ConfigError.  Every stored record's
-    ``descriptor`` is a read-only view of its own store row, so the
-    database holds each descriptor once and a row never drifts from its
-    squared norm.
+    The database keeps fields, not ``PlaceRecord`` objects, so however
+    many records it holds, Python's cyclic garbage collector has none of
+    them to walk.  ``query`` reads the store: float32 descriptors, float64
+    squared norms, ids and positions, one row per stored record; headings
+    and sources are lists beside it.  ``add`` checks the record's dim and
+    id, appends its id, values and coordinates to pending lists and keeps
+    no reference to the record; the first query after it stores them.
+    ``_store`` is the one write path into the store, for ``add`` and
+    ``load_db`` alike, and its concatenate is the one cast of an added
+    record's values into float32; it refuses a descriptor holding NaN or
+    inf, and that query drops the record and raises ConfigError.
+
+    ``records`` is a read-only sequence that builds each ``PlaceRecord``
+    on access.  A stored record's ``descriptor`` is a read-only view of its
+    store row, so the database holds each descriptor once and a row never
+    drifts from its squared norm; a pending record's is
+    ``np.asarray(x, np.float32).ravel()`` of its pending values ``x``.
     """
 
     def __init__(self):
-        self.records: list[PlaceRecord] = []
-        self._known_ids: set[int] = set()  # ids of records, for the duplicate check
-        self._n = 0  # records mirrored so far
+        self._known_ids: set[int] = set()  # ids of every record, for the duplicate check
+        self._dim: int | None = None  # None while the database is empty
+        self._n = 0  # records stored so far
         self._desc = np.empty((0, 0), np.float32)
         self._sqnorm = np.empty(0)
         self._ids = np.empty(0, np.int64)
         self._pos = np.empty((0, 2))
+        self._heading: list[float | None] = []  # of every record, in insertion order
+        self._source: list[str] = []
+        # the records added since the last query
+        self._p_ids: list[int] = []
+        self._p_values: list[np.ndarray] = []
+        self._p_xy: list[float] = []  # x0, y0, x1, y1, ...
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._n + len(self._p_ids)
+
+    @property
+    def records(self) -> Sequence[PlaceRecord]:
+        return _Records(self)
 
     @property
     def dim(self) -> int | None:
-        return self.records[0]._values.size if self.records else None
+        return self._dim
 
     def add(self, record: PlaceRecord) -> int:
-        if self.records and record._values.size != self.dim:
-            raise DimensionError(
-                f"descriptor dim {record._values.size} != db dim {self.dim}"
-            )
-        if record.id in self._known_ids:
-            raise DuplicateIdError(f"record id {record.id} already present")
-        self._known_ids.add(record.id)
-        self.records.append(record)
-        return record.id
+        values, rid, known = record._values, record.id, self._known_ids
+        if len(values) != self._dim and self._dim is not None:  # values are 1-D
+            raise DimensionError(f"descriptor dim {len(values)} != db dim {self._dim}")
+        if rid in known:
+            raise DuplicateIdError(f"record id {rid} already present")
+        known.add(rid)
+        if self._dim is None:
+            self._dim = len(values)
+        self._p_ids.append(rid)
+        self._p_values.append(values)
+        self._p_xy.extend(record.position)
+        self._heading.append(record.heading)
+        self._source.append(record.source)
+        return rid
+
+    def _record(self, i: int) -> PlaceRecord:
+        """Record ``i`` in insertion order, built from the columns."""
+        n = self._n
+        if i < n:
+            values = self._desc[i]
+            values.flags.writeable = False
+            rid, position = int(self._ids[i]), self._pos[i].tolist()
+        else:
+            j = i - n
+            values = np.asarray(self._p_values[j], np.float32).ravel()
+            rid, position = self._p_ids[j], self._p_xy[2 * j:2 * j + 2]
+        return PlaceRecord(rid, values, position, self._heading[i], self._source[i])
 
     @classmethod
     def _from_columns(cls, count: int, dim: int, blocks) -> "PlaceDB":
@@ -120,60 +158,47 @@ class PlaceDB:
 
         ``blocks`` yields consecutive records as ``(ids, descriptors,
         positions, headings)``: uint64 ids, a (rows, dim) float32 array, a
-        (rows, 2) float64 array and a list of headings (float or None).
-        Each block goes through ``_store``, the one write path into the
-        query store, and each record's ``descriptor`` is its store row, as
-        for every stored record; the caller may reuse a block's arrays once
-        the next one is asked for.  ``_store``'s checks apply, and so does
-        ``add``'s duplicate-id check, with its error.
+        (rows, 2) float64 array and a list of headings (float or None).  Each
+        block goes through ``_store``, the one write path into the query
+        store; the caller may reuse a block's arrays once the next one is
+        asked for.  ``_store``'s checks apply, and so does ``add``'s
+        duplicate-id check, with its error.
         """
         db = cls()
+        db._dim = dim
         db._reserve(count, dim)
-        new = object.__new__
-        for block_ids, descriptors, positions, headings in blocks:
-            ids = block_ids.tolist()
-            rows, refused = db._store(ids, [descriptors], positions)
+        for ids, descriptors, positions, headings in blocks:
+            refused = db._store(ids.tolist(), [descriptors], positions)
             if refused:
                 raise ConfigError(refused[min(refused)])
-            for rid, desc, pos, heading in zip(ids, rows, positions.tolist(), headings):
-                rec = new(PlaceRecord)
-                rec.id, rec._values, rec.position, rec.heading, rec.source = (
-                    rid, desc, tuple(pos), heading, "")
-                db.records.append(rec)
+            db._heading += headings
+        db._source = [""] * db._n
         known = db._known_ids
-        for rec in db.records:
-            if rec.id in known:
-                raise DuplicateIdError(f"record id {rec.id} already present")
-            known.add(rec.id)
+        for rid in db._ids[:db._n].tolist():
+            if rid in known:
+                raise DuplicateIdError(f"record id {rid} already present")
+            known.add(rid)
         return db
 
     def _reserve(self, cap: int, dim: int) -> None:
-        """Move the query store to ``cap`` rows, keeping its first ``_n``.
-
-        Every stored record is pointed at its row of the new store, so the
-        old one is freed.
-        """
+        """Move the query store to ``cap`` rows, keeping its first ``_n``; the old one is freed."""
         n = self._n
         self._desc = _grown(self._desc, n, (cap, dim))
         self._sqnorm = _grown(self._sqnorm, n, (cap,))
         self._ids = _grown(self._ids, n, (cap,))
         self._pos = _grown(self._pos, n, (cap, 2))
-        stored = self._desc[:n]
-        stored.flags.writeable = False
-        for rec, row in zip(self.records, stored):
-            rec._values = row
 
-    def _store(self, ids: list[int], blocks, positions) -> tuple[np.ndarray, dict]:
-        """Append records at row ``_n`` of the query store; return the rows written and the refusals.
+    def _store(self, ids: list[int], blocks, positions) -> dict[int, str]:
+        """Append records at row ``_n`` of the query store; return the refusals.
 
         ``blocks`` are (rows, dim) real descriptor arrays, cast into float32
         as they are concatenated straight into the store, which grows by
-        doubling.  Products of float32 values are exact in float64, so a
-        squared norm is finite exactly when its row is.  A record whose row
-        holds NaN or inf, or whose id is not an integer, is refused: the
-        records after it move up a row, and ``refused`` maps its index in
-        ``ids`` to its error message.
-        The rows returned are those of the stored records, and read-only.
+        doubling; ``positions`` are their (rows, 2) coordinates.  Products of
+        float32 values are exact in float64, so a squared norm is finite
+        exactly when its row is.  A record whose row holds NaN or inf, or
+        whose id is not an integer, is refused: the records after it move
+        up a row, and the result maps its index in ``ids`` to its error
+        message.
         """
         start, dim = self._n, blocks[0].shape[1]
         stop = start + len(ids)
@@ -193,7 +218,6 @@ class PlaceDB:
             keep = [i for i in range(len(ids)) if i not in refused]
             stop = start + len(keep)
             rows[:len(keep)], sqnorm[:len(keep)] = rows[keep], sqnorm[keep]
-            rows = rows[:len(keep)]
             ids, positions = [ids[i] for i in keep], np.reshape(positions, (-1, 2))[keep]
         try:
             self._ids[start:stop] = ids
@@ -202,28 +226,26 @@ class PlaceDB:
             self._ids[start:stop] = ids
         self._pos[start:stop] = positions
         self._n = stop
-        rows.flags.writeable = False
-        return rows, refused
+        return refused
 
     def _sync(self) -> int:
-        """Store the records added since the last query at their rows; return the store's size.
+        """Store the records added since the last query; return the store's size.
 
         The records ``_store`` refuses are dropped, with their ids, and the
         rest are stored before the first refusal is raised, so the error
         shows once and later queries work.
         """
-        start = self._n
-        new = self.records[start:]
-        if new:
-            rows, refused = self._store([r.id for r in new], [r._values[None] for r in new],
-                                        [r.position for r in new])
+        ids, start = self._p_ids, self._n
+        if ids:
+            refused = self._store(ids, [v[None] for v in self._p_values],
+                                  np.reshape(self._p_xy, (-1, 2)))
+            self._p_ids, self._p_values, self._p_xy = [], [], []
             if refused:
-                self._known_ids.difference_update(new[i].id for i in refused)
-                new = [rec for i, rec in enumerate(new) if i not in refused]
-                self.records[start:] = new
-            for rec, row in zip(new, rows):
-                rec._values = row
-            if refused:
+                self._known_ids.difference_update(ids[i] for i in refused)
+                if not self._n:
+                    self._dim = None
+                for column in (self._heading, self._source):
+                    column[start:] = [v for i, v in enumerate(column[start:]) if i not in refused]
                 more = f" ({len(refused)} records dropped)" if len(refused) > 1 else ""
                 raise ConfigError(refused[min(refused)] + more)
         return self._n
@@ -241,7 +263,7 @@ class PlaceDB:
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
-        if not self.records:
+        if not len(self):
             raise ConfigError("cannot query an empty database")
         d = np.asarray(descriptor, dtype=np.float32).ravel()
         if d.size != self.dim:
@@ -276,6 +298,27 @@ class PlaceDB:
             flags=flags,
             has_match=has_match,
         )
+
+
+class _Records(Sequence):
+    """``PlaceDB.records``: a read-only sequence that builds each ``PlaceRecord`` on access."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, db: PlaceDB):
+        self._db = db
+
+    def __len__(self) -> int:
+        return len(self._db)
+
+    def __getitem__(self, index):
+        rows = range(len(self._db))[index]  # a range takes int, negative and slice indices
+        if isinstance(rows, range):
+            return [self._db._record(i) for i in rows]
+        return self._db._record(rows)
+
+    def __iter__(self):
+        return map(self._db._record, range(len(self._db)))
 
 
 def _grown(a: np.ndarray, n: int, shape: tuple[int, ...]) -> np.ndarray:

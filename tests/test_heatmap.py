@@ -372,6 +372,17 @@ def test_heatmap_from_sum_rejects_bad_input(small_cfg):
         heatmaps_from_sums(summed[None], small_cfg, 8)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product overflows on purpose
+def test_a_finite_sum_whose_angle_product_overflows_is_refused(small_cfg):
+    # one range row of the second frame: its range FFT is finite, its antenna sum is not
+    summed = np.ones((3, 8, small_cfg.n_antennas), dtype=np.complex128)
+    summed[1, 0] = 1e308
+    assert np.isfinite(np.fft.fft(summed, axis=1)).all()
+    with pytest.raises(ConfigError, match="heatmap values must be finite and >= 0"):
+        heatmaps_from_sums(summed, small_cfg, 8)
+    assert heatmaps_from_sums(summed[::2], small_cfg, 8)[1].values.shape == (8, 8)
+
+
 def test_a_stack_of_sums_gives_each_frame_s_heatmap(noisy_cubes):
     cfg, cubes = noisy_cubes
     narrow = RadarConfig(antenna_spacing=1.5e-3)  # below half a wavelength: masks outer columns

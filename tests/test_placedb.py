@@ -1,7 +1,9 @@
 """Exact retrieval and recognition metric tests."""
 
+import gc
 import tracemalloc
 import weakref
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from radarplace.placedb import (
     max_f1,
     recall_at_n,
 )
+
+from test_format_properties import _save_db_reference
 
 
 def _unit(v):
@@ -36,7 +40,7 @@ def _query_reference(db, descriptor, k, query_position=None):
         raise DimensionError(f"query dim {d.size} != db dim {db.dim}")
     mat = np.stack([r.descriptor for r in db.records])
     dists = np.linalg.norm(mat.astype(np.float64) - d.astype(np.float64), axis=1)
-    ids = np.array([r.id for r in db.records])
+    ids = np.array([r.id for r in db.records], dtype=object)  # exact beyond int64
     order = np.lexsort((ids, dists))[: min(k, len(db.records))]
 
     flags = None
@@ -521,13 +525,16 @@ def test_a_loaded_database_holds_one_copy(tmp_path):
     assert all(np.shares_memory(r.descriptor, loaded._desc) for r in loaded.records)
     loaded.query(rng.standard_normal(16), 3)
     assert loaded._desc is store()  # the first query copies nothing
-    # an add outgrows the store: the loaded records move to the new one, and the old is freed
+    # an add outgrows the store: the old one is freed, and every record reads its row of
+    # the new one, read-only
     loaded.add(PlaceRecord(100, rng.standard_normal(16), (0.0, 0.0)))
     q = rng.standard_normal(16)
     a, b = db.query(q, 5), loaded.query(q, 5)
     assert (a.ids, a.distances) == (b.ids, b.distances)
-    assert all(np.shares_memory(r.descriptor, loaded._desc) for r in loaded.records[:40])
     assert store() is None
+    for row, r in enumerate(loaded.records):
+        assert r.descriptor.base is loaded._desc and not r.descriptor.flags.writeable
+        assert r.descriptor.ctypes.data == loaded._desc[row].ctypes.data
     assert [r.descriptor.tobytes() for r in loaded.records[:40]] == [
         r.descriptor.tobytes() for r in db.records]
 
@@ -535,22 +542,28 @@ def test_a_loaded_database_holds_one_copy(tmp_path):
 def test_a_database_built_by_add_holds_one_copy():
     rng = np.random.default_rng(29)
     descs, positions = rng.standard_normal((40, 16)), rng.uniform(0, 60, (40, 2))
-    queried, fresh = _db_from(descs, positions), _db_from(descs, positions)
-    own = [weakref.ref(r.descriptor) for r in queried.records]
+    queried, fresh = PlaceDB(), _db_from(descs, positions)
+    own = []  # the added arrays, which only the database holds
+    for i, pos in enumerate(positions):
+        d = descs[i].copy()
+        own.append(weakref.ref(d))
+        queried.add(PlaceRecord(i, d, pos))
+    del d
+    assert all(ref() is not None for ref in own)  # kept, as given, until the query
     q, qpos = rng.standard_normal(16), (30.0, 30.0)
     got = queried.query(q, 5, qpos)
     assert all(np.shares_memory(r.descriptor, queried._desc) for r in queried.records)
-    assert all(ref() is None for ref in own)  # each record's own array is freed
+    assert all(ref() is None for ref in own)  # each added array is freed once stored
     assert [r.descriptor.tobytes() for r in queried.records] == [
         r.descriptor.tobytes() for r in fresh.records]
     _same(got, fresh.query(q, 5, qpos))
-    # an add outgrows the store: every stored record moves to the new one, and the old is freed
+    # an add outgrows the store: the old one is freed, and every record reads the new one
     store = weakref.ref(queried._desc)
     for target in (queried, fresh):
         target.add(PlaceRecord(40, q, qpos))
     _same(queried.query(q, 5, qpos), fresh.query(q, 5, qpos))
     assert store() is None
-    assert all(np.shares_memory(r.descriptor, queried._desc) for r in queried.records)
+    assert all(r.descriptor.base is queried._desc for r in queried.records)
 
 
 def _cast_inputs(kind):
@@ -575,11 +588,16 @@ def test_a_descriptor_is_cast_once_as_asarray_casts_it(kind):
     want = np.stack([np.asarray(x, np.float32).ravel() for x in inputs])
     q = np.asarray(inputs[3], np.float64).ravel() + 0.5
     unread, read = _db_from(inputs), _db_from(inputs)
-    # a read before storing gives the float32 bits, and keeps them
+    # a read before storing gives the float32 bits, every time, and casts nothing in the
+    # database: it still holds each 1-D array as given, and the same values as an unread one
     early = [r.descriptor for r in read.records]
     assert all(d.dtype == np.float32 and d.ndim == 1 for d in early)
     assert np.stack(early).tobytes() == want.tobytes()
-    assert all(r.descriptor is d for r, d in zip(read.records, early))
+    assert [r.descriptor.tobytes() for r in read.records] == [d.tobytes() for d in early]
+    assert [(v.dtype, v.tobytes()) for v in read._p_values] == [
+        (v.dtype, v.tobytes()) for v in unread._p_values]
+    if kind not in ("list", "2-D"):
+        assert all(v is x for v, x in zip(read._p_values, inputs))
     for db in (unread, read):
         got = db.query(q, 5, (0.0, 0.0))
         assert db._desc[:len(inputs)].tobytes() == want.tobytes()
@@ -646,3 +664,120 @@ def test_loading_a_duplicate_id_raises_what_add_raises(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DuplicateIdError, match="record id 9 already present"):
         load_db(path)
+
+
+# -- a database of columns --------------------------------------------------------
+
+def test_adds_leave_nothing_for_the_garbage_collector():
+    # a kept record object per add would be one more tracked object each, walked by every
+    # full collection of the cyclic garbage collector
+    n = 1000
+    rows = list(np.random.default_rng(43).standard_normal((n, 8)))
+    positions = [(float(i), 0.0) for i in range(n)]
+    db = PlaceDB()
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(n):
+        db.add(PlaceRecord(i, rows[i], positions[i], None, "map"))
+    grown = len(gc.get_objects()) - before
+    assert grown < 50
+    assert len(db) == n and db.records[-1].id == n - 1
+
+
+def test_records_is_a_read_only_sequence_built_from_the_columns():
+    db = PlaceDB()
+    for rid in range(5):
+        db.add(PlaceRecord(10 + rid, [float(rid), 1.0], (rid, -rid), rid or None, f"s{rid}"))
+    db.query([0.0, 1.0], 1)
+    db.add(PlaceRecord(99, np.array([7, 8]), (1.5, 2.5), 4.0, "late"))
+    records = db.records
+    assert len(records) == 6 and isinstance(records, Sequence)
+    want = [(10 + i, (float(i), float(-i)), i or None, f"s{i}") for i in range(5)]
+    want.append((99, (1.5, 2.5), 4.0, "late"))
+    assert [(r.id, r.position, r.heading, r.source) for r in records] == want
+    assert [r.id for r in records[1:6:2]] == [11, 13, 99]
+    assert records[-1].descriptor.tolist() == [7.0, 8.0] and records[-6].id == 10
+    for bad in (6, -7):
+        with pytest.raises(IndexError):
+            records[bad]
+    with pytest.raises(TypeError):
+        records[0] = records[1]
+    assert 99 in [r.id for r in reversed(records)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # descriptors beyond float32 on purpose
+def test_a_random_sequence_of_adds_queries_saves_and_loads_matches_the_references(tmp_path):
+    # every query against the float64 brute force, every file against the per-record
+    # struct writer, and the records against a plain list of what was added
+    rng = np.random.default_rng(53)
+    dim, db, model, pending = 5, PlaceDB(), [], []
+    fresh_ids = iter(rng.permutation(2000).tolist())
+    big_ids = iter(range(2**64 - 1, 2**63 - 1, -7))
+
+    def descriptor(kind):
+        x = rng.standard_normal(3 * dim)
+        if kind == 0:  # a strided 1-D float64 view
+            return x[::3]
+        if kind == 1:
+            return x[:dim].astype(np.float32)
+        if kind == 2:
+            return x[:dim].tolist()
+        if kind == 3:  # refused when stored: NaN, or beyond float32
+            x[rng.integers(dim)] = (np.nan, 1e39)[int(rng.integers(2))]
+        return x[:dim]
+
+    def check_records():
+        assert len(db) == len(model)
+        got = [(r.id, r.position, r.heading, r.source, r.descriptor.tobytes())
+               for r in db.records]
+        assert got == [(m[0], m[1], m[2], m[3], m[4].tobytes()) for m in model]
+        stored = db._desc[:db._n].astype(np.float64)  # no row drifts from its squared norm
+        np.testing.assert_allclose(db._sqnorm[:db._n], (stored**2).sum(axis=1), rtol=1e-12)
+
+    for step in range(90):
+        op = rng.choice(["add", "add", "add", "query", "save"])
+        if op == "add" or not model:
+            for _ in range(int(rng.integers(1, 4))):
+                rid = next(big_ids) if rng.random() < 0.05 else next(fresh_ids)
+                kind = int(rng.integers(0, 5 if step else 3))  # the first adds are finite
+                x = descriptor(kind)
+                pos = tuple(rng.uniform(0, 30, 2))
+                heading = None if rng.random() < 0.3 else float(rng.uniform(-180, 180))
+                db.add(PlaceRecord(rid, x, pos, heading, f"step {step}"))
+                with np.errstate(over="ignore"):
+                    values = np.asarray(x, np.float32).ravel()
+                model.append((rid, pos, heading, f"step {step}", values))
+                pending.append(len(model) - 1)
+            with pytest.raises(DuplicateIdError):
+                db.add(PlaceRecord(model[int(rng.integers(len(model)))][0], x, pos))
+            check_records()
+            continue
+        bad = [i for i in pending if not np.isfinite(model[i][4]).all()]
+        if op == "query":
+            q = np.asarray(model[int(rng.integers(len(model)))][4], np.float64) \
+                + 0.1 * rng.standard_normal(dim)
+            k, qpos = int(rng.integers(1, len(model) + 3)), tuple(rng.uniform(0, 30, 2))
+            if bad:  # the query drops every refused record and stores the rest
+                with pytest.raises(ConfigError, match=f"record id {model[bad[0]][0]}: "):
+                    db.query(q, k, qpos)
+                model = [m for i, m in enumerate(model) if i not in bad]
+                pending.clear()
+                check_records()
+                if not model:
+                    continue
+            pending.clear()
+            _same(db.query(q, k, qpos), _query_reference(db, q, k, qpos))
+            check_records()
+            continue
+        path, ref = tmp_path / "db.mpdb", tmp_path / "ref.mpdb"
+        if bad:
+            with pytest.raises(ConfigError, match=f"record id {model[bad[0]][0]}: non-finite"):
+                save_db(path, db)
+            continue
+        save_db(path, db)
+        _save_db_reference(ref, db)
+        assert path.read_bytes() == ref.read_bytes()
+        if rng.random() < 0.5:  # go on with the loaded database
+            db, pending = load_db(path), []
+            model = [(m[0], m[1], m[2], "", m[4]) for m in model]
+            check_records()
