@@ -5,6 +5,11 @@ with rectifier activations, non-overlapping max pools after the first three
 layers, and an L2-normalized flatten as the descriptor head.  Forward and
 backward passes are hand-written so the gradient can be checked against
 central finite differences.
+
+The forward computes in its weights' dtype: float32 when every kernel and
+bias is float32 (the weights ``train`` returns and ``load_weights`` reads),
+float64 otherwise.  Training computes in float64.  Descriptors are float64
+and unit-norm either way.
 """
 
 from __future__ import annotations
@@ -113,6 +118,13 @@ class Descriptor:
         return self.values.size
 
 
+def _dtype(w: EncoderWeights) -> type:
+    """The forward's dtype: float32 if every kernel and bias is float32, else float64."""
+    if all(a.dtype == np.float32 for a in (*w.kernels, *w.biases)):
+        return np.float32
+    return np.float64
+
+
 def _as_array(x) -> np.ndarray:
     """Values of a Heatmap or Descriptor; anything else as a float64 array."""
     if isinstance(x, (Heatmap, Descriptor)):
@@ -128,7 +140,7 @@ def _workspace(key, make):
 
     The forward reuses them on every call: fresh arrays of these sizes
     would be freshly mapped, zero-filled pages each time.  They live as
-    long as the thread, one set per (layer, shape) it has encoded.
+    long as the thread, one set per (layer, shape, dtype) it has encoded.
     """
     bufs = getattr(_workspaces, "bufs", None)
     if bufs is None:
@@ -139,8 +151,8 @@ def _workspace(key, make):
     return entry
 
 
-def _layer_input(layer: int, shape: tuple[int, int, int]):
-    """(interior, windows) of one layer's input buffer for a (C, H, W) input.
+def _layer_input(layer: int, shape: tuple[int, int, int], dtype=np.float64):
+    """(interior, windows) of one layer's ``dtype`` input buffer for a (C, H, W) input.
 
     The input lives in the interior of a zero-bordered (C, H+2, W+2)
     buffer whose border nothing writes: it is the zero padding of the 3x3
@@ -150,12 +162,12 @@ def _layer_input(layer: int, shape: tuple[int, int, int]):
     """
     def make():
         c, h, w = shape
-        padded = np.zeros((c, h + 2, w + 2))
+        padded = np.zeros((c, h + 2, w + 2), dtype)
         s_c, s_h, s_w = padded.strides
         windows = as_strided(padded, (c, 3, 3, h, w), (s_c, s_h, s_w, s_h, s_w),
                              writeable=False)
         return padded[:, 1:-1, 1:-1], windows
-    return _workspace((layer, shape), make)
+    return _workspace((layer, shape, dtype), make)
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
@@ -214,12 +226,13 @@ def _argmax_pool(act: np.ndarray, out: np.ndarray, ph: int, pw: int) -> np.ndarr
 
 
 def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
-    """Run the conv stack; returns (flat pre-norm descriptor, cache).
+    """Run the conv stack in the weights' dtype; returns (flat pre-norm descriptor, cache).
 
     Each layer's input sits in its ``_layer_input`` buffer, where
     ``_normalize_input`` writes layer 0's, and each layer writes its
-    rectified, pooled output into the next layer's; the last layer's output
-    is a fresh array, so no returned array shares memory with a workspace.
+    rectified, pooled output into the next layer's; the last layer's
+    rectifier writes a fresh float64 array (exact from float32), so no
+    returned array shares memory with a workspace.
 
     The lean pass (``keep`` false) copies the patch matrix into the
     workspace and pools the matmul output before bias and ReLU.  Rounding
@@ -232,10 +245,10 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     can tie values that differed before the bias.  Otherwise the cache is
     None.
     """
-    arch = w.arch
+    arch, dtype = w.arch, _dtype(w)
     cache = [] if keep else None
     cur = x[None] if x.ndim == 2 else x
-    inner, windows = _layer_input(0, cur.shape)
+    inner, windows = _layer_input(0, cur.shape, dtype)
     if not np.may_share_memory(cur, inner):  # else _normalize_input wrote it there
         np.copyto(inner, cur)
     for l in range(arch.n_layers):
@@ -244,9 +257,9 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
         ph, pw = pool or (1, 1)
         out_shape = (c_out, h // ph, wid // pw)
         # the lean patch matrix is spent after the matmul: the pool reuses it
-        patch_buf, pre, pooled = _workspace((l, in_shape, c_out, ph, pw), lambda: (
-            np.empty(max(9 * c * h * wid, c_out * h * wid // pw)),
-            np.empty((c_out, h * wid)), np.empty(out_shape)))
+        patch_buf, pre, pooled = _workspace((l, in_shape, c_out, ph, pw, dtype), lambda: (
+            np.empty(max(9 * c * h * wid, c_out * h * wid // pw), dtype),
+            np.empty((c_out, h * wid), dtype), np.empty(out_shape, dtype)))
         if keep:
             cols = windows.copy().reshape(c * 9, h * wid)
         else:
@@ -256,8 +269,6 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
         pre = pre.reshape(c_out, h, wid)
         bias = w.biases[l][:, None, None]
         last = l + 1 == arch.n_layers
-        if last:
-            pooled = np.empty(out_shape)
         if keep:
             pre += bias
             cache.append({"in_shape": in_shape, "cols": cols, "mask": pre > 0})
@@ -270,11 +281,13 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
         else:
             _max_pool(pre, pooled, ph, pw, patch_buf)
             pooled += bias
-        if not last:
-            inner, windows = _layer_input(l + 1, out_shape)
+        if last:
+            inner = np.empty(out_shape)
+        else:
+            inner, windows = _layer_input(l + 1, out_shape, dtype)
         # the ReLU; on the keep pass's rectified values it only copies
-        np.maximum(pooled, 0.0, out=pooled if last else inner)
-    return pooled.ravel(), cache
+        np.maximum(pooled, 0.0, out=inner)
+    return inner.ravel(), cache
 
 
 def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
@@ -308,20 +321,22 @@ def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
             dcur = _col2im(k2d.T @ dpre, entry["in_shape"])
 
 
-def _normalize_input(x: np.ndarray) -> np.ndarray:
+def _normalize_input(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Zero-mean / unit-variance standardization of the raw heatmap.
 
     ``encode``, ``backward`` and ``train`` all pass through here, so a NaN
     or infinite cell is rejected before it can turn the descriptor into NaN.
-    The result is written into layer 0's input buffer (see _layer_input)
-    and returned as an (H, W) view of it, which this thread's next call at
-    the same size overwrites.
+    The statistics are float64; the result is written as ``dtype`` into
+    layer 0's input buffer (see _layer_input) and returned as an (H, W)
+    view of it, which this thread's next call at that size and dtype
+    overwrites.  The deviation is ``np.std``'s own arithmetic on the
+    centred values it already has, so it has the same bits.
     """
     if not np.isfinite(x).all():
         raise FormatError("heatmap holds a non-finite value")
-    mu, sd = x.mean(), x.std()
-    out = _layer_input(0, (1, *x.shape))[0][0]
-    centred = x - mu
+    centred = x - x.mean()
+    sd = math.sqrt(np.add.reduce(centred * centred, axis=None) / centred.size)
+    out = _layer_input(0, (1, *x.shape), dtype)[0][0]
     if sd > 0:
         np.divide(centred, sd, out=out)
     else:
@@ -336,7 +351,7 @@ def _describe(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     pre-norm vector shorter than _DEGENERATE_EPS has no direction; it maps
     to the first basis vector, flagged degenerate, and passes no gradient.
     """
-    flat, cache = _forward(_normalize_input(x), w, keep)
+    flat, cache = _forward(_normalize_input(x, _dtype(w)), w, keep)
     norm = np.linalg.norm(flat)
     if norm < _DEGENERATE_EPS:
         canonical = np.zeros(flat.size)
@@ -518,7 +533,9 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
     shape differs from the architecture's input (by default the first
     heatmap's) raises DimensionError before the first epoch.  Triplets are
     re-mined every epoch from the run seed by ``mine_triplets``'s distance
-    rule, over every record.  Returns the weights of the last epoch: no
+    rule, over every record.  Training computes in float64 and returns the
+    weights of its last epoch rounded to float32, the precision that MMW1
+    stores, so the returned model encodes as its saved file does.  No
     epoch is scored or selected.  Fully deterministic for a fixed
     (dataset, cfg, arch).
     """
@@ -556,4 +573,6 @@ def train(dataset, cfg: TrainConfig, arch: EncoderArch | None = None) -> TrainRe
                 weights.biases[l] += velocity[l][1]
         history.append({"epoch": epoch, "mean_loss": float(np.mean(losses)), "lr": rate,
                         "triplets_skipped": skipped})
-    return TrainResult(weights, history)
+    rounded = EncoderWeights(arch, [k.astype(np.float32) for k in weights.kernels],
+                             [b.astype(np.float32) for b in weights.biases], weights.seed)
+    return TrainResult(rounded, history)

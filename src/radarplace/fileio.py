@@ -122,6 +122,7 @@ def save_weights(path, w: EncoderWeights) -> None:
 
 
 def load_weights(path) -> EncoderWeights:
+    """Read an MMW1 file; kernels and biases stay float32, so ``encode`` runs in float32."""
     with open(path, "rb") as fh:
         if fh.read(4) != MMW_MAGIC:
             raise FormatError(f"{path}: not a weights file")
@@ -144,7 +145,7 @@ def load_weights(path) -> EncoderWeights:
         raise FormatError(f"{path}: {block.size} weights, the header declares {sum(sizes)}")
     if not np.isfinite(block).all():
         raise FormatError(f"{path}: non-finite encoder weight")
-    arrays = [a.astype(np.float64).reshape(s)
+    arrays = [a.astype(np.float32).reshape(s)
               for a, s in zip(np.split(block, np.cumsum(sizes)[:-1]), shapes)]
     return EncoderWeights(arch, arrays[0::2], arrays[1::2], seed)
 

@@ -27,6 +27,7 @@ from radarplace.encoder import (
     triplet_loss,
 )
 from radarplace.errors import ConfigError, DimensionError, EmptyResultError, FormatError
+from radarplace.fileio import load_weights, save_weights
 from radarplace.placedb import MATCH_RADIUS_M
 from radarplace.radar import RadarConfig
 
@@ -267,6 +268,12 @@ def _same_weights(a, b) -> bool:
                for x, y in zip(a.kernels + a.biases, b.kernels + b.biases, strict=True))
 
 
+def _with_dtype(w, dtype):
+    """``w`` with every kernel and bias cast to ``dtype``."""
+    return enc.EncoderWeights(w.arch, [k.astype(dtype) for k in w.kernels],
+                              [b.astype(dtype) for b in w.biases], w.seed)
+
+
 def test_train_reduces_loss_and_is_deterministic():
     data = _toy_dataset()
     cfg = TrainConfig(max_epochs=4, seed=0)
@@ -319,7 +326,9 @@ def test_train_returns_its_last_epoch(monkeypatch):
         cfg = TrainConfig(max_epochs=k, seed=3)
         res = train(data, cfg, SMALL_ARCH)
         ref, ref_losses = _train_reference(data, cfg, SMALL_ARCH)
-        assert _same_weights(res.weights, ref)
+        assert all(a.dtype == np.float32 for a in res.weights.kernels + res.weights.biases)
+        # float64 training, returned at MMW1's float32 precision
+        assert _same_weights(res.weights, _with_dtype(ref, np.float32))
         assert [row["mean_loss"] for row in res.history] == ref_losses
 
 
@@ -456,7 +465,7 @@ def _im2col_reference(x):
     """(C, H, W) -> (C*9, H*W) patch matrix through an np.pad copy (the earlier code)."""
     c, h, w = x.shape
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    cols = np.empty((c, 9, h * w))
+    cols = np.empty((c, 9, h * w), x.dtype)
     for di in range(3):
         for dj in range(3):
             cols[:, di * 3 + dj, :] = padded[:, di : di + h, dj : dj + w].reshape(c, -1)
@@ -492,9 +501,10 @@ def _forward_reference(x, w):
     return cur.ravel(), cache
 
 
-def _describe_reference(x, w):
-    """The earlier describe: (descriptor, pre-norm norm, cache) from the earlier forward."""
-    flat, cache = _forward_reference(enc._normalize_input(x), w)
+def _describe_reference(x, w, dtype=np.float64):
+    """The earlier describe, its forward run in ``dtype``: (descriptor, pre-norm norm, cache)."""
+    flat, cache = _forward_reference(enc._normalize_input(x).astype(dtype), w)
+    flat = flat.astype(np.float64)
     norm = np.linalg.norm(flat)
     if norm < enc._DEGENERATE_EPS:
         canonical = np.zeros(flat.size)
@@ -603,6 +613,122 @@ def test_training_is_bit_identical_with_reference_forward(monkeypatch):
     for g, r in zip(got, ref):
         assert _same_weights(g.weights, r.weights)
         assert g.history == r.history
+
+
+def test_normalize_input_is_the_numpy_standardization():
+    rng = np.random.default_rng(47)
+    for x, _ in _oracle_cases():
+        for scaled in (x, 1e6 * x + 3.0, np.full(x.shape, 2.5)):
+            sd = scaled.std()
+            want = (scaled - scaled.mean()) / sd if sd > 0 else scaled - scaled.mean()
+            assert enc._normalize_input(scaled).tobytes() == want.tobytes()
+            got32 = enc._normalize_input(scaled, np.float32)
+            assert got32.dtype == np.float32
+            assert got32.tobytes() == want.astype(np.float32).tobytes()
+    x = random_heatmap_values(rng, 16, 24)
+    assert enc._normalize_input(x).std() == pytest.approx(1.0)
+
+
+# -- float32 weights: the forward in the weights' dtype -----------------------
+
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53
+
+
+def _gamma(n, u):
+    return n * u / (1 - n * u)
+
+
+def _float32_forward_bound(x, w):
+    """Elementwise bound on |encode(x, w32) - encode(x, w)| for float32-valued weights ``w``.
+
+    w32 is ``w`` cast to float32; ``w`` is float64.  Both forwards start from
+    the same float64 standardized input z; the float32 one reads fl32(z),
+    |fl32(z) - z| <= u32 |z| with u32 = 2**-24.  Let E bound the difference
+    of a layer's two inputs, elementwise, and x the float64 input.  Each
+    output cell of a layer is a dot product of n = 9 c_in taps plus the
+    bias, an (n+1)-term sum that either side may evaluate in any order,
+    which errs by at most gamma_{n+1} (sum|w||input| + |b|), gamma_k =
+    k u / (1 - k u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1).  With |input32| <= |x| + E, the
+    two cells differ by at most
+
+        |W| E + gamma32_{n+1} (|W| (|x| + E) + |b|) + gamma64_{n+1} (|W| |x| + |b|).
+
+    Pooling before the bias has the same bits as after it (rounding is
+    monotone), and ReLU and max are 1-Lipschitz, so a pooled cell's bound
+    is the largest over its window: that is the next layer's E.
+
+    The last layer gives flat vectors a (exact in float64) and c with
+    ||a - c|| <= e = ||E||.  For y = c / ||c||,
+    |a_i/||a|| - y_i| <= (E_i + |y_i| e) / ||a|| and ||a|| >= ||c|| - e.
+    The norm and the division in float64 add at most gamma64_{D+2} |y_i|
+    <= gamma64_{D+2} per side, D the descriptor size.  The bound is summed
+    in float64, whose own relative error (below 1e-12 here) the factor
+    1 + 1e-9 covers.  Returns (bound per element, e / ||c||).
+    """
+    z = enc._normalize_input(x).copy()
+    ref, norm, cache = _describe_reference(x, w)
+    err = _U32 * np.abs(z)[None]
+    for l, entry in enumerate(cache):
+        c_out = w.kernels[l].shape[0]
+        k = np.abs(w.kernels[l]).reshape(c_out, -1)
+        b = np.abs(w.biases[l])[:, None]
+        n = k.shape[1] + 1
+        kx, ke = k @ np.abs(entry["cols"]), k @ _im2col_reference(err)
+        cell = ke + _gamma(n, _U32) * (kx + ke + b) + _gamma(n, _U64) * (kx + b)
+        _, h, wid = entry["in_shape"]
+        err = cell.reshape(c_out, h, wid)
+        if w.arch.pools[l] is not None:
+            ph, pw = w.arch.pools[l]
+            err = err.reshape(c_out, h // ph, ph, wid // pw, pw).max(axis=(2, 4))
+    err = err.ravel()
+    e = np.linalg.norm(err)
+    bound = (err + np.abs(ref.values) * e) / (norm - e) + 2 * _gamma(err.size + 2, _U64)
+    return bound * (1 + 1e-9), e / norm
+
+
+def test_a_trained_model_encodes_as_its_saved_file(tmp_path):
+    data = _toy_dataset()
+    trained = train(data, TrainConfig(max_epochs=2, seed=0), SMALL_ARCH).weights
+    save_weights(tmp_path / "enc.mmw", trained)
+    loaded = load_weights(tmp_path / "enc.mmw")
+    assert _same_weights(trained, loaded)
+    for h, _ in data:
+        assert encode(h, trained).values.tobytes() == encode(h, loaded).values.tobytes()
+
+
+def test_float32_encode_is_bit_identical_to_reference_forward_in_float32():
+    for x, w in _oracle_cases():
+        w32 = _with_dtype(w, np.float32)
+        got = encode(x, w32)
+        ref = _describe_reference(x, w32, np.float32)[0]
+        assert got.values.dtype == np.float64
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.degenerate == ref.degenerate
+    # mixed dtypes are not float32 weights: they run the float64 forward
+    w = _with_dtype(init_weights(SMALL_ARCH, seed=2), np.float32)
+    w.biases[-1] = w.biases[-1].astype(np.float64)
+    x = random_heatmap_values(np.random.default_rng(48), 16, 24)
+    assert encode(x, w).values.tobytes() == _describe_reference(x, w)[0].values.tobytes()
+
+
+def test_float32_encode_is_within_its_bound_of_the_float64_forward():
+    checked = differed = 0
+    for x, w in _oracle_cases():
+        w64 = _with_dtype(_with_dtype(w, np.float32), np.float64)
+        want = _describe_reference(x, w64)[0]
+        if want.degenerate:
+            continue
+        got = encode(x, _with_dtype(w64, np.float32))
+        bound, rel = _float32_forward_bound(x, w64)
+        assert rel < 0.01  # the bound says something
+        assert not got.degenerate
+        assert np.all(np.abs(got.values - want.values) <= bound)
+        checked += 1
+        differed += got.values.tobytes() != want.values.tobytes()
+    # float32 rounding shows in most descriptors, so the bound is exercised
+    assert checked >= 40 and differed >= checked // 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

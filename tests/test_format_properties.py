@@ -353,8 +353,10 @@ def test_weights_codec_matches_struct_reference(workdir, ai):
     assert new.read_bytes() == ref.read_bytes()
     got, want = load_weights(new), _load_weights_reference(ref)
     assert (got.arch, got.seed) == (want.arch, want.seed)
+    # the file's float32 values are kept; the earlier loader widened them exactly
     for a, b in zip(got.kernels + got.biases, want.kernels + want.biases, strict=True):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.dtype == np.float32 and b.dtype == np.float64 and a.shape == b.shape
+        assert a.astype(np.float64).tobytes() == b.tobytes()
 
     payload = ref.read_bytes()[4:-4]
     header = 12 + 4 * len(weights.arch.channels) + 8 * weights.arch.n_layers + 8
