@@ -4,8 +4,8 @@ Subcommands cover the full flow: simulate -> heatmap -> concat -> train ->
 build-db -> query -> eval -> render.  Every run is deterministic given its
 inputs, config and seed.
 
-Exit codes: 0 success, 1 usage error, 2 empty/degenerate result,
-3 data error (including a missing or unreadable file), 4 internal error.
+Exit codes: 0 success, 1 usage or config error, 2 empty or degenerate input
+or result, 3 data or format error (a missing file too), 4 internal error.
 """
 
 from __future__ import annotations
@@ -335,6 +335,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size from a flag or config that cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyResultError as exc:
         print(f"warning: {exc}", file=sys.stderr)

@@ -1,17 +1,11 @@
 """Heatmap alignment and rotation-cycle mosaicking.
 
 Neighbouring frames from the rotating platform are registered by the
-integer translation that maximizes the cosine similarity of the overlap.
-A whole sweep is scored in one vectorised pass: each frame's column sums of
-squares are taken once per range shift and shared by the two pairs the
-frame belongs to (running sums of them give the norms), and each pair's
-Gram matrix per range shift, whose diagonals give the numerators, is
-written into one buffer kept for the whole sweep.  The few candidates
-within a proven rounding bound of their pair's best are then re-scored with
-the direct formula, so the result is that of an exhaustive direct search
-on every pair.  Rotation cycles are detected from the sign of the angle
-offsets, and each cycle's frames are united onto a wide-FOV canvas at their
-cumulative offsets.  :func:`mosaic_cycles` is the one recipe chaining them.
+integer translation that maximizes the cosine similarity of their overlap
+(:func:`register_sequence`, :func:`estimate_offset`), rotation cycles are
+found from the signs of the angle offsets (:func:`detect_cycles`), and each
+cycle is united onto a wide-FOV canvas (:func:`concat_relative_pose`).
+:func:`mosaic_cycles` is the one recipe chaining them.
 """
 
 from __future__ import annotations
@@ -109,18 +103,13 @@ def register_sequence(frames: list[Heatmap], r_window: int, a_window: int) -> li
 
     Each offset is that of :func:`estimate_offset` on frames t-1 and t, and
     a failing pair raises what that pair raises, the first failing pair
-    first.  The whole sequence is scored in one pass by ``_fast_scores``
-    (Lewis, "Fast Normalized Cross-Correlation", 1995, with the overlap
-    masks of Padfield, IEEE TIP 2012): each frame's column sums of squares
-    are taken once per range shift and shared by the two pairs the frame
-    belongs to, and each pair's Gram matrix per range shift is written
-    into one buffer kept for the whole sequence.  Those scores differ from
-    the direct formula only by rounding, by at most ``_rescore_margin``;
-    every candidate within twice that margin of its pair's best fast score
-    is re-scored with the direct formula, and the tie-break picks among
-    them.  The result is bit-identical to scoring every candidate of every
-    pair directly.  Windows beyond the frame are clamped, since such shifts
-    leave no overlap.
+    first.  ``_fast_scores`` scores the whole sequence in one pass; those
+    scores differ from the direct formula only by rounding, by at most
+    ``_rescore_margin``.  Every candidate within twice that margin of its
+    pair's best fast score is re-scored with the direct formula, and the
+    tie-break picks among them, so the result is bit-identical to scoring
+    every candidate of every pair directly.  Windows beyond the frame are
+    clamped, since such shifts leave no overlap.
     """
     if not frames:
         raise ConfigError("frames must be nonempty")
@@ -173,20 +162,21 @@ def _direct_key(A: np.ndarray, B: np.ndarray, r: int, a: int) -> tuple:
 def _fast_scores(frames: list[np.ndarray], R: int, W: int):
     """Numerator and the two squared norms of every shift of every frame pair.
 
-    Each is a (pairs, 2R + 1, 2W + 1) array indexed by (p, r + R, a + W),
-    pair p registering frame p + 1 (B) on frame p (A).  For a range shift r
-    the overlap rows give one Gram matrix G = A[mov].T @ B[ref]; the
-    numerator of shift (r, a) is the sum of its diagonal a,
-    sum_c G[c - a, c].  The moving rows of shift r are the reference rows
-    of shift -r, so one table of per-column sums of squares, per frame and
-    reference rows, serves a frame both as B of one pair and as A of the
-    next.  The overlap columns of the moving map are a prefix of A for
-    a >= 0 and a suffix for a < 0, and the reverse for B, so each norm is a
-    left or a right running sum of those column sums, never a difference of
-    sums: every sum here adds non-negative terms.  Only the column sums and
-    the results grow with the sweep; every pair writes its Gram matrices
-    into the same padded buffer, so a sweep of small frames needs no
-    allocation large enough to map fresh pages.
+    After Lewis, "Fast Normalized Cross-Correlation", 1995, with the
+    overlap masks of Padfield, IEEE TIP 2012.  Each is a (pairs, 2R + 1,
+    2W + 1) array indexed by (p, r + R, a + W), pair p registering frame
+    p + 1 (B) on frame p (A).  For a range shift r the overlap rows give
+    one Gram matrix G = A[mov].T @ B[ref]; the numerator of shift (r, a) is
+    the sum of its diagonal a, sum_c G[c - a, c].  The moving rows of shift
+    r are the reference rows of shift -r, so one table of per-column sums
+    of squares, per frame and reference rows, serves a frame both as B of
+    one pair and as A of the next.  The overlap columns of the moving map
+    are a prefix of A for a >= 0 and a suffix for a < 0, and the reverse
+    for B, so each norm is a left or a right running sum of those column
+    sums, never a difference of sums: every sum here adds non-negative
+    terms.  Only the column sums and the results grow with the sweep; every
+    pair writes its Gram matrices into the same padded buffer, so a sweep
+    of small frames needs no allocation large enough to map fresh pages.
     """
     rows, cols = frames[0].shape
     shifts = range(-R, R + 1)

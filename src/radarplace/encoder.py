@@ -4,12 +4,9 @@ The network is small enough to run on plain numpy: stacked 3x3 convolutions
 with rectifier activations, non-overlapping max pools after the first three
 layers, and an L2-normalized flatten as the descriptor head.  Forward and
 backward passes are hand-written so the gradient can be checked against
-central finite differences.
-
-The forward computes in its weights' dtype: float32 when every kernel and
-bias is float32 (the weights ``train`` returns and ``load_weights`` reads),
-float64 otherwise.  Training computes in float64.  Descriptors are float64
-and unit-norm either way.
+central finite differences.  Entry points: :func:`encode`, :func:`train`
+with :class:`TrainConfig`, :func:`init_weights`, :func:`backward` and
+:func:`mine_triplets`.
 """
 
 from __future__ import annotations
@@ -369,7 +366,7 @@ def _checked_input(h, arch: EncoderArch) -> np.ndarray:
 
 
 def encode(h, w: EncoderWeights) -> Descriptor:
-    """Map a heatmap to its unit-norm place descriptor."""
+    """Map a heatmap to its float64 unit-norm descriptor, computed in the weights' dtype."""
     return _describe(_checked_input(h, w.arch), w)[0]
 
 

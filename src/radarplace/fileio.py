@@ -66,9 +66,14 @@ def _decoding(path):
 # -- IF cubes -----------------------------------------------------------------
 
 def save_cube(path, cube: IFCube) -> None:
+    """Write an IFC1 file, or refuse, before opening it, a sample float32 cannot hold."""
+    with np.errstate(over="ignore"):
+        data = cube.data.astype("<c8")  # interleaved float32 re, im
+    if not np.isfinite(data).all():  # IFCube holds finite values: this is overflow
+        raise ConfigError(f"{path}: IF cube holds a value beyond the float32 range")
     with open(path, "wb") as fh:
         fh.write(IFC_MAGIC + _IFC_HEADER.pack(*cube.dims))
-        fh.write(cube.data.astype("<c8").tobytes())  # interleaved float32 re, im
+        fh.write(data)
 
 
 def load_cube(path) -> IFCube:
@@ -83,10 +88,15 @@ def load_cube(path) -> IFCube:
 # -- heatmaps -----------------------------------------------------------------
 
 def save_heatmap(path, h: Heatmap) -> None:
+    """Write a RAH1 file, or refuse, before opening it, a value float32 cannot hold."""
+    with np.errstate(over="ignore"):
+        values = h.values.astype("<f4")
+    if not np.isfinite(values).all():  # Heatmap holds finite values: this is overflow
+        raise ConfigError(f"{path}: heatmap holds a value beyond the float32 range")
     with open(path, "wb") as fh:
         fh.write(RAH_MAGIC + _RAH_HEADER.pack(h.n_rows, h.n_cols, h.range_bin_m))
         fh.write(h.angle_axis.astype("<f8").tobytes())
-        fh.write(h.values.astype("<f4").tobytes())
+        fh.write(values)
 
 
 def load_heatmap(path) -> Heatmap:
@@ -164,13 +174,10 @@ def _mpdb_record(dim: int) -> np.dtype:
 def save_db(path, db: PlaceDB) -> None:
     """Write ``db`` as an MPDB file, or refuse a record that ``load_db`` would.
 
-    The packed table is filled column by column from the database's own
-    columns: the stored rows are copied from its query store, and the
-    values of the records added since its last query are cast straight
-    into the table, as ``PlaceDB._store`` casts them.  A non-finite
+    The packed table is filled from the database's columns, and the values
+    added since its last query are cast straight into it.  A non-finite
     descriptor value or coordinate, or an infinite heading, raises
-    ConfigError naming the record before the file is opened; only the
-    descriptors not yet stored for a query need that check.
+    ConfigError naming the record before the file is opened.
     """
     n, stored, dim = len(db), db._n, db.dim or 0
     ids = [*db._ids[:stored].tolist(), *db._p_ids]
@@ -201,11 +208,7 @@ def save_db(path, db: PlaceDB) -> None:
 def load_db(path) -> PlaceDB:
     """Read an MPDB file into a database whose columns are its query store.
 
-    Records are decoded in blocks of at most ``_MPDB_BLOCK`` and written
-    into the arrays ``PlaceDB.query`` reads through the same path as added
-    records, squared norms included; no per-record object is built.  The
-    loaded database holds each descriptor once, and its first query copies
-    nothing.
+    No per-record object is built, and the first query copies nothing.
     """
     with open(path, "rb") as fh:
         count, dim = _read_header(fh, MPDB_MAGIC, _MPDB_HEADER, path, "a place database")
@@ -223,8 +226,7 @@ def _mpdb_blocks(fh, count: int, dim: int, path):
     so it stays well below the store in size, and glibc's malloc keeps both
     on its heap from one load to the next instead of returning them to the
     system and faulting their pages in again.  A non-finite coordinate
-    or an infinite heading is a malformed file; ``_from_columns`` rejects
-    a non-finite descriptor as it computes the row's squared norm.
+    or an infinite heading is a malformed file.
     """
     buf = np.empty(min(-(-count // 2), _MPDB_BLOCK), _mpdb_record(dim))
     for start in range(0, count, len(buf)):

@@ -1,20 +1,9 @@
-"""Range-azimuth heatmap generation.
+"""Range-azimuth heatmaps: an IF signal reduced to a real power matrix.
 
-An IF signal is reduced to a real power matrix by a coherent sum over
-chirps, an FFT over fast time (range), a DFT over the antenna axis (angle)
-and a final magnitude.  Both transforms are linear, so integrating the
-chirps first gives the same map as transforming every chirp and summing
-after.  :func:`heatmaps_from_sums` runs the cascade on a (frames, rows,
-antennas) stack of chirp sums, such as one drawn directly by
-``radar.simulate_chirp_sum`` for the headings of a sweep, with one range
-FFT for the whole stack; :func:`generate_heatmap` sums the chirps of an IF
-cube and passes it on as a one-frame stack.
-The heatmap size sets the transform lengths: the range FFT runs over the
-first ``rows`` fast-time samples, and the angle spectrum is the antennas'
-array factor at ``cols`` phase steps 2*pi*m/cols, which interpolates the
-antenna DFT without moving its peaks.  The angle axis runs in ascending
-wrapped phase and is calibrated through the arcsine phase-to-angle map so
-columns run over monotonically increasing azimuth.
+Entry points: :func:`generate_heatmap` for an IF cube,
+:func:`heatmaps_from_sums` for a stack of chirp sums, :class:`Heatmap`, and
+the cell arithmetic of :func:`range_to_row`, :func:`angle_to_col` and
+:func:`angle_axis_for`.
 """
 
 from __future__ import annotations
@@ -49,6 +38,8 @@ class Heatmap:
         self.angle_axis = np.asarray(self.angle_axis, dtype=np.float64)
         if self.values.ndim != 2:
             raise DimensionError(f"heatmap must be 2-D, got {self.values.shape}")
+        if 0 in self.values.shape:
+            raise DimensionError(f"heatmap needs a row and a column, got {self.values.shape}")
         if self.angle_axis.shape != (self.values.shape[1],):
             raise DimensionError("angle_axis length must equal column count")
         _check_values(self.values)
@@ -74,7 +65,7 @@ class Heatmap:
 def _check_values(v: np.ndarray) -> None:
     """Refuse heatmap values, of any shape, that hold a negative, NaN or inf."""
     # min and max carry a NaN through, and fail both comparisons with it
-    if v.size and not (v.min() >= 0 and v.max() < math.inf):
+    if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < math.inf):  # a stack may be empty
         raise ConfigError("heatmap values must be finite and >= 0")
 
 
@@ -92,8 +83,9 @@ def angle_axis_for(cfg: RadarConfig, n_cols: int) -> tuple[np.ndarray, np.ndarra
     """Azimuth per angle column plus the mask of resolvable columns.
 
     A column's azimuth is arcsin(lambda * omega / (2 * pi * l)) of its
-    wrapped per-antenna phase step omega.  Columns whose phase maps outside
-    the arcsine domain (spacing wider than half a wavelength) are masked out.
+    wrapped per-antenna phase step omega, so columns run over increasing
+    azimuth.  Columns whose phase maps outside the arcsine domain (spacing
+    wider than half a wavelength) are masked out.
     """
     omega = _shifted_phase_bins(n_cols)
     arg = cfg.wavelength * omega / (2.0 * math.pi * cfg.antenna_spacing)
@@ -122,9 +114,10 @@ def generate_heatmap(
     """FFT cascade from IF cube to range-azimuth heatmap.
 
     ``size`` is the (rows, cols) of the transform, by default the cube's
-    (samples, antennas).  The chirps of the first ``rows`` fast-time samples
-    are summed (coherent integration) and :func:`heatmaps_from_sums` turns
-    that sum into the heatmap; see there for ``max_range_m`` and ``window``.
+    (samples, antennas).  The transforms are linear, so the chirps of the
+    first ``rows`` fast-time samples are summed first (coherent integration)
+    and :func:`heatmaps_from_sums` transforms that sum; see there for
+    ``max_range_m`` and ``window``.
     """
     n_s, _, n_r = cube.dims
     rows, cols = size or (n_s, n_r)
@@ -139,16 +132,13 @@ def heatmaps_from_sums(
 ) -> list[Heatmap]:
     """One heatmap per frame of a (frames, rows, n_antennas) stack of chirp sums.
 
-    FFT over fast time, angle spectrum at ``cols`` phase steps, magnitude.
-    ``window`` may be "rect" (default) or "hann" applied over fast time.
-    Rows beyond ``max_range_m``, a finite positive range, are discarded
-    when given.  The range FFT runs once over the stack; each frame's
-    angle spectrum is its own product with the steering matrix that
-    :func:`_columns` builds once per size, with the range bin and the
-    angle axis.  The stack of magnitudes is checked once, as ``Heatmap``
-    checks one heatmap's values, so each frame's heatmap is built without
-    checking it again; it views its frame of the stack and gets its own
-    copy of the axis.
+    One range FFT over fast time for the whole stack, then per frame the
+    angle spectrum, a product with the steering matrix of :func:`_columns`,
+    and its magnitude.  ``window`` may be "rect" (default) or "hann" over
+    fast time.  Rows beyond ``max_range_m``, a finite positive range, are
+    discarded when given.  The magnitudes are checked once for the stack,
+    so each heatmap, a view of its frame with its own copy of the axis,
+    skips ``Heatmap``'s checks.
     """
     _, rows, n_r = summed.shape
     if cols < 1:
@@ -185,7 +175,8 @@ def _columns(cfg: RadarConfig, rows: int, n_antennas: int,
     since every heatmap of that size shares them.  Range bins are spaced by
     the cropped fast-time length.  Column j reads bin m_j of the antennas'
     DFT zero-padded to ``cols``, in ascending wrapped phase, so its steering
-    column is ``exp(-2*pi*i * (k * m_j mod cols) / cols)`` over antennas k.
+    column is ``exp(-2*pi*i * (k * m_j mod cols) / cols)`` over antennas k:
+    it interpolates the antenna DFT without moving its peaks.
     """
     axis, valid = angle_axis_for(cfg, cols)
     axis, bins = axis[valid], np.fft.fftshift(np.arange(cols))[valid]

@@ -18,16 +18,11 @@ _REAL = frozenset(map(np.dtype, "?bhilqBHILQefdg"))  # the real dtypes, in nativ
 class PlaceRecord:
     """Descriptor plus ground truth for one place observation.
 
-    A record holds a real-valued ndarray descriptor as it is given: a 1-D
-    array itself, any other shape raveled.  ``PlaceDB.add`` keeps those
-    values, not the record, and the database casts them into float32 once,
-    as it stores them at the first query after the ``add``.  So the
-    database reads the descriptor's values then, not at construction, and
-    a float64 value beyond the float32 range warns "overflow in cast" and
-    is refused as non-finite then.  Any other descriptor (a list, a complex
-    or object array) is cast to float32 here, so a bad one fails here.
-
-    Reading ``descriptor`` gives the values as float32, and keeps them.
+    A real-valued ndarray descriptor is held as it is given: a 1-D array
+    itself, any other shape raveled.  Any other descriptor (a list, a
+    complex or object array) is cast to float32 here, so a bad one fails
+    here.  Reading ``descriptor`` gives the values as float32, and keeps
+    them.
     """
 
     __slots__ = ("id", "_values", "position", "heading", "source")
@@ -76,25 +71,13 @@ class PlaceDB:
     """In-memory place database with exact retrieval, held as columns.
 
     Descriptors are held as float32, matching the on-disk format, so a
-    save/load round trip reproduces query results bit for bit.
-
-    The database keeps fields, not ``PlaceRecord`` objects, so however
-    many records it holds, Python's cyclic garbage collector has none of
-    them to walk.  ``query`` reads the store: float32 descriptors, float64
-    squared norms, ids and positions, one row per stored record; headings
-    and sources are lists beside it.  ``add`` checks the record's dim and
-    id, appends its id, values and coordinates to pending lists and keeps
-    no reference to the record; the first query after it stores them.
-    ``_store`` is the one write path into the store, for ``add`` and
-    ``load_db`` alike, and its concatenate is the one cast of an added
-    record's values into float32; it refuses a descriptor holding NaN or
-    inf, and that query drops the record and raises ConfigError.
-
-    ``records`` is a read-only sequence that builds each ``PlaceRecord``
-    on access.  A stored record's ``descriptor`` is a read-only view of its
-    store row, so the database holds each descriptor once and a row never
-    drifts from its squared norm; a pending record's is
-    ``np.asarray(x, np.float32).ravel()`` of its pending values ``x``.
+    save/load round trip reproduces query results bit for bit.  The
+    database keeps fields, not ``PlaceRecord`` objects, so however many
+    records it holds, Python's cyclic garbage collector has none of them to
+    walk.  ``query`` reads the store: float32 descriptors, float64 squared
+    norms, ids and positions, one row per stored record; headings and
+    sources are lists beside it.  ``records`` is a read-only sequence that
+    builds each ``PlaceRecord`` on access (see ``_record``).
     """
 
     def __init__(self):
@@ -124,6 +107,11 @@ class PlaceDB:
         return self._dim
 
     def add(self, record: PlaceRecord) -> int:
+        """Check the record's dim and id, then queue its fields, not the record.
+
+        The first query after the ``add`` stores the queued values through
+        ``_store``, so the database reads them then (see ``_sync``).
+        """
         values, rid, known = record._values, record.id, self._known_ids
         if len(values) != self._dim and self._dim is not None:  # values are 1-D
             raise DimensionError(f"descriptor dim {len(values)} != db dim {self._dim}")
@@ -140,7 +128,13 @@ class PlaceDB:
         return rid
 
     def _record(self, i: int) -> PlaceRecord:
-        """Record ``i`` in insertion order, built from the columns."""
+        """Record ``i`` in insertion order, built from the columns.
+
+        A stored record's descriptor is a read-only view of its store row,
+        so the database holds each descriptor once and a row never drifts
+        from its squared norm; a pending record's is its queued values cast
+        to float32.
+        """
         n = self._n
         if i < n:
             values = self._desc[i]
@@ -159,10 +153,9 @@ class PlaceDB:
         ``blocks`` yields consecutive records as ``(ids, descriptors,
         positions, headings)``: uint64 ids, a (rows, dim) float32 array, a
         (rows, 2) float64 array and a list of headings (float or None).  Each
-        block goes through ``_store``, the one write path into the query
-        store; the caller may reuse a block's arrays once the next one is
-        asked for.  ``_store``'s checks apply, and so does ``add``'s
-        duplicate-id check, with its error.
+        block goes through ``_store``, whose checks apply, as does ``add``'s
+        duplicate-id check, with its error; the caller may reuse a block's
+        arrays once the next one is asked for.
         """
         db = cls()
         db._dim = dim
@@ -191,11 +184,14 @@ class PlaceDB:
     def _store(self, ids: list[int], blocks, positions) -> dict[int, str]:
         """Append records at row ``_n`` of the query store; return the refusals.
 
-        ``blocks`` are (rows, dim) real descriptor arrays, cast into float32
-        as they are concatenated straight into the store, which grows by
-        doubling; ``positions`` are their (rows, 2) coordinates.  Products of
-        float32 values are exact in float64, so a squared norm is finite
-        exactly when its row is.  A record whose row holds NaN or inf, or
+        The one write path into the store, for ``add`` and ``load_db``
+        alike.  ``blocks`` are (rows, dim) real descriptor arrays, cast into
+        float32 as they are concatenated straight into the store, which
+        grows by doubling: the one cast of an added record's values, so a
+        float64 value beyond the float32 range warns "overflow in cast" and
+        is refused as non-finite here.  ``positions`` are their (rows, 2)
+        coordinates.  Products of float32 values are exact in float64, so a
+        squared norm is finite exactly when its row is.  A record whose row holds NaN or inf, or
         whose id is not an integer, is refused: the records after it move
         up a row, and the result maps its index in ``ids`` to its error
         message.

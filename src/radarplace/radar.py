@@ -2,12 +2,10 @@
 
 Point-scatterer scenes are turned into complex IF signals with known ground
 truth, so every downstream stage can be checked against arithmetic on the
-scene instead of recorded data.  One scatterer loop (:func:`_signal`) feeds
-both outputs: the full (sample, chirp, antenna) IF cube that IFC1 files
-hold, and the coherent chirp sum of the first ``rows`` samples, which is
-all a range-azimuth heatmap reads.  The loop takes one sensor-frame scene
-per frame; :func:`scene_at_heading` is the one map from a world-frame scene
-to the sensor frame at a heading.
+scene instead of recorded data.  Entry points: :func:`simulate_if_cube`,
+:func:`simulate_chirp_sum`, :func:`simulate_platform_sweep` and
+:func:`scene_at_heading`, the one map from a world-frame scene to the
+sensor frame at a heading.
 """
 
 from __future__ import annotations
@@ -150,7 +148,8 @@ def _check_rows(rows: int, n_samples: int) -> None:
 def _signal(scenes: list[list[Scatterer]], cfg: RadarConfig, rows: int) -> np.ndarray:
     """Chirp-invariant (frames, rows, n_antennas) signal of the first ``rows`` fast-time samples.
 
-    Frame f is the signal of the sensor-frame scene ``scenes[f]``.  Each
+    The one scatterer loop, for the IF cube and the chirp sum alike.  Frame
+    f is the signal of the sensor-frame scene ``scenes[f]``.  Each
     scatterer contributes a fast-time tone at its beat frequency and a
     linear phase progression across antennas.  The antenna taper attenuates
     off-boresight reflectors by cos(azimuth)**gain_taper_exp.  Chirps are

@@ -1,13 +1,12 @@
 """Synthetic multi-place world and the end-to-end evaluation pipeline.
 
 Places are laid out with known ground-truth positions and random point
-reflectors, so retrieval metrics can be computed against exact truth.
-Single views and rotating-platform sweeps go through one renderer, which
-takes a scene, its headings and one noise seed per heading, and simulates
-and transforms all headings in one pass.  The evaluation mirrors the
-structural studies of the pipeline: recall under small variation,
-degradation across rotation/lateral buckets, and the fixed-step versus
-relative-pose mosaicking comparison.
+reflectors, so retrieval metrics can be computed against exact truth.  The
+evaluation mirrors the structural studies of the pipeline: recall under
+small variation, degradation across rotation/lateral buckets, and the
+fixed-step versus relative-pose mosaicking comparison.  Entry points:
+:func:`build_world`, :func:`render_view`, :func:`render_sweep`,
+:func:`mosaic_view`, :func:`training_dataset` and :func:`evaluate`.
 """
 
 from __future__ import annotations

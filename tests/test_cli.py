@@ -109,6 +109,46 @@ def test_invalid_binary_content_exits_3(tmp_path, capsys):
     assert "huge.mmw: invalid content" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
+def test_a_zero_size_heatmap_file_exits_3(tmp_path, capsys, rows, cols):
+    # such a file loaded as a valid heatmap, and render and concat then exited 4
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    for name in ("a.rah", "b.rah"):
+        (maps / name).write_bytes(b"RAH1" + struct.pack("<2Id", rows, cols, 1.0)
+                                  + np.arange(cols, dtype="<f8").tobytes())
+    assert main(["render", "--in", str(maps / "a.rah"), "--out", str(tmp_path / "x.pgm")]) == 3
+    assert main(["concat", "--in", str(maps), "--out", str(tmp_path / "mosaics")]) == 3
+    assert capsys.readouterr().err.count("heatmap needs a row and a column") == 2
+
+
+@pytest.mark.parametrize("scene_line, cfg_line", [("10.0 0.0 1e300", ""),
+                                                  ("10.0 0.0 1.0", "noise_std = 1e300")])
+def test_simulate_refuses_a_sample_float32_cannot_hold(tmp_path, capsys, scene_line, cfg_line):
+    # the cubes it wrote made heatmap exit 3
+    scene, cfg = tmp_path / "scene.txt", tmp_path / "radar.cfg"
+    scene.write_text(f"{scene_line}\n")
+    cfg.write_text(f"n_chirps = 4\n{cfg_line}\n")
+    out = tmp_path / "cubes"
+    assert main(["simulate", "--scene", str(scene), "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert ("frame_0000.ifc: IF cube holds a value beyond the float32 range"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*.ifc"))
+
+
+def test_a_size_that_cannot_be_allocated_exits_1(tmp_path, scene_file, capsys):
+    # each asks for more than 2**47 bytes, so it fails at once; both exited 4
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("n_samples = 1e13\n")
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "cubes")]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+    cfg.write_text("n_places = 2\nheatmap_cols = 1e15\n")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "report")]) == 1
+    assert "error: out of memory" in capsys.readouterr().err
+
+
 def test_heatmap_rows_without_cols_exits_1(tmp_path, cfg_file):
     cfg = tmp_path / "rows_only.cfg"
     cfg.write_text(cfg_file.read_text() + "heatmap_rows = 32\n")

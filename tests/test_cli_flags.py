@@ -3,7 +3,9 @@
 The check reads ``cli.py``'s syntax tree: each destination a subparser
 declares must appear as ``args.<dest>`` in its ``cmd_*`` function or in a
 module function that the ``cmd_*`` passes ``args`` to.  The flag table in
-``README.md`` lists exactly the options each subparser declares.
+``README.md`` lists exactly the options each subparser declares, and its exit
+codes are those of ``cli``.  README states contracts only: it names no private
+identifier and quotes no figure that goes stale with the code or the host.
 """
 
 import argparse
@@ -129,3 +131,29 @@ def test_readme_flag_table_matches_the_parser():
         for name, sub in _subparsers().items()
     }
     assert _readme_flag_table() == declared
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_readme_exit_codes_match_the_cli():
+    section = README.split("\n## Exit codes\n", 1)[1].split("\n#", 1)[0]
+    listed = {int(code): text for code, text in re.findall(r"^- `(\d)` (.+)$", section, re.M)}
+    # --help prints the module docstring, reflowed
+    help_text = " ".join(cli.build_parser().format_help().split())
+    stated = {int(code): text.strip() for code, text in
+              re.findall(r"(\d) ([^,.(]+)", help_text.split("Exit codes:", 1)[1])}
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert listed.keys() == stated.keys() == codes
+    for code, text in listed.items():
+        assert text.startswith(stated[code]), code
+
+
+def test_readme_names_no_private_identifier():
+    assert re.findall(r"(?<!\w)_[A-Za-z]\w*", README) == []
+
+
+def test_readme_quotes_no_timing_machine_or_test_count():
+    assert re.findall(r"\d\s?(?:ms|µs|s)\b", README) == []
+    assert re.findall(r"vCPU|\bVM\b|\bCPUs?\b|\bcores?\b|\bRAM\b", README) == []
+    assert re.findall(r"\d+ (?:tests|passed)\b", README) == []

@@ -155,6 +155,8 @@ def test_invalid_heatmap_content_is_a_format_error(tmp_path):
         (np.array([[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]]), axis),
         (np.array([[1.0, 1.0, 1.0], [1.0, -2.0, 1.0]]), axis),
         (np.ones((2, 3)), np.array([-1.0, 0.5, 0.5])),
+        (np.ones((0, 3)), axis),  # a zero-size map loaded as a valid Heatmap
+        (np.ones((2, 0)), axis[:0]),
     ]:
         p.write_bytes(_rah_bytes(values, ax))
         with pytest.raises(FormatError, match="invalid content"):
@@ -168,6 +170,18 @@ def test_invalid_cube_content_is_a_format_error(tmp_path):
     p.write_bytes(b"IFC1" + struct.pack("<III", 4, 2, 3) + inter.tobytes())
     with pytest.raises(FormatError, match="invalid content"):
         load_cube(p)
+
+
+def test_writers_refuse_a_value_float32_cannot_hold(tmp_path):
+    # the file was written, and its own loader then refused it
+    writes = [(save_cube, "cube.ifc", IFCube(np.full((2, 1, 2), 1e39 + 0j)), "IF cube"),
+              (save_heatmap, "map.rah", Heatmap(np.full((2, 2), 1e39), 1.0, np.arange(2.0)),
+               "heatmap")]
+    for save, name, item, kind in writes:
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=f"{name}: {kind} holds a value beyond the float32"):
+            save(path, item)
+        assert not path.exists()
 
 
 def test_signed_weights_with_invalid_header_are_format_errors(tmp_path):

@@ -193,7 +193,9 @@ def test_heatmap_invariant_validation():
             Heatmap(values, 1.0, np.arange(4.0))
     with pytest.raises(ConfigError):
         Heatmap(np.ones((2, 3)), 1.0, np.array([0.0, 1.0, 1.0]))
-    assert Heatmap(np.zeros((0, 3)), 1.0, np.arange(3.0)).n_rows == 0
+    for empty, axis in (((0, 3), np.arange(3.0)), ((2, 0), np.zeros(0))):
+        with pytest.raises(DimensionError):
+            Heatmap(np.zeros(empty), 1.0, axis)
     assert Heatmap(np.zeros((2, 1)), 1.0, np.zeros(1)).n_cols == 1
 
 
