@@ -392,15 +392,20 @@ def default_a_window(n_cols: int, span_deg: float = 20.0) -> int:
     """Angle search window, in bins, spanning span_deg at boresight.
 
     Column spacing at boresight is 2/n_cols rad for half-wavelength element
-    spacing; callers with other geometries can pass an explicit window.
+    spacing; callers with other geometries can pass an explicit window.  A
+    window wider than the frame is clamped to n_cols - 1 bins, as
+    :func:`register_sequence` clamps one.
     """
-    bins_per_rad = n_cols / 2.0
-    return int(math.ceil(math.radians(span_deg) * bins_per_rad))
+    return math.ceil(min(math.radians(span_deg) * n_cols / 2.0, n_cols - 1))
 
 
 def step_bins(step_deg: float, n_cols: int) -> int:
-    """Nearest whole number of angle bins for a heading step of step_deg at boresight."""
-    return int(round(math.radians(step_deg) * n_cols / 2.0))
+    """Nearest whole number of angle bins for a heading step of step_deg at boresight.
+
+    A step wider than the canvas limit is returned as MAX_CANVAS_COLS + 1,
+    which no mosaic of two frames can hold.
+    """
+    return round(min(math.radians(step_deg) * n_cols / 2.0, MAX_CANVAS_COLS + 1))
 
 
 def mosaic_cycles(frames: list[Heatmap], pcfg: PlatformConfig, mode: str, r_window: int = 0,

@@ -226,21 +226,17 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     """Run the conv stack in the weights' dtype; returns (flat pre-norm descriptor, cache).
 
     Each layer's input sits in its ``_layer_input`` buffer, where
-    ``_normalize_input`` writes layer 0's, and each layer writes its
-    rectified, pooled output into the next layer's; the last layer's
-    rectifier writes a fresh float64 array (exact from float32), so no
-    returned array shares memory with a workspace.
-
-    The lean pass (``keep`` false) copies the patch matrix into the
-    workspace and pools the matmul output before bias and ReLU.  Rounding
-    and the rectifier are monotone, max(fl(a + b), fl(c + b)) =
-    fl(max(a, c) + b), so the bits are those of bias, ReLU, pool, with
-    bias and ReLU on 1/(ph*pw) of the cells.  With ``keep``, the backward
-    cache (patch matrices, rectifier masks, pool argmax indices) is built
-    in fresh arrays that outlive the call, in bias, ReLU, pool order: the
-    kept index is the first maximum of the rectified map, where rounding
-    can tie values that differed before the bias.  Otherwise the cache is
-    None.
+    ``_normalize_input`` writes layer 0's.  Each layer max-pools its matmul
+    output (a layer without a pool is a 1x1 pool), then adds the bias and
+    rectifies the pooled cells into the next layer's buffer.  Rounding and
+    the rectifier are monotone, max(fl(a + b), fl(c + b)) = fl(max(a, c) + b),
+    so the bits are those of bias, ReLU, pool.  The last layer's rectifier
+    writes a fresh float64 array (exact from float32), so no returned array
+    shares memory with a workspace.  The lean pass copies the patch matrix
+    into the workspace; the cache is None unless ``keep`` asks for it: per
+    layer, in fresh arrays, the input shape, the patch matrix, each window's
+    first-maximum index in the matmul output (``_argmax_pool``) and the
+    pooled cells' positive-after-bias mask.
     """
     arch, dtype = w.arch, _dtype(w)
     cache = [] if keep else None
@@ -249,9 +245,9 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     if not np.may_share_memory(cur, inner):  # else _normalize_input wrote it there
         np.copyto(inner, cur)
     for l in range(arch.n_layers):
-        c_out, pool = arch.channels[l + 1], arch.pools[l]
+        c_out = arch.channels[l + 1]
         in_shape = c, h, wid = inner.shape
-        ph, pw = pool or (1, 1)
+        ph, pw = arch.pools[l] or (1, 1)
         out_shape = (c_out, h // ph, wid // pw)
         # the lean patch matrix is spent after the matmul: the pool reuses it
         patch_buf, pre, pooled = _workspace((l, in_shape, c_out, ph, pw, dtype), lambda: (
@@ -264,25 +260,18 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
             np.copyto(cols.reshape(windows.shape), windows)
         np.matmul(w.kernels[l].reshape(c_out, -1), cols, out=pre)
         pre = pre.reshape(c_out, h, wid)
-        bias = w.biases[l][:, None, None]
-        last = l + 1 == arch.n_layers
         if keep:
-            pre += bias
-            cache.append({"in_shape": in_shape, "cols": cols, "mask": pre > 0})
-            np.maximum(pre, 0.0, out=pre)
-            if pool is None:
-                np.copyto(pooled, pre)
-            else:
-                cache[-1]["pool_idx"] = _argmax_pool(pre, pooled, ph, pw)
-                cache[-1]["pool_in_shape"] = (c_out, h, wid)
+            idx = _argmax_pool(pre, pooled, ph, pw)
         else:
             _max_pool(pre, pooled, ph, pw, patch_buf)
-            pooled += bias
-        if last:
+        pooled += w.biases[l][:, None, None]
+        if keep:
+            cache.append({"in_shape": in_shape, "cols": cols, "pool_idx": idx,
+                          "mask": pooled > 0})
+        if l + 1 == arch.n_layers:
             inner = np.empty(out_shape)
         else:
             inner, windows = _layer_input(l + 1, out_shape, dtype)
-        # the ReLU; on the keep pass's rectified values it only copies
         np.maximum(pooled, 0.0, out=inner)
     return inner.ravel(), cache
 
@@ -290,31 +279,26 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
 def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
     """Backprop a descriptor gradient through the stack; accumulates grads.
 
-    Nothing reads the heatmap's own gradient, so layer 0 stops at its weights.
+    Each layer masks the gradient of its pooled cells, scatters it to the
+    kept index of each window (a layer without a pool is a 1x1 pool) and
+    takes the patch matrix's gradients.  Nothing reads the heatmap's own
+    gradient, so layer 0 stops at its weights.
     """
-    arch = w.arch
-    dcur = dflat
+    arch, dcur = w.arch, dflat
     for l in reversed(range(arch.n_layers)):
         entry = cache[l]
-        pool = arch.pools[l]
-        if pool is not None:
-            ph, pw = pool
-            idx = entry["pool_idx"]
-            dout = dcur.reshape(idx.shape)
-            dcur = np.empty(entry["pool_in_shape"])
-            for i in range(ph):
-                for j in range(pw):
-                    dcur[:, i::ph, j::pw] = np.where(idx == i * pw + j, dout, 0.0)
-        else:
-            c_in, h, wid = entry["in_shape"]
-            dcur = dcur.reshape(arch.channels[l + 1], h, wid)
-        dpre = dcur.reshape(arch.channels[l + 1], -1) * entry["mask"].reshape(
-            arch.channels[l + 1], -1
-        )
+        ph, pw = arch.pools[l] or (1, 1)
+        idx, c_out = entry["pool_idx"], arch.channels[l + 1]
+        dout = dcur.reshape(idx.shape) * entry["mask"]
+        dpre = np.empty((c_out, *entry["in_shape"][1:]))
+        for i in range(ph):
+            for j in range(pw):
+                dpre[:, i::ph, j::pw] = np.where(idx == i * pw + j, dout, 0.0)
+        dpre = dpre.reshape(c_out, -1)
         grads[l][0] += (dpre @ entry["cols"].T).reshape(w.kernels[l].shape)
         grads[l][1] += dpre.sum(axis=1)
         if l:
-            k2d = w.kernels[l].reshape(arch.channels[l + 1], -1)
+            k2d = w.kernels[l].reshape(c_out, -1)
             dcur = _col2im(k2d.T @ dpre, entry["in_shape"])
 
 

@@ -122,11 +122,16 @@ def _mmw_header(n_ch: int) -> struct.Struct:
 
 
 def save_weights(path, w: EncoderWeights) -> None:
+    """Write an MMW1 file, or refuse, before opening it, a weight float32 cannot hold."""
     arch = w.arch
     pools = [v for pool in arch.pools for v in ((0, 0) if pool is None else pool)]
     payload = _mmw_header(len(arch.channels)).pack(
         *arch.input_shape, len(arch.channels), *arch.channels, *pools, w.seed)
-    payload += b"".join(a.astype("<f4").tobytes() for kb in zip(w.kernels, w.biases) for a in kb)
+    with np.errstate(over="ignore"):
+        block = [a.astype("<f4") for kb in zip(w.kernels, w.biases) for a in kb]
+    if not all(np.isfinite(a).all() for a in block):  # NaN, infinite or beyond float32
+        raise ConfigError(f"{path}: encoder weight is not a finite float32")
+    payload += b"".join(a.tobytes() for a in block)
     with open(path, "wb") as fh:
         fh.write(MMW_MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
 

@@ -157,9 +157,9 @@ def heatmaps_from_sums(
     spec = np.fft.fft(summed, axis=1)  # fast time -> range
     range_bin_m, axis, steer = _columns(cfg, rows, n_r, cols)
     keep = rows
-    if max_range_m is not None:
+    if max_range_m is not None and max_range_m / range_bin_m < rows:  # else beyond the last row
         keep = int(math.floor(max_range_m / range_bin_m)) + 1
-    mags = np.empty((len(spec), min(keep, rows), len(axis)))
+    mags = np.empty((len(spec), keep, len(axis)))
     for frame, out in zip(spec, mags):
         np.abs(frame[:keep] @ steer, out=out)  # antennas -> angle
     _check_values(mags)  # a finite sum can still overflow the product

@@ -1,11 +1,14 @@
 """Shared fixtures: small radar configs and scene builders for fast tests."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from radarplace.fileio import save_weights
 from radarplace.radar import RadarConfig, Scatterer
 
 # Property tests draw the same examples on every run and never time out on
@@ -152,3 +155,21 @@ def chirp_sum_heatmap_bound(n_chirps, rows, n_antennas):
     cascade = _fft_rho(rows) + _steer_delta(n_antennas) * (1 + _fft_rho(rows))
     root = math.sqrt(rows * n_antennas)
     return 1.01 * (eps * root + 2 * cascade * root * (1 + eps) + 2 * _U)
+
+
+def signed_mmw(payload):
+    """An MMW1 file's bytes: the magic, ``payload`` and its CRC-32 trailer."""
+    return b"MMW1" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def write_weights_with(path, weights, index, value):
+    """Save ``weights``, then set entry ``index`` of the file's float32 block to ``value``.
+
+    The block holds each layer's kernel, then its bias, flattened.  The
+    file is re-signed, so only the loader's value check can refuse it.
+    """
+    save_weights(path, weights)
+    payload = bytearray(path.read_bytes()[4:-4])
+    n = sum(a.size for a in (*weights.kernels, *weights.biases))
+    struct.pack_into("<f", payload, len(payload) - 4 * (n - index), value)
+    path.write_bytes(signed_mmw(bytes(payload)))

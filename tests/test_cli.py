@@ -15,7 +15,7 @@ import pytest
 from radarplace import fileio, synth
 from radarplace.cli import _CONFIG_KEYS, main
 from radarplace.concat import detect_cycles
-from radarplace.encoder import EncoderArch, TrainResult, init_weights
+from radarplace.encoder import EncoderArch, TrainConfig, TrainResult, init_weights, train
 from radarplace.fileio import (
     load_heatmap,
     load_offsets_csv,
@@ -28,6 +28,8 @@ from radarplace.fileio import (
 from radarplace.heatmap import Heatmap, generate_heatmap
 from radarplace.placedb import PlaceDB
 from radarplace.radar import PlatformConfig, RadarConfig, Scatterer
+
+from conftest import write_weights_with
 
 
 def _hash_dir(path, pattern):
@@ -154,6 +156,20 @@ def test_heatmap_rows_without_cols_exits_1(tmp_path, cfg_file):
     cfg.write_text(cfg_file.read_text() + "heatmap_rows = 32\n")
     assert main(["heatmap", "--in", str(tmp_path), "--config", str(cfg),
                  "--out", str(tmp_path / "maps")]) == 1
+
+
+def test_heatmap_on_a_directory_without_cubes_exits_2(tmp_path, capsys):
+    (tmp_path / "cubes").mkdir()
+    assert main(["heatmap", "--in", str(tmp_path / "cubes"), "--out", str(tmp_path / "maps")]) == 2
+    assert "no cube files found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["64", "64x", "x32", "64by32", "64x32x2", "64.5x32"])
+def test_malformed_heatmap_size_exits_1(tmp_path, capsys, size):
+    # the size is read first: with a well-formed one, the missing input exits 3
+    assert main(["heatmap", "--in", str(tmp_path / "none"), "--out", str(tmp_path / "maps"),
+                 f"--heatmap-size={size}"]) == 1
+    assert f"--heatmap-size expects RxC, got {size!r}" in capsys.readouterr().err
 
 
 def test_heatmap_size_exit_codes(tmp_path, scene_file):
@@ -516,6 +532,27 @@ def test_eval_concat_training_mosaics_follow_the_seed(tmp_path, monkeypatch):
         assert not any(np.array_equal(hm.values, ref.values) for hm in trained_on)
 
 
+@pytest.mark.parametrize("concat", ["none", "relpose"])
+def test_eval_with_the_weights_it_would_train_writes_the_same_report(tmp_path, concat):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_places = 6\nheatmap_cols = 32\nmosaic_cols = 64\n"
+                   "epochs = 1\nqueries_per_cell = 1\n")
+    seed = 200
+    # the training set and config that eval builds itself when given no weights
+    world = synth.build_world(fileio.world_config_from(
+        {"n_places": 6, "heatmap_cols": 32, "mosaic_cols": 64}, seed))
+    dataset = synth.training_dataset(world, RadarConfig(), seed=seed + 50, pcfg=PlatformConfig(),
+                                     mode=concat)
+    weights = tmp_path / "w.mmw"
+    save_weights(weights, train(dataset, TrainConfig(seed=seed, max_epochs=1)).weights)
+    trained, given = tmp_path / "trained", tmp_path / "given"
+    args = ["eval", "--config", str(cfg), "--seed", str(seed), "--concat", concat]
+    assert main([*args, "--out", str(trained)]) == 0
+    assert main([*args, "--weights", str(weights), "--out", str(given)]) == 0
+    for name in ("report.json", "report.txt"):
+        assert (given / name).read_bytes() == (trained / name).read_bytes()
+
+
 @pytest.mark.parametrize("line", ["heatmap_cols = 4", "heatmap_rows = 300"])
 def test_eval_refuses_a_heatmap_size_the_radar_cannot_give(tmp_path, monkeypatch, capsys, line):
     # 4 columns < 8 antennas, 300 rows > 256 samples: exit 3 from the first render
@@ -572,6 +609,38 @@ def test_heatmap_max_range_must_be_finite_and_positive(tmp_path, scene_file, cfg
                  "--out", str(cubes)]) == 0
     assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
                  "--out", str(tmp_path / "maps"), f"--max-range={value}"]) == 1
+
+
+def test_heatmap_max_range_beyond_the_last_row_keeps_every_row(tmp_path, scene_file, cfg_file):
+    cubes = tmp_path / "cubes"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                 "--out", str(cubes), "--frames", "2"]) == 0
+    # 1.7e308 m over a range bin overflows to an infinite row count
+    for name, flags in (("all", []), ("far", ["--max-range=1.7e308"])):
+        assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
+                     "--out", str(tmp_path / name), *flags]) == 0
+    assert _hash_dir(tmp_path / "far", "*.rah") == _hash_dir(tmp_path / "all", "*.rah")
+
+
+@pytest.mark.parametrize("mode, code", [("relpose", 0), ("fixed", 1)])
+def test_concat_with_a_step_wider_than_any_canvas(tmp_path, scene_file, cfg_file, capsys,
+                                                  mode, code):
+    cubes, maps = tmp_path / "cubes", tmp_path / "maps"
+    assert main(["simulate", "--scene", str(scene_file), "--config", str(cfg_file),
+                 "--out", str(cubes), "--frames", "4"]) == 0
+    assert main(["heatmap", "--in", str(cubes), "--config", str(cfg_file),
+                 "--out", str(maps), "--heatmap-size", "64x192"]) == 0
+    # a finite step whose window and step in bins overflow to infinity: the
+    # window is clamped to the frame, the fixed step meets the canvas limit
+    fast = tmp_path / "fast.cfg"
+    fast.write_text("angular_speed = 1.7e308\nframe_rate = 1\n")
+    capsys.readouterr()
+    assert main(["concat", "--in", str(maps), "--config", str(fast),
+                 "--out", str(tmp_path / "o"), "--mode", mode]) == code
+    if code:
+        assert "above the canvas limit" in capsys.readouterr().err
+    else:
+        assert len(load_offsets_csv(tmp_path / "o" / "offsets.csv")) == 4
 
 
 @pytest.mark.parametrize("line", ["angular_speed = nan", "n_samples = inf"])
@@ -732,8 +801,8 @@ def test_build_db_with_non_finite_weights_exits_3(tmp_path, capsys):
         {"frame_idx": f, "x_m": 10.0 * f, "y_m": 0.0, "heading_deg": 0.0} for f in range(2)
     ])
     weights = init_weights(EncoderArch(input_shape=(64, 32)), 0)
-    weights.kernels[0][0, 0, 1, 1] = np.nan
-    save_weights(tmp_path / "nan.mmw", weights)  # with a valid checksum
+    # kernel 0's centre tap, in a file with a valid checksum
+    write_weights_with(tmp_path / "nan.mmw", weights, 4, np.nan)
     db = tmp_path / "places.mpdb"
     capsys.readouterr()
     assert main(["build-db", "--heatmaps", str(maps), "--poses", str(maps / "poses.csv"),

@@ -6,10 +6,13 @@ module function that the ``cmd_*`` passes ``args`` to.  The flag table in
 ``README.md`` lists exactly the options each subparser declares, and its exit
 codes are those of ``cli``.  README states contracts only: it names no private
 identifier and quotes no figure that goes stale with the code or the host.
+Every entry point its overview names is an attribute of its module.
 """
 
 import argparse
 import ast
+import fnmatch
+import importlib
 import re
 from pathlib import Path
 
@@ -157,3 +160,33 @@ def test_readme_quotes_no_timing_machine_or_test_count():
     assert re.findall(r"\d\s?(?:ms|µs|s)\b", README) == []
     assert re.findall(r"vCPU|\bVM\b|\bCPUs?\b|\bcores?\b|\bRAM\b", README) == []
     assert re.findall(r"\d+ (?:tests|passed)\b", README) == []
+
+
+def _readme_overview() -> dict[str, list[str]]:
+    """Module -> the names README's overview lists for it, ``save_*``-style globs included.
+
+    Each bullet names a module as `radarplace.<name>`; the backquoted names
+    after it, up to the next module, are its entry points.  The bare
+    `radarplace` is the command, not a name.
+    """
+    section = README.split("\n## Overview\n", 1)[1].split("\n## ", 1)[0]
+    listed, names = {}, None
+    for token in re.findall(r"`([^`]+)`", section[section.index("\n- "):]):
+        if token.startswith("radarplace."):
+            names = listed.setdefault(token, [])
+        elif token != "radarplace":
+            names.append(token)
+    return listed
+
+
+def test_readme_overview_names_exist_in_their_modules():
+    listed = _readme_overview()
+    src = Path(cli.__file__).parent
+    assert set(listed) == {f"radarplace.{p.stem}" for p in src.glob("*.py")
+                           if p.stem != "__init__"}
+    assert "register_sequence" in listed["radarplace.concat"]
+    assert {"save_*", "load_*", "render_pgm"} <= set(listed["radarplace.fileio"])
+    for module, names in listed.items():
+        attributes = dir(importlib.import_module(module))
+        for name in names:
+            assert fnmatch.filter(attributes, name), f"{module} has no {name}"

@@ -115,6 +115,32 @@ def test_duplicate_negative_doubles_loss_and_gradient():
         assert np.allclose(gb2, 2.0 * gb1)
 
 
+def test_a_degenerate_descriptor_passes_no_weight_gradient(monkeypatch):
+    rng = np.random.default_rng(24)
+    w = init_weights(SMALL_ARCH, seed=7)
+    # a constant heatmap standardizes to zeros, which no rectifier passes
+    w.biases = [-np.abs(b) for b in w.biases]
+    samples = [np.full((16, 24), 3.0)] + [random_heatmap_values(rng, 16, 24) for _ in range(3)]
+    descs = [encode(x, w) for x in samples]
+    assert descs[0].degenerate and not any(d.degenerate for d in descs[1:])
+    _, dgrads = enc._loss_and_descriptor_grads(
+        descs[0].values, [descs[1].values], [d.values for d in descs[2:]], 4.0)
+    assert np.any(dgrads[0])  # the query's descriptor gradient is not zero
+    changed = []  # per backpropagated sample: did it move a weight gradient?
+    real = enc._backward
+
+    def spy(dflat, cache, w, grads):
+        before = [g.copy() for pair in grads for g in pair]
+        real(dflat, cache, w, grads)
+        after = [g for pair in grads for g in pair]
+        changed.append(any(not np.array_equal(b, a) for b, a in zip(before, after)))
+
+    monkeypatch.setattr(enc, "_backward", spy)
+    _, (loss,) = backward([TripletBatch(0, [1], [2, 3])], samples, w, 4.0)
+    assert loss > 0.0
+    assert changed == [False, True, True, True]  # query, positive, negatives
+
+
 def test_analytic_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     arch = EncoderArch(input_shape=(8, 12), channels=(1, 3, 4), pools=((2, 2), None))
@@ -411,7 +437,8 @@ def _backward_reference(samples, t, w, margin):
     )
     for (desc, norm, cache), dnorm in zip(described, [gq] + gps + gns):
         if np.any(dnorm):
-            enc._backward(enc._norm_backward(desc, norm, dnorm), cache, w, grads)
+            enc._backward(enc._norm_backward(desc, norm, dnorm), _kept_layout(cache, w.arch),
+                          w, grads)
     return grads, loss
 
 
@@ -501,6 +528,25 @@ def _forward_reference(x, w):
     return cur.ravel(), cache
 
 
+def _kept_layout(ref_cache, arch):
+    """The reference forward's cache in the layout ``_forward(keep=True)`` keeps.
+
+    Each layer's pool index becomes a (1, 1) one where it has no pool, and
+    its full-resolution rectifier mask is read at that index, which gives
+    the pooled cells' positive-after-bias mask.
+    """
+    kept = []
+    for entry, pool in zip(ref_cache, arch.pools):
+        ph, pw = pool or (1, 1)
+        c, h, wid = entry["mask"].shape
+        idx = entry.get("pool_idx", np.zeros((c, h, wid), np.intp))
+        windows = entry["mask"].reshape(c, h // ph, ph, wid // pw, pw).transpose(0, 1, 3, 2, 4)
+        mask = np.take_along_axis(windows.reshape(*idx.shape, ph * pw), idx[..., None], axis=3)
+        kept.append({"in_shape": entry["in_shape"], "cols": entry["cols"], "pool_idx": idx,
+                     "mask": mask[..., 0]})
+    return kept
+
+
 def _describe_reference(x, w, dtype=np.float64):
     """The earlier describe, its forward run in ``dtype``: (descriptor, pre-norm norm, cache)."""
     flat, cache = _forward_reference(enc._normalize_input(x).astype(dtype), w)
@@ -564,7 +610,8 @@ def test_encode_is_bit_identical_to_reference_forward():
 
 def test_pooling_before_the_bias_keeps_ties_that_rounding_makes():
     # pre-bias a = 0.5 < c = 1 both round to 2**53 after the bias: the
-    # rectified map ties, and its first maximum is a's, not c's
+    # rectified map ties, and its first maximum is a's, not c's; the kept
+    # index is the pre-bias maximum, c's
     arch = EncoderArch(input_shape=(1, 4), channels=(1, 1), pools=((1, 2),))
     kernel = np.zeros((1, 1, 3, 3))
     kernel[0, 0, 1, 1] = 1.0  # the centre tap: pre-bias values are the input
@@ -577,7 +624,9 @@ def test_pooling_before_the_bias_keeps_ties_that_rounding_makes():
     assert flat.tobytes() == ref_flat.tobytes() == np.full(2, 2.0**53).tobytes()
     kept_flat, cache = enc._forward(x, w, keep=True)
     assert kept_flat.tobytes() == ref_flat.tobytes()
-    assert cache[0]["pool_idx"].tolist() == ref_cache[0]["pool_idx"].tolist() == [[[0, 0]]]
+    assert ref_cache[0]["pool_idx"].tolist() == [[[0, 0]]]
+    assert cache[0]["pool_idx"].tolist() == [[[1, 0]]]
+    assert cache[0]["mask"].tolist() == [[[True, True]]]
 
 
 def test_kept_cache_equals_reference_cache():
@@ -587,15 +636,20 @@ def test_kept_cache_equals_reference_cache():
         ref_flat, ref_cache = _forward_reference(xn, w)
         assert flat.tobytes() == ref_flat.tobytes()
         assert enc._forward(xn, w)[1] is None
+        ref_cache = _kept_layout(ref_cache, w.arch)
         assert len(cache) == len(ref_cache)
         for entry, ref in zip(cache, ref_cache):
             assert entry.keys() == ref.keys()
-            for key, value in ref.items():
-                if isinstance(value, np.ndarray):
-                    assert entry[key].shape == value.shape and entry[key].dtype == value.dtype
-                    assert entry[key].tobytes() == value.tobytes()
-                else:
-                    assert entry[key] == value
+            assert entry["in_shape"] == ref["in_shape"]
+            for key in ("cols", "mask", "pool_idx"):
+                assert entry[key].shape == ref[key].shape
+                assert entry[key].dtype == ref[key].dtype
+            assert entry["cols"].tobytes() == ref["cols"].tobytes()
+            assert entry["mask"].tobytes() == ref["mask"].tobytes()
+            # a window whose maximum is not positive after the bias passes no
+            # gradient, and there the two first-maximum rules may differ
+            mask = entry["mask"]
+            assert np.array_equal(entry["pool_idx"][mask], ref["pool_idx"][mask])
 
 
 def test_training_is_bit_identical_with_reference_forward(monkeypatch):
@@ -608,7 +662,12 @@ def test_training_is_bit_identical_with_reference_forward(monkeypatch):
     runs = [(_toy_dataset(), TrainConfig(max_epochs=3, seed=0), SMALL_ARCH),
             (frames, TrainConfig(max_epochs=2, seed=1), None)]
     got = [train(*run) for run in runs]
-    monkeypatch.setattr(enc, "_forward", lambda x, w, keep=False: _forward_reference(x, w))
+
+    def reference_forward(x, w, keep=False):
+        flat, cache = _forward_reference(x, w)
+        return flat, _kept_layout(cache, w.arch)
+
+    monkeypatch.setattr(enc, "_forward", reference_forward)
     ref = [train(*run) for run in runs]
     for g, r in zip(got, ref):
         assert _same_weights(g.weights, r.weights)
@@ -781,15 +840,15 @@ def test_a_kept_cache_survives_a_lean_encode():
     w = init_weights(EncoderArch(input_shape=(64, 96)), 5)
     xn = enc._normalize_input(random_heatmap_values(rng, 64, 96))
     flat, cache = enc._forward(xn, w, keep=True)
-    snapshot = [{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in entry.items()}
-                for entry in cache]
+    arrays = ("cols", "pool_idx", "mask")
+    snapshot = [{k: entry[k].copy() for k in arrays} for entry in cache]
     flat_copy = flat.copy()
     encode(random_heatmap_values(rng, 64, 96), w)
     assert flat.tobytes() == flat_copy.tobytes()
     for entry, snap in zip(cache, snapshot):
-        for key, value in snap.items():
-            if isinstance(value, np.ndarray):
-                assert entry[key].tobytes() == value.tobytes()
+        assert entry.keys() == {"in_shape", *arrays}
+        for key in arrays:
+            assert entry[key].tobytes() == snap[key].tobytes()
 
 
 def test_lean_outputs_do_not_alias_a_workspace():

@@ -1,7 +1,6 @@
 """Binary and text format round-trip and corruption tests."""
 
 import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from radarplace.heatmap import Heatmap
 from radarplace.placedb import PlaceDB, PlaceRecord
 from radarplace.radar import IFCube, RadarConfig, Scatterer, simulate_if_cube
 
-from conftest import random_heatmap_values
+from conftest import random_heatmap_values, signed_mmw, write_weights_with
 
 
 def test_cube_round_trip(tmp_path, small_cfg):
@@ -142,10 +141,6 @@ def _rah_bytes(values, axis, range_bin_m=0.5):
             + np.asarray(axis, "<f8").tobytes() + np.asarray(values, "<f4").tobytes())
 
 
-def _signed_mmw(payload):
-    return b"MMW1" + payload + struct.pack("<I", zlib.crc32(payload))
-
-
 def test_invalid_heatmap_content_is_a_format_error(tmp_path):
     axis = np.linspace(-1.0, 1.0, 3)
     p = tmp_path / "map.rah"
@@ -190,17 +185,17 @@ def test_signed_weights_with_invalid_header_are_format_errors(tmp_path):
     save_weights(p, init_weights(arch, seed=1))
     payload = p.read_bytes()[4:-4]
     # a channel count of 2**31 declares more widths than the payload holds
-    p.write_bytes(_signed_mmw(payload[:8] + struct.pack("<I", 2**31) + payload[12:]))
+    p.write_bytes(signed_mmw(payload[:8] + struct.pack("<I", 2**31) + payload[12:]))
     with pytest.raises(FormatError, match="invalid content"):
         load_weights(p)
     # rows, cols, n_ch, three widths, then the first pool: (2, 2) -> (5, 2)
     pool_at = 12 + 3 * 4
     bad_pool = payload[:pool_at] + struct.pack("<I", 5) + payload[pool_at + 4 :]
-    p.write_bytes(_signed_mmw(bad_pool))
+    p.write_bytes(signed_mmw(bad_pool))
     with pytest.raises(FormatError, match="does not divide"):
         load_weights(p)
     zero_pool = payload[:pool_at + 4] + struct.pack("<I", 0) + payload[pool_at + 8 :]
-    p.write_bytes(_signed_mmw(zero_pool))
+    p.write_bytes(signed_mmw(zero_pool))
     with pytest.raises(FormatError, match="invalid content"):
         load_weights(p)
 
@@ -272,12 +267,24 @@ def test_db_size_must_match_header(tmp_path):
 def test_non_finite_weights_are_a_format_error(tmp_path):
     arch = EncoderArch(input_shape=(16, 24), channels=(1, 4, 6), pools=((2, 2), None))
     p = tmp_path / "enc.mmw"
-    for layer, part, bad in ((1, "kernels", np.nan), (0, "biases", np.inf)):
-        w = init_weights(arch, seed=1)
-        getattr(w, part)[layer].flat[2] = bad
-        save_weights(p, w)  # the checksum is valid
+    w = init_weights(arch, seed=1)
+    k0, b0 = w.kernels[0].size, w.biases[0].size
+    # a layer-1 kernel tap, then a layer-0 bias; the checksum is valid
+    for index, bad in ((k0 + b0 + 2, np.nan), (k0 + 2, np.inf)):
+        write_weights_with(p, w, index, bad)
         with pytest.raises(FormatError, match="non-finite encoder weight"):
             load_weights(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e39])
+def test_save_weights_refuses_a_weight_float32_cannot_hold(tmp_path, bad):
+    arch = EncoderArch(input_shape=(16, 24), channels=(1, 4, 6), pools=((2, 2), None))
+    w = init_weights(arch, seed=1)
+    w.kernels[1].flat[2] = bad
+    p = tmp_path / "enc.mmw"
+    with pytest.raises(ConfigError, match="enc.mmw"):
+        save_weights(p, w)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("bad", ["descriptor", "position", "heading"])

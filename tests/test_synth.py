@@ -238,3 +238,9 @@ def test_evaluate_rejects_fewer_than_one_query_per_cell():
     for n in (0, -2):
         with pytest.raises(ConfigError):
             synth.evaluate(world, CFG, w, queries_per_cell=n)
+
+
+def test_evaluate_rejects_an_unknown_concat_mode():
+    w = enc.init_weights(enc.EncoderArch(input_shape=(64, 96)), 0)
+    with pytest.raises(ConfigError, match="unknown concat mode 'mosaic'"):
+        synth.evaluate(_world(0), CFG, w, concat_mode="mosaic")
