@@ -22,7 +22,7 @@ from . import concat as cc
 from . import encoder as enc
 from . import fileio, synth
 from .errors import ConfigError, EmptyResultError, RadarPlaceError
-from .heatmap import generate_heatmap, range_to_row, angle_to_col
+from .heatmap import angle_axis_for, generate_heatmap, range_to_row, angle_to_col
 from .placedb import PlaceDB, PlaceRecord
 from .radar import scene_at_heading, simulate_platform_sweep
 
@@ -210,6 +210,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"a {wcfg.heatmap_rows}x{wcfg.heatmap_cols} heatmap needs heatmap_rows <= "
             f"n_samples ({rcfg.n_samples}) and heatmap_cols >= n_antennas ({rcfg.n_antennas})")
+    # single frames are the encoder's input; mosaics are cut to mosaic_cols
+    width = int(angle_axis_for(rcfg, wcfg.heatmap_cols)[1].sum())
+    if args.concat == "none" and width < wcfg.heatmap_cols:
+        raise ConfigError(
+            f"heatmap_cols = {wcfg.heatmap_cols} keeps {width} of its angle bins at wavelength "
+            f"{rcfg.wavelength:g} and antenna_spacing {rcfg.antenna_spacing:g}: a spacing "
+            f"below half a wavelength drops the bins outside the visible region")
     queries_per_cell = fileio.config_int(keyvals, "queries_per_cell", 4)
     if queries_per_cell < 1:
         raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")

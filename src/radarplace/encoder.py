@@ -204,24 +204,6 @@ def _max_pool(act: np.ndarray, out: np.ndarray, ph: int, pw: int, spare: np.ndar
     _max_of([act[:, i::ph] for i in range(ph)], out)
 
 
-def _argmax_pool(act: np.ndarray, out: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Max pool of ``act`` into ``out`` as a running maximum over its ph*pw strided slices.
-
-    Returns each window's flat in-window index i*pw + j of its first
-    maximum (the one argmax picks): a strict ``>`` in row-major window
-    order moves it only past ties.
-    """
-    np.copyto(out, act[:, ::ph, ::pw])
-    idx = np.zeros(out.shape, dtype=np.intp)
-    for i in range(ph):
-        for j in range(pw):
-            if i or j:
-                win = act[:, i::ph, j::pw]
-                np.copyto(idx, i * pw + j, where=win > out)
-                np.maximum(out, win, out=out)
-    return idx
-
-
 def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     """Run the conv stack in the weights' dtype; returns (flat pre-norm descriptor, cache).
 
@@ -234,9 +216,9 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
     writes a fresh float64 array (exact from float32), so no returned array
     shares memory with a workspace.  The lean pass copies the patch matrix
     into the workspace; the cache is None unless ``keep`` asks for it: per
-    layer, in fresh arrays, the input shape, the patch matrix, each window's
-    first-maximum index in the matmul output (``_argmax_pool``) and the
-    pooled cells' positive-after-bias mask.
+    layer, in fresh arrays, ``in_shape`` (the input's), ``cols`` (the patch
+    matrix), ``pre`` (the matmul output), ``peak`` (its pooled maxima,
+    before the bias) and ``mask`` (the pooled cells positive after it).
     """
     arch, dtype = w.arch, _dtype(w)
     cache = [] if keep else None
@@ -260,14 +242,12 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
             np.copyto(cols.reshape(windows.shape), windows)
         np.matmul(w.kernels[l].reshape(c_out, -1), cols, out=pre)
         pre = pre.reshape(c_out, h, wid)
-        if keep:
-            idx = _argmax_pool(pre, pooled, ph, pw)
-        else:
-            _max_pool(pre, pooled, ph, pw, patch_buf)
+        _max_pool(pre, pooled, ph, pw, patch_buf)
+        peak = pooled.copy() if keep else None
         pooled += w.biases[l][:, None, None]
         if keep:
-            cache.append({"in_shape": in_shape, "cols": cols, "pool_idx": idx,
-                          "mask": pooled > 0})
+            cache.append({"in_shape": in_shape, "cols": cols, "pre": pre.copy(),
+                          "peak": peak, "mask": pooled > 0})
         if l + 1 == arch.n_layers:
             inner = np.empty(out_shape)
         else:
@@ -279,21 +259,26 @@ def _forward(x: np.ndarray, w: EncoderWeights, keep: bool = False):
 def _backward(dflat: np.ndarray, cache, w: EncoderWeights, grads):
     """Backprop a descriptor gradient through the stack; accumulates grads.
 
-    Each layer masks the gradient of its pooled cells, scatters it to the
-    kept index of each window (a layer without a pool is a 1x1 pool) and
-    takes the patch matrix's gradients.  Nothing reads the heatmap's own
-    gradient, so layer 0 stops at its weights.
+    Each layer masks the gradient of its pooled cells and scatters it to
+    each window's first maximum (a layer without a pool is a 1x1 pool): the
+    window offsets go in row-major order, and the first cell that equals
+    its window's ``peak`` takes the gradient, the cell ``argmax`` picks.
+    Then it takes the patch matrix's gradients.  Nothing reads the
+    heatmap's own gradient, so layer 0 stops at its weights.
     """
     arch, dcur = w.arch, dflat
     for l in reversed(range(arch.n_layers)):
         entry = cache[l]
         ph, pw = arch.pools[l] or (1, 1)
-        idx, c_out = entry["pool_idx"], arch.channels[l + 1]
-        dout = dcur.reshape(idx.shape) * entry["mask"]
-        dpre = np.empty((c_out, *entry["in_shape"][1:]))
+        pre, peak, c_out = entry["pre"], entry["peak"], arch.channels[l + 1]
+        dout = dcur.reshape(peak.shape) * entry["mask"]
+        dpre = np.empty(pre.shape)
+        free = np.ones(peak.shape, bool)
         for i in range(ph):
             for j in range(pw):
-                dpre[:, i::ph, j::pw] = np.where(idx == i * pw + j, dout, 0.0)
+                hit = (pre[:, i::ph, j::pw] == peak) & free
+                free &= ~hit
+                dpre[:, i::ph, j::pw] = np.where(hit, dout, 0.0)
         dpre = dpre.reshape(c_out, -1)
         grads[l][0] += (dpre @ entry["cols"].T).reshape(w.kernels[l].shape)
         grads[l][1] += dpre.sum(axis=1)
@@ -311,10 +296,17 @@ def _normalize_input(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     layer 0's input buffer (see _layer_input) and returned as an (H, W)
     view of it, which this thread's next call at that size and dtype
     overwrites.  The deviation is ``np.std``'s own arithmetic on the
-    centred values it already has, so it has the same bits.
+    centred values it already has, so it has the same bits.  A heatmap
+    whose squares would overflow or underflow is first scaled by the power
+    of two that brings max|x| into [0.5, 1).  That scale moves no bit of
+    the result, and any finite heatmap standardizes.
     """
-    if not np.isfinite(x).all():
+    hi = np.abs(x).max()
+    if not hi < math.inf:
         raise FormatError("heatmap holds a non-finite value")
+    exp = math.frexp(hi)[1]
+    if not -256 < exp < 256:
+        x = np.ldexp(x, -exp)
     centred = x - x.mean()
     sd = math.sqrt(np.add.reduce(centred * centred, axis=None) / centred.size)
     out = _layer_input(0, (1, *x.shape), dtype)[0][0]

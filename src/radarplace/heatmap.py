@@ -85,7 +85,7 @@ def angle_axis_for(cfg: RadarConfig, n_cols: int) -> tuple[np.ndarray, np.ndarra
     A column's azimuth is arcsin(lambda * omega / (2 * pi * l)) of its
     wrapped per-antenna phase step omega, so columns run over increasing
     azimuth.  Columns whose phase maps outside the arcsine domain (spacing
-    wider than half a wavelength) are masked out.
+    narrower than half a wavelength) are masked out.
     """
     omega = _shifted_phase_bins(n_cols)
     arg = cfg.wavelength * omega / (2.0 * math.pi * cfg.antenna_spacing)

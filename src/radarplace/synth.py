@@ -177,8 +177,20 @@ def mosaic_view(
     lateral: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
 ) -> Heatmap:
-    """First-cycle mosaic (frame 0's rows, standardized columns) from one pose."""
-    n_frames = int(round(pcfg.sweep_extent / pcfg.nominal_step)) + 1
+    """First-cycle mosaic (frame 0's rows, standardized columns) from one pose.
+
+    A mosaic canvas cannot hold more frames than it has columns, so a sweep
+    of more than ``concat.MAX_CANVAS_COLS`` frames is a ConfigError, raised
+    before anything renders.
+    """
+    steps = pcfg.sweep_extent / pcfg.nominal_step
+    # round(steps) + 1 frames; compared as a float, so an infinite ratio fails too
+    if not steps < cc.MAX_CANVAS_COLS - 0.5:
+        raise ConfigError(
+            f"sweep_extent {pcfg.sweep_extent:g} at angular_speed {pcfg.angular_speed:g} and "
+            f"frame_rate {pcfg.frame_rate:g} takes {steps + 1:.3g} frames per sweep, above "
+            f"the canvas limit {cc.MAX_CANVAS_COLS}")
+    n_frames = round(steps) + 1
     frames = render_sweep(world, place_idx, cfg, pcfg, n_frames, body_heading_deg, lateral, seed)
     # jitter can reflect off the sweep limit a frame early; keep the first
     # constant-sign run only

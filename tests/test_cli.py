@@ -570,6 +570,23 @@ def test_eval_refuses_a_heatmap_size_the_radar_cannot_give(tmp_path, monkeypatch
         assert "heatmap_rows <= n_samples (256)" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_heatmap_whose_angle_bins_the_radar_drops(tmp_path, monkeypatch, capsys):
+    # antenna_spacing 1.95 mm is far below half of a 0.5 m wavelength: 1 of
+    # the 16 angle bins is in the visible region, and the encoder's pools
+    # then refused a 64x1 frame
+    def no_work(*args, **kwargs):
+        raise AssertionError("eval rendered or trained before rejecting its config")
+
+    monkeypatch.setattr("radarplace.synth._render", no_work)
+    monkeypatch.setattr("radarplace.encoder.train", no_work)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_places = 8\nheatmap_cols = 16\nwavelength = 0.5\nepochs = 1\n")
+    assert main(["eval", "--config", str(cfg), "--concat", "none",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert ("heatmap_cols = 16 keeps 1 of its angle bins at wavelength 0.5 and "
+            "antenna_spacing 0.00195" in capsys.readouterr().err)
+
+
 def test_eval_checks_queries_per_cell_before_training(tmp_path, monkeypatch):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text("n_places = 3\nqueries_per_cell = 0\nepochs = 1\n")
@@ -600,6 +617,28 @@ def test_eval_refuses_a_radar_that_cannot_see_the_world(tmp_path, monkeypatch, c
     save_scene(scene, [Scatterer(39.9, 0.0, 1.0)])
     assert main(["simulate", "--scene", str(scene), "--config", str(cfg),
                  "--out", str(tmp_path / "cubes")]) == 3
+
+
+@pytest.mark.parametrize("lines", ["sweep_extent = 1e300",
+                                   "sweep_extent = 1.7e308\nangular_speed = 1",
+                                   "sweep_extent = 1e6", "angular_speed = 1e-30"])
+def test_eval_refuses_a_sweep_longer_than_the_canvas(tmp_path, monkeypatch, capsys, lines):
+    # more frames per sweep than a mosaic canvas has columns, up to an
+    # infinite float ratio
+    def no_work(*args, **kwargs):
+        raise AssertionError("eval rendered or trained before rejecting its config")
+
+    monkeypatch.setattr("radarplace.synth._render", no_work)
+    monkeypatch.setattr("radarplace.encoder.train", no_work)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"n_places = 8\nheatmap_cols = 16\nepochs = 1\n{lines}\n")
+    for concat in ("relpose", "fixed"):
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--concat", concat,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "frames per sweep, above the canvas limit 8192" in err
+        assert all(key in err for key in ("sweep_extent", "angular_speed", "frame_rate"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])

@@ -681,3 +681,21 @@ def test_a_warm_sweep_registration_takes_few_page_faults():
             register_sequence(frames, r_window, a_window)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 50 < 20
+
+
+@pytest.mark.parametrize("fields, message", [((0, 2, 0), "direction must be +1 or -1"),
+                                             ((3, 2, 1), "end_idx must be >= start_idx")])
+def test_cycle_segment_validation_names_the_value(fields, message):
+    with pytest.raises(ConfigError) as err:
+        CycleSegment(*fields)
+    assert str(err.value) == message
+
+
+def test_relative_pose_mosaic_refuses_frames_of_different_sizes():
+    axis = np.linspace(-1.0, 1.0, 8)
+    frames = [Heatmap(np.ones((4, 8)), 1.0, axis),
+              Heatmap(np.ones((5, 8)), 1.0, axis)]
+    offsets = [PoseOffset(0, 0, 1.0), PoseOffset(0, 2, 1.0)]
+    with pytest.raises(DimensionError) as err:
+        concat_relative_pose(frames, CycleSegment(0, 1, 1), offsets)
+    assert str(err.value) == "all frames in a segment must share dims"

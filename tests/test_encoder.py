@@ -486,6 +486,20 @@ def test_backward_is_bit_identical_on_distinct_indices():
             assert np.array_equal(gk, rk) and np.array_equal(gb, rb)
 
 
+def test_backward_sends_a_tied_window_to_its_first_maximum():
+    # quantised and block-constant heatmaps tie cells inside pool windows;
+    # each window's gradient goes to its first maximum only, as argmax's does
+    rng = np.random.default_rng(23)
+    samples = [x for _ in range(3) for x in _oracle_inputs(rng, SMALL_ARCH.input_shape)[1:]]
+    w = init_weights(SMALL_ARCH, seed=7)
+    t = TripletBatch(0, [1], [2, 3, 4, 5])
+    grads, (loss,) = backward([t], samples, w, 2.0)
+    ref_grads, ref_loss = _backward_reference(samples, t, w, 2.0)
+    assert loss == ref_loss > 0.0
+    for (gk, gb), (rk, rb) in zip(grads, ref_grads):
+        assert gk.tobytes() == rk.tobytes() and gb.tobytes() == rb.tobytes()
+
+
 # -- the earlier forward, kept as the oracle of the lean one ------------------
 
 def _im2col_reference(x):
@@ -528,21 +542,32 @@ def _forward_reference(x, w):
     return cur.ravel(), cache
 
 
+def _windows(a, ph, pw):
+    """(C, H, W) -> (C, H/ph, W/pw, ph*pw): each pool window's cells in row-major order."""
+    c, h, wid = a.shape
+    return a.reshape(c, h // ph, ph, wid // pw, pw).transpose(0, 1, 3, 2, 4).reshape(
+        c, h // ph, wid // pw, ph * pw)
+
+
 def _kept_layout(ref_cache, arch):
     """The reference forward's cache in the layout ``_forward(keep=True)`` keeps.
 
-    Each layer's pool index becomes a (1, 1) one where it has no pool, and
-    its full-resolution rectifier mask is read at that index, which gives
-    the pooled cells' positive-after-bias mask.
+    Each layer's pool index (a (1, 1) one where it has no pool) becomes a
+    ``pre`` that is one-hot at that index under a ``peak`` of ones, so the
+    first maximum that ``_backward`` finds is exactly the reference's
+    index.  The full-resolution rectifier mask is read at that index, which
+    gives the pooled cells' positive-after-bias mask.
     """
     kept = []
     for entry, pool in zip(ref_cache, arch.pools):
         ph, pw = pool or (1, 1)
         c, h, wid = entry["mask"].shape
         idx = entry.get("pool_idx", np.zeros((c, h, wid), np.intp))
-        windows = entry["mask"].reshape(c, h // ph, ph, wid // pw, pw).transpose(0, 1, 3, 2, 4)
-        mask = np.take_along_axis(windows.reshape(*idx.shape, ph * pw), idx[..., None], axis=3)
-        kept.append({"in_shape": entry["in_shape"], "cols": entry["cols"], "pool_idx": idx,
+        mask = np.take_along_axis(_windows(entry["mask"], ph, pw), idx[..., None], axis=3)
+        onehot = (np.arange(ph * pw) == idx[..., None]).astype(np.float64)
+        pre = onehot.reshape(c, h // ph, wid // pw, ph, pw).transpose(0, 1, 3, 2, 4)
+        kept.append({"in_shape": entry["in_shape"], "cols": entry["cols"],
+                     "pre": pre.reshape(c, h, wid), "peak": np.ones(idx.shape),
                      "mask": mask[..., 0]})
     return kept
 
@@ -610,8 +635,8 @@ def test_encode_is_bit_identical_to_reference_forward():
 
 def test_pooling_before_the_bias_keeps_ties_that_rounding_makes():
     # pre-bias a = 0.5 < c = 1 both round to 2**53 after the bias: the
-    # rectified map ties, and its first maximum is a's, not c's; the kept
-    # index is the pre-bias maximum, c's
+    # rectified map ties, and its first maximum is a's, not c's; the
+    # gradient goes to the pre-bias maximum, c's
     arch = EncoderArch(input_shape=(1, 4), channels=(1, 1), pools=((1, 2),))
     kernel = np.zeros((1, 1, 3, 3))
     kernel[0, 0, 1, 1] = 1.0  # the centre tap: pre-bias values are the input
@@ -625,8 +650,17 @@ def test_pooling_before_the_bias_keeps_ties_that_rounding_makes():
     kept_flat, cache = enc._forward(x, w, keep=True)
     assert kept_flat.tobytes() == ref_flat.tobytes()
     assert ref_cache[0]["pool_idx"].tolist() == [[[0, 0]]]
-    assert cache[0]["pool_idx"].tolist() == [[[1, 0]]]
+    assert cache[0]["pre"].tolist() == [[[a, c, c, a]]]
+    assert cache[0]["peak"].tolist() == [[[c, c]]]
     assert cache[0]["mask"].tolist() == [[[True, True]]]
+    # window 0's gradient goes to column 1, window 1's to column 2
+    grads = enc._zero_grads(w)
+    enc._backward(np.ones(2), cache, w, grads)
+    cols = cache[0]["cols"]
+    want = (np.array([0.0, 1.0, 1.0, 0.0]) @ cols.T).reshape(kernel.shape)
+    not_want = (np.array([1.0, 0.0, 1.0, 0.0]) @ cols.T).reshape(kernel.shape)
+    assert grads[0][0].tobytes() == want.tobytes() != not_want.tobytes()
+    assert grads[0][1].tolist() == [2.0]
 
 
 def test_kept_cache_equals_reference_cache():
@@ -638,18 +672,21 @@ def test_kept_cache_equals_reference_cache():
         assert enc._forward(xn, w)[1] is None
         ref_cache = _kept_layout(ref_cache, w.arch)
         assert len(cache) == len(ref_cache)
-        for entry, ref in zip(cache, ref_cache):
+        for entry, ref, pool in zip(cache, ref_cache, w.arch.pools):
             assert entry.keys() == ref.keys()
             assert entry["in_shape"] == ref["in_shape"]
-            for key in ("cols", "mask", "pool_idx"):
+            for key in ("cols", "pre", "peak", "mask"):
                 assert entry[key].shape == ref[key].shape
+            for key in ("cols", "mask"):
                 assert entry[key].dtype == ref[key].dtype
-            assert entry["cols"].tobytes() == ref["cols"].tobytes()
-            assert entry["mask"].tobytes() == ref["mask"].tobytes()
+                assert entry[key].tobytes() == ref[key].tobytes()
+            windows = _windows(entry["pre"], *(pool or (1, 1)))
+            assert entry["peak"].tobytes() == windows.max(axis=3).tobytes()
             # a window whose maximum is not positive after the bias passes no
             # gradient, and there the two first-maximum rules may differ
             mask = entry["mask"]
-            assert np.array_equal(entry["pool_idx"][mask], ref["pool_idx"][mask])
+            ref_idx = _windows(ref["pre"], *(pool or (1, 1))).argmax(axis=3)
+            assert np.array_equal(windows.argmax(axis=3)[mask], ref_idx[mask])
 
 
 def test_training_is_bit_identical_with_reference_forward(monkeypatch):
@@ -686,6 +723,15 @@ def test_normalize_input_is_the_numpy_standardization():
             assert got32.tobytes() == want.astype(np.float32).tobytes()
     x = random_heatmap_values(rng, 16, 24)
     assert enc._normalize_input(x).std() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_normalize_input_standardizes_any_finite_heatmap(k):
+    # squares of x * 2**1000 overflow and those of x * 2**-1000 underflow
+    for x, _ in _oracle_cases():
+        for dtype in (np.float64, np.float32):
+            want = enc._normalize_input(x, dtype).copy()
+            assert enc._normalize_input(x * 2.0**k, dtype).tobytes() == want.tobytes()
 
 
 # -- float32 weights: the forward in the weights' dtype -----------------------
@@ -840,15 +886,17 @@ def test_a_kept_cache_survives_a_lean_encode():
     w = init_weights(EncoderArch(input_shape=(64, 96)), 5)
     xn = enc._normalize_input(random_heatmap_values(rng, 64, 96))
     flat, cache = enc._forward(xn, w, keep=True)
-    arrays = ("cols", "pool_idx", "mask")
+    arrays = ("cols", "pre", "peak", "mask")
     snapshot = [{k: entry[k].copy() for k in arrays} for entry in cache]
     flat_copy = flat.copy()
     encode(random_heatmap_values(rng, 64, 96), w)
     assert flat.tobytes() == flat_copy.tobytes()
+    bufs = [b for entry in enc._workspaces.bufs.values() for b in entry if b is not None]
     for entry, snap in zip(cache, snapshot):
         assert entry.keys() == {"in_shape", *arrays}
         for key in arrays:
             assert entry[key].tobytes() == snap[key].tobytes()
+            assert not any(np.shares_memory(entry[key], b) for b in bufs)
 
 
 def test_lean_outputs_do_not_alias_a_workspace():

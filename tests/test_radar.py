@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from radarplace.errors import ConfigError, DimensionError, RangeAliasingError
 from radarplace.heatmap import generate_heatmap, heatmaps_from_sums
 from radarplace.radar import (
+    IFCube,
     PlatformConfig,
     RadarConfig,
     Scatterer,
@@ -115,6 +116,22 @@ def test_config_validation():
 def test_platform_config_rejects_a_non_finite_or_vanishing_step(fields):
     with pytest.raises(ConfigError):
         PlatformConfig(**fields)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RadarConfig(sample_rate=0.0), "sample_rate must be positive"),
+    (lambda: RadarConfig(gain_taper_exp=-1.0), "gain_taper_exp must be >= 0"),
+    (lambda: IFCube(np.zeros((4, 2))), "IF cube must be 3-D, got shape (4, 2)"),
+    (lambda: PlatformConfig(angular_speed=-150.0), "angular_speed must be > 0"),
+    (lambda: PlatformConfig(frame_rate=0.0), "frame_rate must be > 0"),
+    (lambda: PlatformConfig(sweep_extent=-1.0), "sweep_extent must be > 0"),
+    (lambda: PlatformConfig(jitter_std=-0.5), "jitter_std must be >= 0"),
+    (lambda: sweep_headings(PlatformConfig(), 0), "n_frames must be >= 1"),
+])
+def test_radar_validation_names_the_value(make, message):
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_gain_taper_attenuates_off_boresight(small_cfg):

@@ -244,3 +244,11 @@ def test_evaluate_rejects_an_unknown_concat_mode():
     w = enc.init_weights(enc.EncoderArch(input_shape=(64, 96)), 0)
     with pytest.raises(ConfigError, match="unknown concat mode 'mosaic'"):
         synth.evaluate(_world(0), CFG, w, concat_mode="mosaic")
+
+
+@pytest.mark.parametrize("fields, message", [({"n_places": 0}, "n_places must be >= 1"),
+                                             ({"spacing_m": 0.0}, "spacing_m must be > 0")])
+def test_world_config_validation_names_the_value(fields, message):
+    with pytest.raises(ConfigError) as err:
+        synth.WorldConfig(**fields)
+    assert str(err.value) == message
