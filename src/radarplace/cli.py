@@ -24,7 +24,7 @@ from . import fileio, synth
 from .errors import ConfigError, EmptyResultError, RadarPlaceError
 from .heatmap import angle_axis_for, generate_heatmap, range_to_row, angle_to_col
 from .placedb import PlaceDB, PlaceRecord
-from .radar import scene_at_heading, simulate_platform_sweep
+from .radar import PlatformConfig, RadarConfig, scene_at_heading, simulate_platform_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,13 +50,13 @@ def _load_configs(path):
     unknown = sorted(keyvals.keys() - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    return keyvals, fileio.radar_config_from(keyvals), fileio.platform_config_from(keyvals)
+    return (keyvals, fileio.config_from(RadarConfig, keyvals),
+            fileio.config_from(PlatformConfig, keyvals))
 
 
-def _heatmap_files(path: Path) -> list[Path]:
-    if path.is_dir():
-        return sorted(path.glob("*.rah"))
-    return [path]
+def _files(path: Path, pattern: str) -> list[Path]:
+    """The files of directory ``path`` that match ``pattern``, sorted; else ``path`` itself."""
+    return sorted(path.glob(pattern)) if path.is_dir() else [path]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -79,16 +79,15 @@ def cmd_simulate(args) -> int:
         fileio.save_cube(out / f"frame_{f:04d}.ifc", cube)
         poses.append({"frame_idx": f, "x_m": 0.0, "y_m": 0.0, "heading_deg": heading})
     fileio.save_poses_csv(out / "truth.csv", poses)
-
-    with open(out / "scatterer_cells.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scatterer_idx", "range_m", "azimuth_deg", "row", "col"])
-        for i, sc in enumerate(scene):
-            # the reflector's cell in frame 0, empty when frame 0 cannot see it
-            seen = scene_at_heading([sc], 0.0, rcfg.fov_deg)
-            cell = ([range_to_row(sc.range, rcfg, rcfg.n_samples),
-                     angle_to_col(seen[0].azimuth, rcfg, rcfg.n_antennas)] if seen else ["", ""])
-            writer.writerow([i, f"{sc.range:.6f}", f"{np.degrees(sc.azimuth):.6f}", *cell])
+    cells = []
+    for i, sc in enumerate(scene):
+        # the reflector's cell in frame 0, empty when frame 0 cannot see it
+        seen = scene_at_heading([sc], 0.0, rcfg.fov_deg)
+        cell = ([range_to_row(sc.range, rcfg, rcfg.n_samples),
+                 angle_to_col(seen[0].azimuth, rcfg, rcfg.n_antennas)] if seen else ["", ""])
+        cells.append([i, f"{sc.range:.6f}", f"{np.degrees(sc.azimuth):.6f}", *cell])
+    fileio.save_csv(out / "scatterer_cells.csv",
+                    ("scatterer_idx", "range_m", "azimuth_deg", "row", "col"), cells)
     print(f"wrote {len(cubes)} cube(s) to {out}")
     return EXIT_OK
 
@@ -103,8 +102,7 @@ def cmd_heatmap(args) -> int:
                 fileio.config_int(keyvals, "heatmap_cols"))
     if size is not None and min(size) < 1:
         raise ConfigError(f"heatmap size must be >= 1, got {size[0]}x{size[1]}")
-    src = Path(args.input)
-    files = sorted(src.glob("*.ifc")) if src.is_dir() else [src]
+    files = _files(Path(args.input), "*.ifc")
     if not files:
         print("warning: no cube files found", file=sys.stderr)
         return EXIT_EMPTY
@@ -120,7 +118,7 @@ def cmd_heatmap(args) -> int:
 
 def cmd_concat(args) -> int:
     _, _, pcfg = _load_configs(args.config)
-    files = _heatmap_files(Path(args.input))
+    files = _files(Path(args.input), "*.rah")
     if len(files) < 2:
         print("warning: need at least two heatmaps to concatenate", file=sys.stderr)
         return EXIT_EMPTY
@@ -137,11 +135,9 @@ def cmd_concat(args) -> int:
 
 def _load_labeled_heatmaps(heatmap_dir, poses_path):
     poses = fileio.load_poses_csv(poses_path)
-    files = _heatmap_files(Path(heatmap_dir))
+    files = _files(Path(heatmap_dir), "*.rah")
     if len(poses) != len(files):
-        raise ConfigError(
-            f"{len(files)} heatmaps but {len(poses)} pose rows"
-        )
+        raise ConfigError(f"{len(files)} heatmaps but {len(poses)} pose rows")
     dataset = []
     for f, p in zip(files, poses):
         dataset.append((fileio.load_heatmap(f), (p["x_m"], p["y_m"]), p["heading_deg"]))
@@ -155,14 +151,9 @@ def cmd_train(args) -> int:
     result = enc.train(dataset, cfg)
     fileio.save_weights(args.out, result.weights)
     log_path = Path(args.out).with_suffix(".log.csv")
-    with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "lr", "triplets_skipped"])
-        for row in result.history:
-            writer.writerow([
-                row["epoch"], f"{row['mean_loss']:.9f}",
-                f"{row['lr']:.9f}", row["triplets_skipped"],
-            ])
+    fileio.save_csv(log_path, ("epoch", "mean_loss", "lr", "triplets_skipped"),
+                    ([r["epoch"], f"{r['mean_loss']:.9f}", f"{r['lr']:.9f}", r["triplets_skipped"]]
+                     for r in result.history))
     print(f"wrote weights to {args.out} (training log: {log_path})")
     return EXIT_OK
 
@@ -204,7 +195,7 @@ def cmd_render(args) -> int:
 
 def cmd_eval(args) -> int:
     keyvals, rcfg, pcfg = _load_configs(args.config)
-    wcfg = fileio.world_config_from(keyvals, args.seed)
+    wcfg = fileio.config_from(synth.WorldConfig, keyvals, seed=args.seed)
     # checked before rendering and training, which can take minutes or fail first
     if wcfg.heatmap_rows > rcfg.n_samples or wcfg.heatmap_cols < rcfg.n_antennas:
         raise ConfigError(
@@ -217,6 +208,14 @@ def cmd_eval(args) -> int:
             f"heatmap_cols = {wcfg.heatmap_cols} keeps {width} of its angle bins at wavelength "
             f"{rcfg.wavelength:g} and antenna_spacing {rcfg.antenna_spacing:g}: a spacing "
             f"below half a wavelength drops the bins outside the visible region")
+    # the default encoder's pools must divide the view; given weights bring their own
+    keys = ("heatmap_rows", "heatmap_cols" if args.concat == "none" else "mosaic_cols")
+    view = tuple(getattr(wcfg, key) for key in keys)
+    try:
+        arch = None if args.weights else enc.EncoderArch(input_shape=view)
+    except ConfigError as exc:
+        raise ConfigError(f"a {view[0]}x{view[1]} view ({keys[0]} x {keys[1]}) does not fit "
+                          f"the default encoder: {exc}") from None
     queries_per_cell = fileio.config_int(keyvals, "queries_per_cell", 4)
     if queries_per_cell < 1:
         raise ConfigError(f"queries_per_cell must be >= 1, got {queries_per_cell}")
@@ -236,7 +235,7 @@ def cmd_eval(args) -> int:
         dataset = synth.training_dataset(world, rcfg, seed=args.seed + 50, pcfg=pcfg,
                                          mode=args.concat)
         tcfg = enc.TrainConfig(seed=args.seed, max_epochs=fileio.config_int(keyvals, "epochs", 8))
-        weights = enc.train(dataset, tcfg).weights
+        weights = enc.train(dataset, tcfg, arch).weights
 
     report = synth.evaluate(
         world, rcfg, weights,

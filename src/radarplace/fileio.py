@@ -304,13 +304,9 @@ def load_keyvals(path) -> dict[str, float]:
     return out
 
 
-_RADAR_KEYS = {f.name for f in fields(RadarConfig)}
-_PLATFORM_KEYS = {f.name for f in fields(PlatformConfig)}
-_WORLD_KEYS = {  # not seed or range_lo
-    "n_places", "spacing_m", "scatterers_per_place", "noise_std",
-    "heatmap_rows", "heatmap_cols", "mosaic_cols",
-}
-CONFIG_KEYS = _RADAR_KEYS | _PLATFORM_KEYS | _WORLD_KEYS
+# a file sets every field of these configs but WorldConfig's seed and range_lo
+CONFIG_KEYS = {f.name for cls in (RadarConfig, PlatformConfig, WorldConfig)
+               for f in fields(cls)} - {"seed", "range_lo"}
 
 
 def config_int(keyvals: dict[str, float], key: str, default: int | None = None) -> int:
@@ -321,24 +317,11 @@ def config_int(keyvals: dict[str, float], key: str, default: int | None = None) 
     return int(value)
 
 
-def _config_from(cls, keys, keyvals, **fixed):
-    """``cls`` from the ``keys`` set in ``keyvals`` plus ``fixed``; ints via ``config_int``."""
-    ints = {f.name for f in fields(cls) if f.type in ("int", int)}
-    kwargs = {k: config_int(keyvals, k) if k in ints else keyvals[k]
-              for k in keys & keyvals.keys()}
+def config_from(cls, keyvals: dict[str, float], **fixed):
+    """``cls`` from the fields that ``keyvals`` sets, plus ``fixed``; ints via ``config_int``."""
+    kwargs = {f.name: config_int(keyvals, f.name) if f.type in ("int", int) else keyvals[f.name]
+              for f in fields(cls) if f.name in keyvals}
     return cls(**kwargs, **fixed)
-
-
-def radar_config_from(keyvals: dict[str, float]) -> RadarConfig:
-    return _config_from(RadarConfig, _RADAR_KEYS, keyvals)
-
-
-def platform_config_from(keyvals: dict[str, float]) -> PlatformConfig:
-    return _config_from(PlatformConfig, _PLATFORM_KEYS, keyvals)
-
-
-def world_config_from(keyvals: dict[str, float], seed: int) -> WorldConfig:
-    return _config_from(WorldConfig, _WORLD_KEYS, keyvals, seed=seed)
 
 
 _OFFSET_COLUMNS = ("frame_idx", "r_offset", "a_offset", "score")
@@ -374,12 +357,17 @@ def _csv_rows(path, columns):
             yield where, values
 
 
-def save_offsets_csv(path, offsets: list[PoseOffset]) -> None:
+def save_csv(path, columns, rows) -> None:
+    """Write a CSV file: the ``columns`` header row, then each of ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_OFFSET_COLUMNS)
-        for i, o in enumerate(offsets):
-            writer.writerow([i, o.r_offset, o.a_offset, f"{o.score:.9f}"])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def save_offsets_csv(path, offsets: list[PoseOffset]) -> None:
+    save_csv(path, _OFFSET_COLUMNS,
+             ([i, o.r_offset, o.a_offset, f"{o.score:.9f}"] for i, o in enumerate(offsets)))
 
 
 def load_offsets_csv(path) -> list[PoseOffset]:
@@ -401,13 +389,9 @@ def load_poses_csv(path) -> list[dict]:
 
 
 def save_poses_csv(path, poses: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_POSE_COLUMNS)
-        for p in poses:
-            writer.writerow(
-                [p["frame_idx"], f"{p['x_m']:.6f}", f"{p['y_m']:.6f}", f"{p['heading_deg']:.6f}"]
-            )
+    save_csv(path, _POSE_COLUMNS,
+             ([p["frame_idx"], f"{p['x_m']:.6f}", f"{p['y_m']:.6f}", f"{p['heading_deg']:.6f}"]
+              for p in poses))
 
 
 # -- rendering ----------------------------------------------------------------

@@ -179,17 +179,20 @@ def mosaic_view(
 ) -> Heatmap:
     """First-cycle mosaic (frame 0's rows, standardized columns) from one pose.
 
-    A mosaic canvas cannot hold more frames than it has columns, so a sweep
-    of more than ``concat.MAX_CANVAS_COLS`` frames is a ConfigError, raised
-    before anything renders.
+    A mosaic registers at least two frames, and a canvas cannot hold more
+    frames than it has columns, so a sweep of fewer than two or more than
+    ``concat.MAX_CANVAS_COLS`` frames is a ConfigError, raised before
+    anything renders.
     """
     steps = pcfg.sweep_extent / pcfg.nominal_step
-    # round(steps) + 1 frames; compared as a float, so an infinite ratio fails too
-    if not steps < cc.MAX_CANVAS_COLS - 0.5:
+    # round(steps) + 1 frames, and round(0.5) is 0; compared as a float, so
+    # an infinite ratio fails too
+    if not 0.5 < steps < cc.MAX_CANVAS_COLS - 0.5:
+        limit = (f"above the canvas limit {cc.MAX_CANVAS_COLS}" if steps > 0.5
+                 else "below the two frames a mosaic needs")
         raise ConfigError(
             f"sweep_extent {pcfg.sweep_extent:g} at angular_speed {pcfg.angular_speed:g} and "
-            f"frame_rate {pcfg.frame_rate:g} takes {steps + 1:.3g} frames per sweep, above "
-            f"the canvas limit {cc.MAX_CANVAS_COLS}")
+            f"frame_rate {pcfg.frame_rate:g} takes {steps + 1:.3g} frames per sweep, {limit}")
     n_frames = round(steps) + 1
     frames = render_sweep(world, place_idx, cfg, pcfg, n_frames, body_heading_deg, lateral, seed)
     # jitter can reflect off the sweep limit a frame early; keep the first

@@ -515,7 +515,7 @@ def test_eval_concat_training_mosaics_follow_the_seed(tmp_path, monkeypatch):
                    "epochs = 1\nqueries_per_cell = 1\n")
     trained_on = []
 
-    def capture(dataset, tcfg):
+    def capture(dataset, tcfg, arch):
         trained_on.extend(hm for hm, _ in dataset)
         return TrainResult(init_weights(EncoderArch(input_shape=(64, 64)), 0), [])
 
@@ -523,8 +523,8 @@ def test_eval_concat_training_mosaics_follow_the_seed(tmp_path, monkeypatch):
     assert main(["eval", "--config", str(cfg), "--seed", "200", "--concat", "relpose",
                  "--out", str(tmp_path / "report")]) == 0
     assert len(trained_on) == 12
-    world = synth.build_world(fileio.world_config_from(
-        {"n_places": 6, "heatmap_cols": 32, "mosaic_cols": 64}, 200))
+    world = synth.build_world(fileio.config_from(
+        synth.WorldConfig, {"n_places": 6, "heatmap_cols": 32, "mosaic_cols": 64}, seed=200))
     pcfg = PlatformConfig()
     for i in range(6):
         # the reference-map view of place i that evaluate builds at this seed
@@ -539,8 +539,8 @@ def test_eval_with_the_weights_it_would_train_writes_the_same_report(tmp_path, c
                    "epochs = 1\nqueries_per_cell = 1\n")
     seed = 200
     # the training set and config that eval builds itself when given no weights
-    world = synth.build_world(fileio.world_config_from(
-        {"n_places": 6, "heatmap_cols": 32, "mosaic_cols": 64}, seed))
+    world = synth.build_world(fileio.config_from(
+        synth.WorldConfig, {"n_places": 6, "heatmap_cols": 32, "mosaic_cols": 64}, seed=seed))
     dataset = synth.training_dataset(world, RadarConfig(), seed=seed + 50, pcfg=PlatformConfig(),
                                      mode=concat)
     weights = tmp_path / "w.mmw"
@@ -641,6 +641,43 @@ def test_eval_refuses_a_sweep_longer_than_the_canvas(tmp_path, monkeypatch, caps
         assert all(key in err for key in ("sweep_extent", "angular_speed", "frame_rate"))
 
 
+@pytest.mark.parametrize("concat", ["relpose", "fixed"])
+def test_eval_refuses_a_sweep_shorter_than_one_step(tmp_path, monkeypatch, capsys, concat):
+    # 7 deg over 15 deg steps: round(7 / 15) + 1 = 1 frame, nothing to register
+    def no_work(*args, **kwargs):
+        raise AssertionError("eval rendered or trained before rejecting its config")
+
+    monkeypatch.setattr("radarplace.synth._render", no_work)
+    monkeypatch.setattr("radarplace.encoder.train", no_work)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("n_places = 8\nheatmap_cols = 16\nepochs = 1\nsweep_extent = 7\n")
+    assert main(["eval", "--config", str(cfg), "--concat", concat,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "frames per sweep, below the two frames a mosaic needs" in err
+    assert all(key in err for key in ("sweep_extent", "angular_speed", "frame_rate"))
+
+
+@pytest.mark.parametrize("line, concat, message", [
+    ("heatmap_rows = 32", "none", "a 32x16 view (heatmap_rows x heatmap_cols)"),
+    ("heatmap_cols = 12", "none", "a 64x12 view (heatmap_rows x heatmap_cols)"),
+    ("mosaic_cols = 100", "relpose", "a 64x100 view (heatmap_rows x mosaic_cols)"),
+])
+def test_eval_refuses_a_view_the_default_encoder_cannot_pool(tmp_path, monkeypatch, capsys,
+                                                              line, concat, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("eval rendered or trained before rejecting its config")
+
+    monkeypatch.setattr("radarplace.synth._render", no_work)
+    monkeypatch.setattr("radarplace.encoder.train", no_work)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"n_places = 8\nheatmap_cols = 16\nepochs = 1\nqueries_per_cell = 1\n{line}\n")
+    assert main(["eval", "--config", str(cfg), "--concat", concat,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{message} does not fit the default encoder: pool (4, 2) does not divide" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
 def test_heatmap_max_range_must_be_finite_and_positive(tmp_path, scene_file, cfg_file, value):
     cubes = tmp_path / "cubes"
@@ -733,7 +770,7 @@ def test_scatterer_cells_are_frame_0_cells(tmp_path, cfg_file):
                  "--out", str(out), "--frames", "2"]) == 0
     with open(out / "scatterer_cells.csv", newline="") as fh:
         cells = list(csv.DictReader(fh))
-    rcfg = fileio.radar_config_from(fileio.load_keyvals(cfg_file))
+    rcfg = fileio.config_from(RadarConfig, fileio.load_keyvals(cfg_file))
     hm = generate_heatmap(fileio.load_cube(out / "frame_0000.ifc"), rcfg)
     assert hm.values.shape == (rcfg.n_samples, rcfg.n_antennas)
     peak = np.unravel_index(np.argmax(hm.values), hm.values.shape)

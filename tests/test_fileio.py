@@ -18,8 +18,7 @@ from radarplace.fileio import (
     load_poses_csv,
     load_scene,
     load_weights,
-    platform_config_from,
-    radar_config_from,
+    config_from,
     render_pgm,
     save_cube,
     save_db,
@@ -31,7 +30,7 @@ from radarplace.fileio import (
 )
 from radarplace.heatmap import Heatmap
 from radarplace.placedb import PlaceDB, PlaceRecord
-from radarplace.radar import IFCube, RadarConfig, Scatterer, simulate_if_cube
+from radarplace.radar import IFCube, PlatformConfig, RadarConfig, Scatterer, simulate_if_cube
 
 from conftest import random_heatmap_values, signed_mmw, write_weights_with
 
@@ -371,11 +370,11 @@ def test_keyvals_and_configs(tmp_path):
     )
     kv = load_keyvals(p)
     assert kv["slope"] == 3.0e13 and kv["fov_deg"] == 90.0
-    cfg = radar_config_from(kv)
+    cfg = config_from(RadarConfig, kv)
     assert isinstance(cfg, RadarConfig)
     assert cfg.n_samples == 128 and isinstance(cfg.n_samples, int)
     assert cfg.slope == 3.0e13
-    pcfg = platform_config_from(kv)
+    pcfg = config_from(PlatformConfig, kv)
     assert pcfg.angular_speed == 120.0
     p.write_text("slope = fast\n")
     with pytest.raises(FormatError):

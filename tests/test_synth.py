@@ -210,6 +210,24 @@ def test_reference_db_mode_selects_frame_or_mosaic():
             assert np.array_equal(rec.descriptor, want)
 
 
+@pytest.mark.parametrize("sweep_extent", [7.0, 7.5, 1e-300])
+def test_mosaic_view_refuses_a_sweep_of_one_frame_before_rendering(monkeypatch, sweep_extent):
+    # 15 deg steps: round(7 / 15) and round(7.5 / 15) = round(0.5) are 0, so one frame
+    def no_render(*args, **kwargs):
+        raise AssertionError("mosaic_view rendered before rejecting its sweep")
+
+    monkeypatch.setattr("radarplace.synth._render", no_render)
+    pcfg = PlatformConfig(sweep_extent=sweep_extent)
+    with pytest.raises(ConfigError, match="below the two frames a mosaic needs"):
+        synth.mosaic_view(_world(0), 0, CFG, pcfg)
+
+
+def test_mosaic_view_mosaics_a_sweep_of_two_frames():
+    # one 15 deg step: frames at 0 and 15 deg
+    pcfg = PlatformConfig(sweep_extent=15.0)
+    assert synth.mosaic_view(_world(0), 0, CFG, pcfg).n_cols == _world(0).cfg.mosaic_cols
+
+
 @pytest.mark.parametrize("field", ["heatmap_rows", "heatmap_cols", "mosaic_cols"])
 def test_world_config_rejects_sizes_below_1(field):
     for value in (0, -3):
